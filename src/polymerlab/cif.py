@@ -22,7 +22,6 @@ from .env import COUPLING_STREAM, E1, E2, EHAT, Site, WeightField, Window, site_
 from .errors import (
     DomainError,
     ParameterError,
-    ProvenanceError,
     WindowError,
 )
 from .gibbs import PolymerPath, backward_transitions
@@ -305,7 +304,6 @@ def cif_cdf_check(
     theta_seed: int,
     busemann_horizon: int | None = None,
     right_shift: float | None = None,
-    busemann_fields=None,
 ) -> CdfComparison:
     """Quenched direction-law check: empirical CDF of the terminal interface
     direction against the Busemann formula exp(beta*(omega_0 - b1(0; xi+))),
@@ -318,10 +316,6 @@ def cif_cdf_check(
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if t_grid.size < 2:
         raise ParameterError("need at least two grid directions")
-    if busemann_fields is not None:
-        for bf in busemann_fields:
-            if bf.field is None or bf.field.seed != field.seed:
-                raise ProvenanceError("busemann fields built from a different environment")
     N = busemann_horizon if busemann_horizon is not None else steps
     delta = float(right_shift) if right_shift is not None else 1.0 / N
     stats = cif_direction_stats(field, beta, replicas, steps, theta_seed)

@@ -264,11 +264,17 @@ def load_config(path) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class Check:
+    """One asserted invariant; a NaN or infinite value never passes."""
+
     name: str
     value: float
     tolerance: float
     passed: bool
     note: str = ""
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            object.__setattr__(self, "passed", False)
 
 
 @dataclass

@@ -153,21 +153,24 @@ def band_transition_rule(
     )
 
 
+def _step(rule: CoupledStepRule, seeds, u: np.ndarray, v: np.ndarray):
+    """One synchronized step of coupled walkers at (u, v) under coupling
+    seeds: e1 where the site's uniform falls below the step probability."""
+    s = site_uniforms(seeds, COUPLING_STREAM, u, v) < rule.p_at(u, v)
+    return u + s, v + ~s
+
+
 def coupled_walk(
     rule: CoupledStepRule, thetas: CouplingField, start: Site, steps: int
 ) -> PolymerPath:
     """Deterministic walk driven by the shared uniform field."""
     sites = np.empty((steps + 1, 2), dtype=np.int64)
     sites[0] = (start.u, start.v)
-    u, v = start.u, start.v
+    u = np.asarray([start.u], dtype=np.int64)
+    v = np.asarray([start.v], dtype=np.int64)
     for k in range(steps):
-        th = thetas.theta_at(np.asarray([u]), np.asarray([v]))[0]
-        p = float(rule.p_at(np.asarray([u]), np.asarray([v]))[0])
-        if th < p:
-            u += 1
-        else:
-            v += 1
-        sites[k + 1] = (u, v)
+        u, v = _step(rule, thetas.seed, u, v)
+        sites[k + 1] = (u[0], v[0])
     return PolymerPath(sites)
 
 
@@ -227,11 +230,7 @@ def coalescence_experiment(
     va = np.full(S, start_a.v, dtype=np.int64)
     # bring walker a up to walker b's level first, driven by the same thetas
     for k in range(lag):
-        th = site_uniforms(seeds, COUPLING_STREAM, ua, va)
-        p = rule.p_at(ua, va)
-        step1 = th < p
-        ua = ua + step1
-        va = va + (~step1)
+        ua, va = _step(rule, seeds, ua, va)
     ub = np.full(S, start_b.u, dtype=np.int64)
     vb = np.full(S, start_b.v, dtype=np.int64)
     met_level = np.full(S, -1, dtype=np.int64)
@@ -241,16 +240,8 @@ def coalescence_experiment(
         merged_now = (met_level >= 0) | ((ua == ub) & (va == vb))
         just_met = (met_level < 0) & (ua == ub) & (va == vb)
         met_level[just_met] = level
-        tha = site_uniforms(seeds, COUPLING_STREAM, ua, va)
-        pa = rule.p_at(ua, va)
-        sa = tha < pa
-        ua = ua + sa
-        va = va + (~sa)
-        thb = site_uniforms(seeds, COUPLING_STREAM, ub, vb)
-        pb = rule.p_at(ub, vb)
-        sb = thb < pb
-        ub = ub + sb
-        vb = vb + (~sb)
+        ua, va = _step(rule, seeds, ua, va)
+        ub, vb = _step(rule, seeds, ub, vb)
         level += 1
         # permanence: pairs that have met must still agree after stepping
         bad = merged_now & ((ua != ub) | (va != vb))
@@ -289,14 +280,8 @@ def ordering_check(
     vh = vl.copy()
     violations = 0
     for k in range(steps):
-        thl = site_uniforms(seeds, COUPLING_STREAM, ul, vl)
-        sl = thl < rule_low.p_at(ul, vl)
-        ul = ul + sl
-        vl = vl + (~sl)
-        thh = site_uniforms(seeds, COUPLING_STREAM, uh, vh)
-        sh = thh < rule_high.p_at(uh, vh)
-        uh = uh + sh
-        vh = vh + (~sh)
+        ul, vl = _step(rule_low, seeds, ul, vl)
+        uh, vh = _step(rule_high, seeds, uh, vh)
         violations += int((ul > uh).sum())
     return violations
 
@@ -366,10 +351,7 @@ def junction_statistics(
             cs = list(new_pos)
             uu = np.asarray([new_pos[c][0] for c in cs], dtype=np.int64)
             vv = np.asarray([new_pos[c][1] for c in cs], dtype=np.int64)
-            th = site_uniforms(thetas.seed, COUPLING_STREAM, uu, vv)
-            step1 = th < rule.p_at(uu, vv)
-            uu2 = uu + step1
-            vv2 = vv + (~step1)
+            uu2, vv2 = _step(rule, thetas.seed, uu, vv)
             keep = (uu2 <= L) & (vv2 <= L)
             for j, c in enumerate(cs):
                 if keep[j]:

@@ -23,7 +23,7 @@ from .errors import (
     SizeError,
     WindowError,
 )
-from .partition import NEG_INF, PartitionTable, p2p_table
+from .partition import NEG_INF, PartitionTable, _sweep, p2p_table
 
 __all__ = [
     "PolymerPath",
@@ -197,22 +197,8 @@ def sample_p2p(transitions: TransitionField, start: Site, rng) -> PolymerPath:
     """One path of the point-to-point measure Q_{anchor, start}, sampled as
     the backward Markov chain from `start` and returned in forward
     orientation (anchor first)."""
-    if transitions.direction != -1 or transitions.anchor is None:
-        raise ParameterError("sample_p2p needs backward transitions")
-    anchor = transitions.anchor
-    if not anchor <= start:
-        raise DomainError("start must dominate the anchor")
-    rng = _as_rng(rng)
-    rev = [(start.u, start.v)]
-    cur = start
-    while cur != anchor:
-        p = transitions.p_at(cur)
-        if math.isnan(p):
-            raise DomainError(f"site ({cur.u},{cur.v}) not reachable from anchor")
-        cur = cur - E1 if rng.random() < p else cur - E2
-        rev.append((cur.u, cur.v))
-    sites = np.asarray(rev[::-1], dtype=np.int64)
-    return PolymerPath(sites)
+    steps = sample_p2p_batch(transitions, start, 1, rng)[0]
+    return path_from_steps(transitions.anchor, steps)
 
 
 def sample_p2p_batch(
@@ -221,15 +207,23 @@ def sample_p2p_batch(
     """Step matrix of `count` backward-chain samples, forward orientation:
     row s is the 0/1 e1-step sequence of sample s."""
     if transitions.direction != -1 or transitions.anchor is None:
-        raise ParameterError("sample_p2p_batch needs backward transitions")
+        raise ParameterError("backward sampling needs backward transitions")
     anchor = transitions.anchor
+    if not anchor <= start:
+        raise DomainError("start must dominate the anchor")
     k = (start - anchor).level()
     rng = _as_rng(rng)
-    du = np.full(count, start.u - transitions.window.origin.u, dtype=np.int64)
-    dv = np.full(count, start.v - transitions.window.origin.v, dtype=np.int64)
+    du0, dv0 = transitions.window.index(start)
+    du = np.full(count, du0, dtype=np.int64)
+    dv = np.full(count, dv0, dtype=np.int64)
     steps = np.empty((count, k), dtype=np.int8)
     for j in range(k - 1, -1, -1):
         p = transitions.p1[du, dv]
+        lost = np.isnan(p)
+        if lost.any():
+            i = int(np.argmax(lost))
+            site = transitions.window.origin + Site(int(du[i]), int(dv[i]))
+            raise DomainError(f"site ({site.u},{site.v}) not reachable from anchor")
         take_e1 = rng.random(count) < p
         steps[:, j] = take_e1
         du = du - take_e1
@@ -448,28 +442,25 @@ def _ldp_rate_single(
     via the probability-flow DP, the matching free-energy curve F_{x,y}/n of
     the same environment, and the max defect of the flow rate against the
     algebraic form -(1/n)(log Z - beta B)."""
+    if busemann.zero_temp:
+        raise ParameterError("the probability flow is defined for finite beta")
     beta = busemann.beta
     win = busemann.window
     if not (win.contains(x) and win.contains(x + Site(n, n))):
         raise WindowError("cocycle window too small for level n")
-    trans = busemann_transitions(busemann, field)
     x0u, x0v = win.index(x)
-    p1 = trans.p1[x0u : x0u + n + 1, x0v : x0v + n + 1]
-    with np.errstate(divide="ignore"):
-        lp1 = np.log(p1)
-        lp2 = np.log1p(-p1)
-    logflow = np.full((n + 1, n + 1), NEG_INF)
-    logflow[0, 0] = 0.0
-    for k in range(1, n + 1):
-        a = np.arange(k + 1)
-        from1 = np.full(k + 1, NEG_INF)
-        from2 = np.full(k + 1, NEG_INF)
-        from1[1:] = logflow[a[1:] - 1, k - a[1:]] + lp1[a[1:] - 1, k - a[1:]]
-        from2[:-1] = logflow[a[:-1], k - 1 - a[:-1]] + lp2[a[:-1], k - 1 - a[:-1]]
-        logflow[a, k - a] = np.logaddexp(from1, from2)
+    rect = Window(x, n + 1, n + 1)
+    # the flow DP is the sweep whose edge terms are the cocycle measure's
+    # log step probabilities beta * (omega - b_i)
+    blk = (slice(x0u, x0u + n + 1), slice(x0v, x0v + n + 1))
+    w = field.subfield(rect).values
+    logflow = _sweep(
+        (beta * (w - busemann.b1[blk]))[:-1],
+        (beta * (w - busemann.b2[blk]))[:, :-1],
+        False,
+    )
     a = np.arange(n + 1)
     rate_flow = -logflow[a, n - a] / n
-    rect = Window(x, n + 1, n + 1)
     table = p2p_table(field, x, rect, beta, "from_anchor")
     B = busemann.integrated()
     bvals = B[x0u + a, x0v + (n - a)] - B[x0u, x0v]

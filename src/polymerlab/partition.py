@@ -63,99 +63,37 @@ def lse2(a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dense sweep kernels.  Arrays are indexed [du, dv]; each row recursion is
+# The sweep kernel.  Arrays are indexed [du, dv]; each row recursion is
 # collapsed to a single ufunc accumulate by factoring out in-row prefix sums.
 # ---------------------------------------------------------------------------
 
 
-def _sweep_exclude_first(wb: np.ndarray, zero_temp: bool) -> np.ndarray:
-    """L[i, j] = log sum over up-right paths (0,0) -> (i,j) of exp(path sum),
-    path sum counting wb at every visited site except (i, j).  wb is the
-    (already beta-scaled) weight array.  zero_temp replaces sums with max."""
-    W, H = wb.shape
+def _row(a: np.ndarray, s: np.ndarray, acc) -> np.ndarray:
+    """y[0] = a[0], y[j] = op(y[j-1] + s[j-1], a[j]), evaluated as
+    acc(a - S) + S with S the exclusive prefix sum of the edge terms s."""
+    S = np.empty(a.shape[0])
+    S[0] = 0.0
+    np.cumsum(s, out=S[1:])
+    return acc(a - S) + S
+
+
+def _sweep(s1: np.ndarray, s2: np.ndarray, zero_temp: bool) -> np.ndarray:
+    """L[0, 0] = 0, L[i, j] = op(L[i-1, j] + s1[i-1, j], L[i, j-1] + s2[i, j-1])
+    on a W x H rectangle, with op = logaddexp (max when zero_temp).
+
+    s1 (W-1, H) and s2 (W, H-1) are the log-weights of the e1 and e2 edges
+    into each site; the caller chooses them (site weights, cocycle
+    log-probabilities, ...).  Rows run along the longer side."""
+    W, H = s2.shape[0], s1.shape[1]
     if W > H:
-        return _sweep_exclude_first(wb.T, zero_temp).T
+        return _sweep(s2.T, s1.T, zero_temp).T
     acc = np.maximum.accumulate if zero_temp else np.logaddexp.accumulate
     L = np.empty((W, H), dtype=np.float64)
     L[0, 0] = 0.0
-    if H > 1:
-        L[0, 1:] = np.cumsum(wb[0, :-1])
+    np.cumsum(s2[0], out=L[0, 1:])
     for i in range(1, W):
-        b = wb[i]
-        S = np.empty(H)
-        S[0] = 0.0
-        np.cumsum(b[:-1], out=S[1:])
-        a = L[i - 1] + wb[i - 1]
-        L[i] = acc(a - S) + S
+        L[i] = _row(L[i - 1] + s1[i - 1], s2[i], acc)
     return L
-
-
-def _sweep_include_first(wb: np.ndarray, zero_temp: bool) -> np.ndarray:
-    """M[i, j] = log sum over up-right paths (0,0) -> (i,j) of exp(path sum),
-    counting wb at every visited site except (0, 0)."""
-    W, H = wb.shape
-    if W > H:
-        return _sweep_include_first(wb.T, zero_temp).T
-    acc = np.maximum.accumulate if zero_temp else np.logaddexp.accumulate
-    M = np.empty((W, H), dtype=np.float64)
-    M[0, 0] = 0.0
-    if H > 1:
-        M[0, 1:] = np.cumsum(wb[0, 1:])
-    for i in range(1, W):
-        b = wb[i]
-        C = np.cumsum(b)
-        Cex = C - b
-        A = M[i - 1] - Cex
-        M[i] = acc(A) + C
-    return M
-
-
-def _logz_from_anchor(wb: np.ndarray, zero_temp: bool) -> np.ndarray:
-    """log Z_{anchor, anchor+(i,j)} on a rect with the anchor at index (0,0)."""
-    return _sweep_exclude_first(wb, zero_temp)
-
-
-def _logz_to_anchor(wb: np.ndarray, zero_temp: bool) -> np.ndarray:
-    """log Z_{(i,j), anchor} on a rect with the anchor at the top-right index."""
-    M = _sweep_include_first(wb[::-1, ::-1], zero_temp)
-    return M[::-1, ::-1]
-
-
-def _p2l_row_sweep(
-    row_weights,
-    bh1: float,
-    bh2: float,
-    K: int,
-    zero_temp: bool,
-    keep_rows: int,
-) -> np.ndarray:
-    """Tilted point-to-line values on the triangle of relative level <= K,
-    swept row by row from the flat boundary (0 at level K, -inf above).
-
-    row_weights(u, m) must return the beta-scaled weights at sites
-    (u, 0..m-1); only the first keep_rows rows are stored, so the dependency
-    cone above them is streamed with O(K) live memory.  Tilt bonuses bh1/bh2
-    are beta-scaled per-step terms.
-    """
-    acc = np.maximum.accumulate if zero_temp else np.logaddexp.accumulate
-    out = np.full((keep_rows, K + 1), NEG_INF)
-    above = np.zeros(1)
-    for u in range(K, -1, -1):
-        m = K - u
-        if m == 0:
-            row = np.zeros(1)
-        else:
-            b = row_weights(u, m) + bh2
-            T = np.empty(m + 1)
-            T[m] = 0.0
-            T[:m] = np.cumsum(b[::-1])[::-1]
-            A = above[:m] + (bh1 - bh2) - T[1:]
-            seq = np.concatenate(([0.0], A[::-1]))
-            row = acc(seq)[::-1] + T
-        if u < keep_rows:
-            out[u, : m + 1] = row
-        above = row
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +184,13 @@ def p2p_table(
     au, av = window.index(anchor)
     logz = np.full((window.width, window.height), NEG_INF)
     if mode == "to_anchor":
-        logz[: au + 1, : av + 1] = _logz_to_anchor(wb[: au + 1, : av + 1], zero_temp)
+        # reversed, the anchor is the origin and each edge carries the
+        # weight of the site it enters
+        r = wb[au::-1, av::-1]
+        logz[au::-1, av::-1] = _sweep(r[1:], r[:, 1:], zero_temp)
     else:
-        logz[au:, av:] = _logz_from_anchor(wb[au:, av:], zero_temp)
+        b = wb[au:, av:]
+        logz[au:, av:] = _sweep(b[:-1], b[:, :-1], zero_temp)
     return PartitionTable(field, anchor, beta, mode, window, logz)
 
 
@@ -352,13 +294,23 @@ def p2l_rows(
     bh1 = h[0] if zero_temp else beta * h[0]
     bh2 = h[1] if zero_temp else beta * h[1]
     scale = 1.0 if zero_temp else beta
-
-    def row_weights(u: int, m: int) -> np.ndarray:
-        vv = np.arange(m, dtype=np.int64)
-        uu = np.full(m, base.u + u, dtype=np.int64)
-        return scale * field.values_at(uu, base.v + vv)
-
-    return _p2l_row_sweep(row_weights, bh1, bh2, K, zero_temp, min(keep_rows, K + 1))
+    acc = np.maximum.accumulate if zero_temp else np.logaddexp.accumulate
+    keep_rows = min(keep_rows, K + 1)
+    out = np.full((keep_rows, K + 1), NEG_INF)
+    # sweep from the flat boundary (0 at level K, -inf above) down to row 0;
+    # reversed, row u is a row recursion whose edge terms are w + bh2 and
+    # whose entries from the row above are above + bh1 + w
+    row = np.zeros(1)
+    for u in range(K, -1, -1):
+        m = K - u
+        if m > 0:
+            uu = np.full(m, base.u + u, dtype=np.int64)
+            w = scale * field.values_at(uu, base.v + np.arange(m, dtype=np.int64))[::-1]
+            a = np.concatenate(([0.0], row[::-1] + (w + bh1)))
+            row = _row(a, w + bh2, acc)[::-1]
+        if u < keep_rows:
+            out[u, : m + 1] = row
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,9 @@ from polymerlab.cif import (
     competition_interface,
     interface_direct_sample,
 )
-from polymerlab.cocycle import busemann_from_p2l
 from polymerlab.coupling import CouplingField
 from polymerlab.env import Site, WeightSpec, Window, generate_field
-from polymerlab.errors import ProvenanceError, WindowError
+from polymerlab.errors import WindowError
 from polymerlab.gibbs import backward_transitions, sample_p2p_batch
 from polymerlab.partition import p2p_table
 
@@ -163,16 +162,6 @@ def test_cdf_check_monotone_and_bands():
     assert cmp_.within_band
     assert cmp_.horizon_drift >= 0.0
     assert np.all(cmp_.ci_lo <= cmp_.empirical) and np.all(cmp_.empirical <= cmp_.ci_hi)
-
-
-def test_cdf_check_provenance_mismatch():
-    f = generate_field(GAUSS, 1, Window(Site(0, 0), 1, 1))
-    other = generate_field(GAUSS, 2, Window(Site(0, 0), 20, 20))
-    bf = busemann_from_p2l(other, 1.0, (0.0, 0.0), 60, Window(Site(0, 0), 10, 10))
-    with pytest.raises(ProvenanceError):
-        cif_cdf_check(
-            f, 1.0, [0.3, 0.5, 0.7], 50, 40, theta_seed=1, busemann_fields=[bf]
-        )
 
 
 def test_direction_csv(tmp_path):

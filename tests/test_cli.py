@@ -5,7 +5,9 @@ import os
 import pytest
 
 from polymerlab.cli import (
+    Check,
     ExperimentConfig,
+    _leq,
     load_config,
     main,
     parse_config,
@@ -31,6 +33,13 @@ t_points = 15
 radius = 60
 seed_weights = 4
 """
+
+
+def test_non_finite_check_values_fail():
+    assert _leq("residual", 0.5, 1.0).passed
+    for bad in (math.nan, math.inf, -math.inf):
+        assert not _leq("residual", bad, 1.0).passed
+    assert not Check("cdf_upper_tail", math.inf, 0.9, True).passed
 
 
 def test_parse_round_trip_and_defaults():

@@ -73,6 +73,22 @@ def test_sample_p2p_single_step_deterministic():
         sample_p2p(bt, Site(0, 0) - Site(1, 0), rng=1)
 
 
+def test_sample_p2p_batch_refuses_unreachable_starts():
+    f = generate_field(GAUSS, 5, Window(Site(0, 0), 6, 6))
+    t = p2p_table(f, Site(2, 2), Window(Site(0, 0), 6, 6), 1.0, "from_anchor")
+    bt = backward_transitions(t)
+    with pytest.raises(DomainError):
+        sample_p2p_batch(bt, Site(5, 1), 3, rng=1)  # outside the cone of (2,2)
+    with pytest.raises(DomainError):
+        sample_p2p(bt, Site(5, 1), rng=1)
+    # a site on the way without a step law
+    p1 = np.ones((4, 1))
+    p1[2, 0] = np.nan
+    holed = TransitionField(Window(Site(0, 0), 4, 1), p1, "backward", -1, 1.0, Site(0, 0))
+    with pytest.raises(DomainError, match=r"\(2,0\)"):
+        sample_p2p_batch(holed, Site(3, 0), 2, rng=1)
+
+
 def test_sample_p2p_hand_grid_frequency():
     f = hand_grid_field()
     t = p2p_table(f, Site(0, 0), Window(Site(0, 0), 2, 2), 1.0, "from_anchor")
@@ -221,6 +237,13 @@ def test_ldp_identity_on_gaussian():
     prof = ldp_rate_profile(GAUSS, 1.0, (-1.07, -1.07), 80, 2, 3)
     assert prof.identity_residual <= 1e-10
     assert np.all(prof.rate >= -1e-12)  # rate is algebraically nonnegative
+
+
+def test_ldp_identity_on_log_gamma():
+    # the flow DP's edge terms are the cocycle's own log step probabilities,
+    # so the identity holds to rounding for inverse-log-gamma weights too
+    prof = ldp_rate_profile(WeightSpec.inverse_log_gamma(1.0), 1.0, (-1.9, -1.9), 200, 4, 20241)
+    assert prof.identity_residual <= 1e-10
 
 
 def test_rooted_mass_decay_binomial_and_trivial():

@@ -47,33 +47,56 @@ def test_anchor_value_and_unordered_sites():
     assert t.free_energy_at(Site(0, 0)) == t.logz_at(Site(0, 0))
 
 
+def assert_matches_oracle(got, want):
+    """Same -inf pattern, and every finite entry within 1e-10 relative."""
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.abs(got[fin] - want[fin]) <= 1e-10 * np.maximum(1.0, np.abs(want[fin])))
+
+
+# (window origin, width, height, anchor): anchors on a corner and strictly
+# inside, negative coordinates, square, wide (W > H), tall, 1 x H, W x 1, 1 x 1
+P2P_CASES = [
+    (Site(0, 0), 7, 7, Site(0, 0)),
+    (Site(0, 0), 7, 7, Site(6, 6)),
+    (Site(-2, 1), 8, 5, Site(1, 3)),
+    (Site(1, -1), 4, 7, Site(3, 2)),
+    (Site(0, 2), 1, 7, Site(0, 5)),
+    (Site(3, 0), 7, 1, Site(6, 0)),
+    (Site(2, 2), 1, 1, Site(2, 2)),
+]
+
+
 @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0, math.inf])
 @pytest.mark.parametrize("mode", ["from_anchor", "to_anchor"])
 def test_p2p_matches_enumeration(beta, mode):
     f = grid_field(17)
-    rng = np.random.default_rng(hash((beta, mode)) % 2**32)
-    for _ in range(8):
-        x = Site(int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-        y = Site(x.u + int(rng.integers(0, 8)), x.v + int(rng.integers(0, 8)))
-        win = Window(x, y.u - x.u + 1, y.v - x.v + 1)
-        if mode == "from_anchor":
-            got = p2p_table(f, x, win, beta, mode).logz_at(y)
-        else:
-            got = p2p_table(f, y, win, beta, mode).logz_at(x)
-        want = enumerate_oracle(f, x, beta, y=y)
-        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+    for origin, W, H, anchor in P2P_CASES:
+        table = p2p_table(f, anchor, Window(origin, W, H), beta, mode)
+        want = np.empty((W, H))
+        for du in range(W):
+            for dv in range(H):
+                site = origin + Site(du, dv)
+                x, y = (anchor, site) if mode == "from_anchor" else (site, anchor)
+                want[du, dv] = enumerate_oracle(f, x, beta, y=y)
+        assert_matches_oracle(table.logz, want)
 
 
-@pytest.mark.parametrize("beta", [1.0, math.inf])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0, math.inf])
 def test_p2l_matches_enumeration(beta):
-    rng = np.random.default_rng(3 if beta == 1.0 else 4)
+    rng = np.random.default_rng(3)
     for trial in range(6):
-        n = int(rng.integers(1, 8))
+        K = int(rng.integers(0, 8))
         h = (float(rng.normal()), float(rng.normal()))
-        f = generate_field(GAUSS, 50 + trial, Window(Site(0, 0), n + 1, n + 1))
-        got = p2l_table(f, beta, h, n).logz_at(Site(0, 0))
-        want = enumerate_oracle(f, Site(0, 0), beta, level=n, h=h)
-        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+        base = Site(0, 0) if trial < 2 else Site(int(rng.integers(-2, 3)), int(rng.integers(-2, 3)))
+        n = base.level() + K
+        f = generate_field(GAUSS, 50 + trial, Window(Site(0, 0), 8, 8))
+        table = p2l_table(f, beta, h, n, base=base)
+        want = np.empty((K + 1, K + 1))
+        for du in range(K + 1):
+            for dv in range(K + 1):
+                want[du, dv] = enumerate_oracle(f, base + Site(du, dv), beta, level=n, h=h)
+        assert_matches_oracle(table.logz, want)
 
 
 def test_p2l_conventions_and_flat_tilt():
