@@ -25,7 +25,7 @@ from .errors import (
     WindowError,
 )
 from .gibbs import PolymerPath, backward_transitions
-from .partition import PartitionTable, p2p_table
+from .partition import PartitionTable, p2p_table, p2p_values
 
 __all__ = [
     "SpanningTree",
@@ -279,17 +279,10 @@ def _busemann_cdf_values(
     field: WeightField, beta: float, root: Site, t_eval: np.ndarray, N: int
 ) -> np.ndarray:
     """exp(beta*(omega_root - b1(root; xi))) with b1 from point-to-point
-    tables at targets root + (round(N t), N - round(N t))."""
-    rect = Window(root, N + 1, N + 1)
-    aa = np.array(
-        [min(max(int(round(N * float(t))), 1), N - 1) for t in t_eval], dtype=np.int64
-    )
-    table0 = p2p_table(field, root, rect, beta, "from_anchor")
-    vals0 = table0.logz[aa, N - aa].copy()
-    del table0
-    table1 = p2p_table(field, root + E1, rect, beta, "from_anchor")
-    vals1 = table1.logz[aa, N - aa].copy()
-    del table1
+    values at targets root + (round(N t), N - round(N t))."""
+    aa = np.array([min(max(int(round(N * float(t))), 1), N - 1) for t in t_eval])
+    vals0 = p2p_values(field, root, beta, aa, N - aa)
+    vals1 = p2p_values(field, root + E1, beta, aa - 1, N - aa)
     w0 = float(field.values_at(np.asarray([root.u]), np.asarray([root.v]))[0])
     b1 = (vals0 - vals1) / beta
     return np.exp(beta * (w0 - b1))

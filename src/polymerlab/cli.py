@@ -215,7 +215,15 @@ class ExperimentConfig:
         raise ConfigError(f"field 'weights': unknown distribution {w!r}")
 
 
+# kinds whose runners need a finite beta: no zero-temperature version exists
+_FINITE_BETA_KINDS = ("dlr", "ldp", "interface", "cdf")
+
+
 def parse_config(text: str) -> ExperimentConfig:
+    return _config(_fields(text))
+
+
+def _fields(text: str) -> dict[str, str]:
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -231,6 +239,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in raw:
             raise ConfigError(f"field {key!r}: duplicated")
         raw[key] = val
+    return raw
+
+
+def _config(raw: dict[str, str]) -> ExperimentConfig:
     kind = raw.get("kind")
     if kind is None:
         raise ConfigError("field 'kind': missing")
@@ -252,14 +264,26 @@ def parse_config(text: str) -> ExperimentConfig:
             if default is _REQUIRED:
                 raise ConfigError(f"field {key!r}: missing")
             values[key] = default
-    if values["beta"] != math.inf and values["beta"] <= 0:
+    beta = values["beta"]
+    if not beta > 0:
         raise ConfigError("field 'beta': must be positive or inf")
+    if math.isinf(beta) and (kind in _FINITE_BETA_KINDS or values.get("rule") == "busemann"):
+        raise ConfigError(f"field 'beta': kind {kind!r} is defined for finite beta only")
     return ExperimentConfig(kind, values)
 
 
 def load_config(path) -> ExperimentConfig:
+    return _load(path, None)
+
+
+def _load(path, beta: str | None) -> ExperimentConfig:
+    """Read a config file; a --beta value replaces its beta field before the
+    fields are parsed and checked."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        raw = _fields(fh.read())
+    if beta is not None:
+        raw["beta"] = beta
+    return _config(raw)
 
 
 @dataclass(frozen=True)
@@ -769,11 +793,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            cfg = load_config(args.config)
-            if args.beta is not None:
-                values = dict(cfg.values)
-                values["beta"] = float(args.beta)
-                cfg = ExperimentConfig(cfg.kind, values)
+            cfg = _load(args.config, args.beta)
             report = run(cfg, out_dir=args.out, workers=args.workers)
             _print_report(report)
             return 0 if report.passed else 1
@@ -785,14 +805,7 @@ def main(argv=None) -> int:
             ]
         base = os.path.dirname(os.path.abspath(args.manifest))
         paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in paths]
-        configs = []
-        for p in paths:
-            cfg = load_config(p)
-            if args.beta is not None:
-                values = dict(cfg.values)
-                values["beta"] = float(args.beta)
-                cfg = ExperimentConfig(cfg.kind, values)
-            configs.append(cfg)
+        configs = [_load(p, args.beta) for p in paths]
         ok, reports = suite(configs, out_dir=args.out, workers=args.workers or 1)
         for r in reports:
             _print_report(r)

@@ -28,7 +28,7 @@ from .errors import (
     ProvenanceError,
     WindowError,
 )
-from .partition import p2l_table, p2p_table
+from .partition import NEG_INF, p2l_rows, p2p_table, p2p_values
 
 __all__ = [
     "Provenance",
@@ -136,31 +136,11 @@ class BusemannField:
         )
 
 
-def _b_from_p2l_values(table, window: Window, clamp: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Increment arrays from a tilted point-to-line table; sites at or above
-    the horizon level get 0 when clamp is set (pre-limit convention)."""
-    beta = table.beta
-    n = table.n
-    base = table.base
-    K = table.depth
-    L = table.logz
-    u0 = window.origin.u - base.u
-    v0 = window.origin.v - base.v
-    W, H = window.width, window.height
-    if u0 < 0 or v0 < 0 or u0 + W > K or v0 + H > K:
-        raise WindowError("window plus its e1/e2 shifts exceeds the horizon triangle")
-    cur = L[u0 : u0 + W, v0 : v0 + H]
-    up1 = L[u0 + 1 : u0 + W + 1, v0 : v0 + H]
-    up2 = L[u0 : u0 + W, v0 + 1 : v0 + H + 1]
-    scale = 1.0 if table.zero_temp else 1.0 / beta
-    with np.errstate(invalid="ignore"):  # -inf minus -inf above the horizon
-        b1 = (cur - up1) * scale - table.h[0]
-        b2 = (cur - up2) * scale - table.h[1]
-    if clamp:
-        uu, vv = window.coord_grids()
-        beyond = (uu + vv) >= n
-        b1 = np.where(beyond, 0.0, b1)
-        b2 = np.where(beyond, 0.0, b2)
+def _increments(rows: np.ndarray, W: int, H: int, beta: float, h) -> tuple[np.ndarray, np.ndarray]:
+    """b_i(y) = F_{y,(n)} - F_{y+e_i,(n)} - h.e_i from point-to-line rows."""
+    scale = 1.0 if math.isinf(beta) else 1.0 / float(beta)
+    b1 = (rows[:W, :H] - rows[1 : W + 1, :H]) * scale - h[0]
+    b2 = (rows[:W, :H] - rows[:W, 1 : H + 1]) * scale - h[1]
     return b1, b2
 
 
@@ -180,13 +160,8 @@ def busemann_from_p2l(
         raise HorizonError(
             f"window reaches level {window.corner.level()} >= horizon {n}"
         )
-    from .partition import p2l_rows
-
     rows = p2l_rows(field, beta, h, n, window.origin, keep_rows=window.width + 1)
-    W, H = window.width, window.height
-    scale = 1.0 if math.isinf(beta) else 1.0 / float(beta)
-    b1 = (rows[:W, :H] - rows[1 : W + 1, :H]) * scale - h[0]
-    b2 = (rows[:W, :H] - rows[:W, 1 : H + 1]) * scale - h[1]
+    b1, b2 = _increments(rows, window.width, window.height, beta, h)
     prov = Provenance(kind="p2l", h=(float(h[0]), float(h[1])), horizon=n)
     return BusemannField(window, float(beta), b1, b2, prov, field)
 
@@ -289,7 +264,9 @@ def cesaro_busemann(
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x4E5)))
     horizons = rng.integers(1, n + 1, size=sample_count)
     env_seeds = _replica_seeds(seed, sample_count, 0xE17)
-    b1_acc = np.zeros((window.width, window.height))
+    W, H = window.width, window.height
+    level = sum(window.coord_grids())
+    b1_acc = np.zeros((W, H))
     b2_acc = np.zeros_like(b1_acc)
     o_b1 = np.empty(sample_count)
     o_b2 = np.empty(sample_count)
@@ -297,23 +274,21 @@ def cesaro_busemann(
     for k in range(sample_count):
         env = generate_field(field.spec, env_seeds[k], Window(base, 1, 1))
         N = int(horizons[k])
-        b1 = np.zeros((window.width, window.height))
-        b2 = np.zeros_like(b1)
-        Kn = N - base.level()
-        if Kn >= 1:
-            # increments are genuine below level N and 0 at or above it; the
-            # clamp handles the in-rect part, the zero init the rest
-            table = p2l_table(env, beta, h, N, base=base)
-            sub = Window(base, min(window.width, Kn), min(window.height, Kn))
-            bb1, bb2 = _b_from_p2l_values(table, sub, clamp=True)
-            b1[: sub.width, : sub.height] = bb1
-            b2[: sub.width, : sub.height] = bb2
+        # increments are genuine below level N and 0 at or above it, where
+        # the rows are padded with -inf
+        rows = np.full((W + 1, H + 1), NEG_INF)
+        part = p2l_rows(env, beta, h, max(N, base.level()), base, keep_rows=W + 1)[:, : H + 1]
+        rows[: part.shape[0], : part.shape[1]] = part
+        with np.errstate(invalid="ignore"):  # -inf minus -inf
+            b1, b2 = _increments(rows, W, H, beta, h)
+        b1 = np.where(level >= N, 0.0, b1)
+        b2 = np.where(level >= N, 0.0, b2)
         b1_acc += b1
         b2_acc += b2
         o_b1[k] = b1[0, 0]
         o_b2[k] = b2[0, 0]
-        full = p2l_table(env, beta, h, n, base=base)
-        fpl[k] = full.free_energy_at(base) / (n - base.level())
+        F = p2l_rows(env, beta, h, n, base, keep_rows=1)[0, 0]
+        fpl[k] = (F if math.isinf(beta) else F / float(beta)) / (n - base.level())
     b1_mean = b1_acc / sample_count
     b2_mean = b2_acc / sample_count
     se = lambda a: float(np.std(a, ddof=1) / math.sqrt(len(a))) if len(a) > 1 else float("nan")
@@ -405,20 +380,11 @@ def _replica_seeds(seed: int, count: int, salt: int) -> list[int]:
 
 def _shape_replica(args) -> np.ndarray:
     spec, beta, env_seed, t_grid, n_list = args
-    n_max = max(n_list)
     fld = generate_field(spec, env_seed, Window(Site(0, 0), 1, 1))
-    table = p2p_table(
-        fld, Site(0, 0), Window(Site(0, 0), n_max + 1, n_max + 1), beta, "from_anchor"
-    )
-    zero_temp = math.isinf(beta)
-    out = np.empty((len(t_grid), len(n_list)))
-    for i, t in enumerate(t_grid):
-        for j, n in enumerate(n_list):
-            a = int(round(n * t))
-            a = min(max(a, 0), n)
-            val = table.logz[a, n - a]
-            out[i, j] = (val if zero_temp else val / beta) / n
-    return out
+    nn = np.array(n_list)
+    aa = np.array([[min(max(int(round(n * t)), 0), n) for n in n_list] for t in t_grid])
+    vals = p2p_values(fld, Site(0, 0), beta, aa, nn - aa)
+    return (vals if math.isinf(beta) else vals / beta) / nn
 
 
 def estimate_shape(
@@ -461,7 +427,8 @@ def point_to_line_value(
     vals = np.empty(replicas)
     for k, env_seed in enumerate(_replica_seeds(seed, replicas, 0xF91)):
         fld = generate_field(spec, env_seed, Window(Site(0, 0), 1, 1))
-        vals[k] = p2l_table(fld, beta, h, n).free_energy_at(Site(0, 0)) / n
+        F = p2l_rows(fld, beta, h, n, Site(0, 0), keep_rows=1)[0, 0]
+        vals[k] = (F if math.isinf(beta) else F / float(beta)) / n
     se = float(np.std(vals, ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return float(np.mean(vals)), se
 
@@ -616,16 +583,10 @@ def direction_scan(
     """
     t_grid = tuple(float(t) for t in t_grid)
     N = int(target_radius)
-    rect = Window(x, N + 1, N + 1)
-    t0 = p2p_table(field, x, rect, beta, "from_anchor")
-    t1 = p2p_table(field, x + E1, rect, beta, "from_anchor")
+    aa = np.array([min(max(int(round(N * t)), 1), N - 1) for t in t_grid])
     scale = 1.0 if math.isinf(beta) else 1.0 / float(beta)
-    vals = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        a = int(round(N * t))
-        a = min(max(a, 1), N - 1)
-        du, dv = a, N - a
-        vals[i] = (t0.logz[du, dv] - t1.logz[du, dv]) * scale
+    logz0 = p2p_values(field, x, beta, aa, N - aa)
+    vals = (logz0 - p2p_values(field, x + E1, beta, aa - 1, N - aa)) * scale
     diffs = np.diff(vals)
     violations = int(np.sum(diffs > 1e-12))
     max_jump = float(np.max(np.abs(diffs))) if diffs.size else 0.0

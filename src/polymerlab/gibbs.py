@@ -23,7 +23,7 @@ from .errors import (
     SizeError,
     WindowError,
 )
-from .partition import NEG_INF, PartitionTable, _sweep, p2p_table
+from .partition import NEG_INF, PartitionTable, _sweep, p2p_table, p2p_values
 
 __all__ = [
     "PolymerPath",
@@ -265,14 +265,15 @@ def level_mass_profile(
     target = x + Site(n_max, n_max)
     if not (win.contains(x) and win.contains(target)):
         raise WindowError("window too small for the requested levels")
-    rect = Window(x, n_max + 1, n_max + 1)
-    table = p2p_table(field, x, rect, busemann.beta, "from_anchor")
+    nn = np.array(levels)[:, None]
+    aa = np.minimum(np.arange(n_max + 1), nn)  # level n, padded with repeats of (n, 0)
+    lines = p2p_values(field, x, busemann.beta, aa, nn - aa)
     B = busemann.integrated()
     x0u, x0v = win.index(x)
     out = []
-    for n in levels:
+    for n, line in zip(levels, lines):
         a = np.arange(n + 1)
-        logz = table.logz[a, n - a]
+        logz = line[: n + 1]
         bvals = B[x0u + a, x0v + (n - a)] - B[x0u, x0v]
         if busemann.zero_temp:
             defect = abs(float(np.max(logz - bvals)))
@@ -373,14 +374,15 @@ def forward_chain_batch(
     transitions: TransitionField, x: Site, steps: int, count: int, rng
 ) -> ForwardBatch:
     """Vectorized forward chains; truncated walkers are frozen in place and
-    excluded from the endpoint list."""
+    excluded from the endpoint list.  A start outside the window truncates
+    every walker at once."""
     if transitions.direction != 1:
         raise ParameterError("forward sampling needs a forward transition field")
     rng = _as_rng(rng)
     win = transitions.window
     du = np.full(count, x.u - win.origin.u, dtype=np.int64)
     dv = np.full(count, x.v - win.origin.v, dtype=np.int64)
-    alive = np.ones(count, dtype=bool)
+    alive = np.full(count, win.contains(x))
     first_e1 = 0
     for j in range(steps):
         p = transitions.p1[du[alive], dv[alive]]
@@ -461,11 +463,11 @@ def _ldp_rate_single(
     )
     a = np.arange(n + 1)
     rate_flow = -logflow[a, n - a] / n
-    table = p2p_table(field, x, rect, beta, "from_anchor")
+    logz = p2p_values(field, x, beta, a, n - a)
     B = busemann.integrated()
     bvals = B[x0u + a, x0v + (n - a)] - B[x0u, x0v]
-    rate_alg = -(table.logz[a, n - a] - beta * bvals) / n
-    lam = table.logz[a, n - a] / (beta * n)
+    rate_alg = -(logz - beta * bvals) / n
+    lam = logz / (beta * n)
     return rate_flow, lam, float(np.max(np.abs(rate_flow - rate_alg)))
 
 

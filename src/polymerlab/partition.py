@@ -32,6 +32,7 @@ __all__ = [
     "PartitionTable",
     "TiltedLineTable",
     "p2p_table",
+    "p2p_values",
     "p2l_table",
     "enumerate_oracle",
     "beta_limit_check",
@@ -192,6 +193,34 @@ def p2p_table(
         b = wb[au:, av:]
         logz[au:, av:] = _sweep(b[:-1], b[:, :-1], zero_temp)
     return PartitionTable(field, anchor, beta, mode, window, logz)
+
+
+def p2p_values(field: WeightField, anchor: Site, beta: float, du, dv) -> np.ndarray:
+    """log Z_{anchor, anchor + (du, dv)} elementwise (G at beta = inf).
+
+    Sweeps only the down-set of the targets: row i runs to the largest dv of
+    a target with du >= i, and weights are streamed one row at a time, so
+    memory is O(row).  Each row is a prefix of the row of the from_anchor
+    table on the square window, so the values equal its entries bit for bit."""
+    beta = _check_beta(beta)
+    du, dv = np.broadcast_arrays(np.asarray(du, dtype=np.int64), np.asarray(dv, dtype=np.int64))
+    if np.any(du < 0) or np.any(dv < 0):
+        raise OrderingError("targets must dominate the anchor")
+    zero_temp = math.isinf(beta)
+    scale = 1.0 if zero_temp else beta
+    acc = np.maximum.accumulate if zero_temp else np.logaddexp.accumulate
+    out = np.empty(du.shape)
+    for i in range(int(du.max(initial=-1)) + 1):
+        m = int(dv[du >= i].max())
+        w = scale * field.values_at(np.full(m + 1, anchor.u + i), anchor.v + np.arange(m + 1))
+        if i == 0:
+            row = np.concatenate(([0.0], np.cumsum(w[:-1])))
+        else:
+            row = _row(row[: m + 1] + w_prev[: m + 1], w[:-1], acc)
+        w_prev = w
+        hit = du == i
+        out[hit] = row[dv[hit]]
+    return out
 
 
 @dataclass(frozen=True, eq=False)

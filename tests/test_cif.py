@@ -118,6 +118,23 @@ def test_tree_threading_equals_direct_chain_in_law():
     assert st.chi2.sf(chi2, int(keep.sum()) - 1) > 0.01
 
 
+def test_lazy_interface_follows_the_tree_path_for_path():
+    # replica r of the lazy sampler reads the tree's parent choices under
+    # CouplingField(theta_seed + r), so it must end where the threaded tree
+    # interface ends
+    steps, replicas, theta_seed = 30, 40, 900
+    f = generate_field(GAUSS, 41, Window(Site(0, 0), 1, 1))
+    side = steps + 3
+    table = p2p_table(f, Site(0, 0), Window(Site(0, 0), side, side), 1.0, "from_anchor")
+    stats = cif_direction_stats(f, 1.0, replicas, steps, theta_seed)
+    ends = [
+        competition_interface(build_tree(table, CouplingField(theta_seed + r)), steps, False).path.end
+        for r in range(replicas)
+    ]
+    assert stats.directions.tolist() == [e.u / steps for e in ends]
+    assert len({e.u for e in ends}) > 3  # the replicas really differ
+
+
 def test_constant_weights_cif_transitions_are_binomial():
     f = generate_field(WeightSpec.constant(0.0), 1, Window(Site(0, 0), 12, 12))
     table = p2p_table(f, Site(0, 0), Window(Site(0, 0), 12, 12), 1.0, "from_anchor")

@@ -59,6 +59,13 @@ def test_parse_round_trip_and_defaults():
         ("kind = dlr\nlevels = not_a_number", "'levels'"),
         ("kind = dlr\nlevels = 3\nlevels = 4", "'levels'"),
         ("kind = dlr\nbeta = -2", "'beta'"),
+        ("kind = scan\nbeta = nan", "'beta'"),
+        ("kind = dlr\nbeta = inf", "'beta'"),
+        ("kind = ldp\nbeta = inf", "'beta'"),
+        ("kind = interface\nbeta = inf", "'beta'"),
+        ("kind = cdf\nbeta = inf", "'beta'"),
+        ("kind = decay\nrule = busemann\nbeta = inf", "'beta'"),
+        ("kind = coalescence\nrule = busemann\nbeta = inf", "'beta'"),
         ("just some words", "key = value"),
     ],
 )
@@ -94,6 +101,30 @@ def test_beta_inf_flag(tmp_path):
     assert code == 0
     data = json.loads((tmp_path / "o" / "report.json").read_text())
     assert data["config"]["beta"] == "inf"
+
+
+def test_beta_flag_is_checked_like_the_field(tmp_path, capsys):
+    scan = tmp_path / "scan.cfg"
+    scan.write_text(SCAN_CFG)
+    ldp = tmp_path / "ldp.cfg"
+    ldp.write_text("kind = ldp\n")
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("scan.cfg\nldp.cfg\n")
+    for command, target, beta in [
+        ("run", scan, "abc"),
+        ("run", scan, "-1"),
+        ("suite", manifest, "abc"),
+        ("suite", manifest, "-1"),
+        ("run", ldp, "inf"),  # refused before any work
+        ("suite", manifest, "inf"),
+    ]:
+        out = tmp_path / f"o_{command}_{beta}"
+        assert main([command, str(target), "--out", str(out), "--beta", beta]) == 2
+        assert "'beta'" in capsys.readouterr().err
+        assert not out.exists()
+    # kinds that do not depend on beta still take --beta inf
+    for text in ("kind = junctions", "kind = decay\nrule = half", "kind = coalescence"):
+        assert parse_config(text + "\nbeta = inf").beta == math.inf
 
 
 def test_reproducibility_byte_identical(tmp_path):

@@ -196,6 +196,16 @@ def test_forward_chain_truncation_flag():
     assert p.truncated and p.end == Site(2, 0)
 
 
+def test_forward_chain_batch_truncates_starts_outside_the_window():
+    win = Window(Site(0, 0), 5, 5)
+    trans = TransitionField(win, np.full((5, 5), 0.5), "busemann", 1, 1.0)
+    for start in (Site(-1, 0), Site(0, -1), Site(5, 2)):
+        assert forward_chain_sample(trans, start, 4, rng=1).truncated
+        batch = forward_chain_batch(trans, start, 4, 10, rng=1)
+        assert batch.truncated == 10 and batch.endpoints.shape == (0, 2)
+        assert batch.first_e1 == 0
+
+
 def test_forward_chain_first_step_frequency():
     f, bf = busemann_window_field()
     trans = busemann_transitions(bf, f)

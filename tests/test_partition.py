@@ -12,6 +12,7 @@ from polymerlab.partition import (
     enumerate_oracle,
     p2l_table,
     p2p_table,
+    p2p_values,
 )
 
 GAUSS = WeightSpec.gaussian(0, 1)
@@ -80,6 +81,29 @@ def test_p2p_matches_enumeration(beta, mode):
                 x, y = (anchor, site) if mode == "from_anchor" else (site, anchor)
                 want[du, dv] = enumerate_oracle(f, x, beta, y=y)
         assert_matches_oracle(table.logz, want)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0, math.inf])
+def test_p2p_values_equal_the_table(beta):
+    # the probe sweeps only the down-set of its targets, yet every value is
+    # the from_anchor table entry on the enclosing square, bit for bit
+    f = generate_field(GAUSS, 29, Window(Site(0, 0), 1, 1))
+    anchor = Site(-3, 2)
+    K = 40
+    a = np.arange(K + 1)
+    cases = [
+        (a, K - a),  # a full level line
+        (np.array([17]), np.array([9])),  # one interior target
+        (np.array([K, 0, 5]), np.array([0, K, 0])),  # targets on both axes
+        (np.array([0]), np.array([0])),  # the anchor itself
+    ]
+    table = p2p_table(f, anchor, Window(anchor, K + 1, K + 1), beta, "from_anchor")
+    for du, dv in cases:
+        assert np.array_equal(p2p_values(f, anchor, beta, du, dv), table.logz[du, dv])
+    assert p2p_values(f, anchor, beta, [0], [0])[0] == 0.0
+    for du, dv in (([3, -1], [2, 4]), ([2], [-1])):
+        with pytest.raises(OrderingError):
+            p2p_values(f, anchor, beta, du, dv)
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0, math.inf])
