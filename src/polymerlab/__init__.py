@@ -4,6 +4,7 @@ from .env import (
     E1,
     E2,
     EHAT,
+    FieldBatch,
     Site,
     WeightField,
     WeightSpec,

@@ -6,8 +6,8 @@ counter-based seeds, samplers from explicit generator seeds, and CSV output
 uses 17-significant-digit floats, so reruns are byte-identical.
 
 Commands:
-    polymerlab run <config> [--out DIR] [--workers N] [--beta inf]
-    polymerlab suite <manifest> [--out DIR] [--workers N]
+    polymerlab run <config> [--out DIR] [--beta inf]
+    polymerlab suite <manifest> [--out DIR] [--beta inf]
 
 Exit status 0 means every asserted invariant of the experiment passed.
 """
@@ -89,7 +89,6 @@ _COMMON = {
     "seed_coupling": (_parse_int, 2),
     "seed_sampler": (_parse_int, 3),
     "out": (_parse_str, ""),
-    "workers": (_parse_int, 1),
 }
 
 _SCHEMAS: dict[str, dict] = {
@@ -360,7 +359,7 @@ def _run_shape(cfg: ExperimentConfig, outdir: str, checks: list, artifacts: list
     if max(n_list) != cfg.n:
         n_list = tuple(sorted(set(n_list) | {cfg.n}))
     est = coc.estimate_shape(
-        spec, cfg.beta, cfg.t_grid, n_list, cfg.replicas, cfg.seed_weights, cfg.workers
+        spec, cfg.beta, cfg.t_grid, n_list, cfg.replicas, cfg.seed_weights
     )
     artifacts.append(est.to_csv(os.path.join(outdir, "shape.csv")))
     if spec.distribution == "constant":
@@ -473,7 +472,7 @@ def _dual_tilt_for(cfg: ExperimentConfig, spec, t: float, fpl_replicas: int = 8)
     step = cfg.shape_step
     grid = (t - 2 * step, t - step, t, t + step, t + 2 * step)
     est = coc.estimate_shape(
-        spec, cfg.beta, grid, [cfg.shape_n], cfg.shape_replicas, cfg.seed_weights + 101, cfg.workers
+        spec, cfg.beta, grid, [cfg.shape_n], cfg.shape_replicas, cfg.seed_weights + 101
     )
     return coc.dual_tilt(est, t, fpl_replicas=fpl_replicas, fpl_n=cfg.shape_n), est
 
@@ -734,30 +733,26 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig, out_dir: str | None = None, workers: int | None = None) -> Report:
+def run(config: ExperimentConfig, out_dir: str | None = None) -> Report:
     """Execute one experiment; writes CSV artifacts and report.json."""
-    values = dict(config.values)
-    if workers is not None:
-        values["workers"] = workers
-    outdir = out_dir or values.get("out") or f"out_{config.kind}"
+    outdir = out_dir or config.values.get("out") or f"out_{config.kind}"
     os.makedirs(outdir, exist_ok=True)
-    cfg = ExperimentConfig(config.kind, values)
-    report = Report(kind=cfg.kind, config=dict(cfg.values))
+    report = Report(kind=config.kind, config=dict(config.values))
     t0 = time.perf_counter()
-    _RUNNERS[cfg.kind](cfg, outdir, report.checks, report.artifacts)
+    _RUNNERS[config.kind](config, outdir, report.checks, report.artifacts)
     report.seconds = time.perf_counter() - t0
     with open(os.path.join(outdir, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     return report
 
 
-def suite(configs, out_dir: str | None = None, workers: int = 1) -> tuple[bool, list[Report]]:
+def suite(configs, out_dir: str | None = None) -> tuple[bool, list[Report]]:
     """Run a list of configs (paths or ExperimentConfig) and aggregate."""
     reports = []
     for i, item in enumerate(configs):
         cfg = load_config(item) if isinstance(item, (str, os.PathLike)) else item
         sub = os.path.join(out_dir, f"{i:02d}_{cfg.kind}") if out_dir else None
-        reports.append(run(cfg, out_dir=sub, workers=workers))
+        reports.append(run(cfg, out_dir=sub))
     return all(r.passed for r in reports), reports
 
 
@@ -786,7 +781,6 @@ def main(argv=None) -> int:
     p_suite.add_argument("manifest")
     for p in (p_run, p_suite):
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None, help="replica-level workers")
         p.add_argument(
             "--beta", default=None, help="override the config beta (accepts 'inf')"
         )
@@ -794,7 +788,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg = _load(args.config, args.beta)
-            report = run(cfg, out_dir=args.out, workers=args.workers)
+            report = run(cfg, out_dir=args.out)
             _print_report(report)
             return 0 if report.passed else 1
         with open(args.manifest, "r", encoding="utf-8") as fh:
@@ -806,7 +800,7 @@ def main(argv=None) -> int:
         base = os.path.dirname(os.path.abspath(args.manifest))
         paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in paths]
         configs = [_load(p, args.beta) for p in paths]
-        ok, reports = suite(configs, out_dir=args.out, workers=args.workers or 1)
+        ok, reports = suite(configs, out_dir=args.out)
         for r in reports:
             _print_report(r)
         print(f"suite: {'PASS' if ok else 'FAIL'} ({len(reports)} experiments)")

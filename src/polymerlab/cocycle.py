@@ -21,14 +21,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .env import E1, E2, Site, WeightField, WeightSpec, Window, generate_field
+from .env import E1, E2, FieldBatch, Site, WeightField, WeightSpec, Window, generate_field
 from .errors import (
     HorizonError,
     ParameterError,
     ProvenanceError,
     WindowError,
 )
-from .partition import NEG_INF, p2l_rows, p2p_table, p2p_values
+from .partition import p2l_rows, p2p_table, p2p_values
 
 __all__ = [
     "Provenance",
@@ -137,10 +137,11 @@ class BusemannField:
 
 
 def _increments(rows: np.ndarray, W: int, H: int, beta: float, h) -> tuple[np.ndarray, np.ndarray]:
-    """b_i(y) = F_{y,(n)} - F_{y+e_i,(n)} - h.e_i from point-to-line rows."""
+    """b_i(y) = F_{y,(n)} - F_{y+e_i,(n)} - h.e_i from point-to-line rows
+    (the last two axes)."""
     scale = 1.0 if math.isinf(beta) else 1.0 / float(beta)
-    b1 = (rows[:W, :H] - rows[1 : W + 1, :H]) * scale - h[0]
-    b2 = (rows[:W, :H] - rows[:W, 1 : H + 1]) * scale - h[1]
+    b1 = (rows[..., :W, :H] - rows[..., 1 : W + 1, :H]) * scale - h[0]
+    b2 = (rows[..., :W, :H] - rows[..., :W, 1 : H + 1]) * scale - h[1]
     return b1, b2
 
 
@@ -263,34 +264,23 @@ def cesaro_busemann(
         raise HorizonError("window levels must stay below n")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x4E5)))
     horizons = rng.integers(1, n + 1, size=sample_count)
-    env_seeds = _replica_seeds(seed, sample_count, 0xE17)
+    envs = _replica_batch(field.spec, seed, sample_count, 0xE17)
     W, H = window.width, window.height
-    level = sum(window.coord_grids())
-    b1_acc = np.zeros((W, H))
-    b2_acc = np.zeros_like(b1_acc)
-    o_b1 = np.empty(sample_count)
-    o_b2 = np.empty(sample_count)
-    fpl = np.empty(sample_count)
-    for k in range(sample_count):
-        env = generate_field(field.spec, env_seeds[k], Window(base, 1, 1))
-        N = int(horizons[k])
-        # increments are genuine below level N and 0 at or above it, where
-        # the rows are padded with -inf
-        rows = np.full((W + 1, H + 1), NEG_INF)
-        part = p2l_rows(env, beta, h, max(N, base.level()), base, keep_rows=W + 1)[:, : H + 1]
-        rows[: part.shape[0], : part.shape[1]] = part
-        with np.errstate(invalid="ignore"):  # -inf minus -inf
-            b1, b2 = _increments(rows, W, H, beta, h)
-        b1 = np.where(level >= N, 0.0, b1)
-        b2 = np.where(level >= N, 0.0, b2)
-        b1_acc += b1
-        b2_acc += b2
-        o_b1[k] = b1[0, 0]
-        o_b2[k] = b2[0, 0]
-        F = p2l_rows(env, beta, h, n, base, keep_rows=1)[0, 0]
-        fpl[k] = (F if math.isinf(beta) else F / float(beta)) / (n - base.level())
-    b1_mean = b1_acc / sample_count
-    b2_mean = b2_acc / sample_count
+    # one sweep per environment and horizon: the Cesaro horizons N and the
+    # full horizon n, on the same weights
+    rows = p2l_rows(envs, beta, h, n, base, W + 1, np.stack([horizons, np.full_like(horizons, n)]))
+    with np.errstate(invalid="ignore"):  # -inf minus -inf above the horizon
+        b1, b2 = _increments(rows[0, :, :, : H + 1], W, H, beta, h)
+    # increments are genuine below level N and 0 at or above it
+    above = sum(window.coord_grids()) >= horizons[:, None, None]
+    b1 = np.where(above, 0.0, b1)
+    b2 = np.where(above, 0.0, b2)
+    o_b1 = b1[:, 0, 0]
+    o_b2 = b2[:, 0, 0]
+    F = rows[1, :, 0, 0]
+    fpl = (F if math.isinf(beta) else F / float(beta)) / (n - base.level())
+    b1_mean = b1.mean(axis=0)
+    b2_mean = b2.mean(axis=0)
     se = lambda a: float(np.std(a, ddof=1) / math.sqrt(len(a))) if len(a) > 1 else float("nan")
     report = CesaroReport(
         target=(-float(h[0]), -float(h[1])),
@@ -371,20 +361,27 @@ class ShapeEstimate:
         return write_csv(path, ("t", "n", "lambda_hat", "se"), rows)
 
 
-def _replica_seeds(seed: int, count: int, salt: int) -> list[int]:
-    return [
-        int(s.generate_state(1, np.uint64)[0])
-        for s in np.random.SeedSequence((seed, salt)).spawn(count)
-    ]
+def _replica_batch(spec: WeightSpec, seed: int, count: int, salt: int) -> FieldBatch:
+    """`count` environments whose seeds are spawned from (seed, salt)."""
+    children = np.random.SeedSequence((seed, salt)).spawn(count)
+    seeds = [int(c.generate_state(1, np.uint64)[0]) for c in children]
+    return FieldBatch([generate_field(spec, s, Window(Site(0, 0), 1, 1)) for s in seeds])
 
 
-def _shape_replica(args) -> np.ndarray:
-    spec, beta, env_seed, t_grid, n_list = args
-    fld = generate_field(spec, env_seed, Window(Site(0, 0), 1, 1))
-    nn = np.array(n_list)
-    aa = np.array([[min(max(int(round(n * t)), 0), n) for n in n_list] for t in t_grid])
-    vals = p2p_values(fld, Site(0, 0), beta, aa, nn - aa)
-    return (vals if math.isinf(beta) else vals / beta) / nn
+def _check_replicas(replicas: int, n_list) -> None:
+    if replicas < 1:
+        raise ParameterError(f"replicas must be >= 1, got {replicas}")
+    if any(n < 1 for n in n_list):
+        raise ParameterError(f"sizes n must be >= 1, got {tuple(n_list)}")
+
+
+def _mean_se(samples: np.ndarray):
+    """Mean over the leading replica axis and its standard error (0 for a
+    single replica)."""
+    mean = samples.mean(axis=0)
+    if len(samples) < 2:
+        return mean, np.zeros_like(mean)
+    return mean, samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
 
 
 def estimate_shape(
@@ -394,7 +391,6 @@ def estimate_shape(
     n_list,
     replicas: int,
     seed: int,
-    workers: int = 1,
 ) -> ShapeEstimate:
     """Monte Carlo estimate of the limiting point-to-point free energy
     Lambda(t, 1-t) = lim n^-1 F_{0, n(t,1-t)} on a direction grid, with the
@@ -403,20 +399,13 @@ def estimate_shape(
     n_list = tuple(sorted(int(n) for n in n_list))
     if any(not (0.0 < t < 1.0) for t in t_grid):
         raise ParameterError("directions must be interior: t in (0,1)")
-    env_seeds = _replica_seeds(seed, replicas, 0x5A7E)
-    tasks = [(spec, beta, s, t_grid, n_list) for s in env_seeds]
-    if workers > 1:
-        from .parallel import map_ordered
-
-        results = map_ordered(_shape_replica, tasks, workers)
-    else:
-        results = [_shape_replica(t) for t in tasks]
-    samples = np.stack(results)
-    lam = samples.mean(axis=0)
-    if replicas > 1:
-        se = samples.std(axis=0, ddof=1) / math.sqrt(replicas)
-    else:
-        se = np.zeros_like(lam)
+    _check_replicas(replicas, n_list)
+    envs = _replica_batch(spec, seed, replicas, 0x5A7E)
+    nn = np.array(n_list)
+    aa = np.array([[min(max(int(round(n * t)), 0), n) for n in n_list] for t in t_grid])
+    vals = p2p_values(envs, Site(0, 0), beta, aa, nn - aa)
+    samples = (vals if math.isinf(beta) else vals / beta) / nn
+    lam, se = _mean_se(samples)
     return ShapeEstimate(spec, float(beta), seed, t_grid, n_list, samples, lam, se)
 
 
@@ -424,13 +413,11 @@ def point_to_line_value(
     spec: WeightSpec, beta: float, h, n: int, replicas: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo estimate (mean, se) of n^-1 F^{beta,h}_{0,(n)}."""
-    vals = np.empty(replicas)
-    for k, env_seed in enumerate(_replica_seeds(seed, replicas, 0xF91)):
-        fld = generate_field(spec, env_seed, Window(Site(0, 0), 1, 1))
-        F = p2l_rows(fld, beta, h, n, Site(0, 0), keep_rows=1)[0, 0]
-        vals[k] = (F if math.isinf(beta) else F / float(beta)) / n
-    se = float(np.std(vals, ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
-    return float(np.mean(vals)), se
+    _check_replicas(replicas, [n])
+    envs = _replica_batch(spec, seed, replicas, 0xF91)
+    F = p2l_rows(envs, beta, h, n, Site(0, 0), keep_rows=1)[:, 0, 0]
+    mean, se = _mean_se((F if math.isinf(beta) else F / float(beta)) / n)
+    return float(mean), float(se)
 
 
 def boundary_profile(
@@ -443,23 +430,18 @@ def boundary_profile(
     sd = math.sqrt(spec.variance())
     if sd == 0:
         raise ParameterError("boundary profile needs nondegenerate weights")
+    _check_replicas(replicas, n_list)
+    envs = _replica_batch(spec, seed, replicas, 0xB0D)
     out = []
     for s, n in zip(s_list, n_list):
         a = int(round(n * s))
         if a < 1:
             raise ParameterError(f"n={n} too small for s={s}")
-        vals = np.empty(replicas)
-        for k, env_seed in enumerate(_replica_seeds(seed, replicas, 0xB0D)):
-            fld = generate_field(spec, env_seed, Window(Site(0, 0), 1, 1))
-            t = p2p_table(
-                fld, Site(0, 0), Window(Site(0, 0), a + 1, n - a + 1), beta, "from_anchor"
-            )
-            F = t.logz[a, n - a] if math.isinf(beta) else t.logz[a, n - a] / beta
-            vals[k] = F / n
+        logz = p2p_values(envs, Site(0, 0), beta, a, n - a)
+        vals = (logz if math.isinf(beta) else logz / beta) / n
         denom = 2.0 * math.sqrt(s * spec.variance())
-        ratios = (vals - mean) / denom
-        se = float(np.std(ratios, ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
-        out.append((float(s), float(np.mean(ratios)), se))
+        ratio, se = _mean_se((vals - mean) / denom)
+        out.append((float(s), float(ratio), float(se)))
     return out
 
 
@@ -494,14 +476,8 @@ def dual_tilt(
     slope_r = (shape.samples[:, ti + 1, ni] - shape.samples[:, ti - 1, ni]) / (t_hi - t_lo)
     g2_r = lam_r - t * slope_r
     g1_r = slope_r + g2_r
-    h1 = -float(np.mean(g1_r))
-    h2 = -float(np.mean(g2_r))
-    R = shape.replicas
-    if R > 1:
-        h1_se = float(np.std(g1_r, ddof=1) / math.sqrt(R))
-        h2_se = float(np.std(g2_r, ddof=1) / math.sqrt(R))
-    else:
-        h1_se = h2_se = 0.0
+    (g1, g1_se), (g2, g2_se) = _mean_se(g1_r), _mean_se(g2_r)
+    h1, h2, h1_se, h2_se = -float(g1), -float(g2), float(g1_se), float(g2_se)
     lam = float(np.mean(lam_r))
     euler = abs(h1 * t + h2 * (1 - t) + lam)
     fpl_mean = fpl_se = None

@@ -26,6 +26,7 @@ __all__ = [
     "Window",
     "WeightSpec",
     "WeightField",
+    "FieldBatch",
     "generate_field",
     "shift_view",
 ]
@@ -282,6 +283,31 @@ class WeightField:
             ("u", "v", "omega"),
             zip(uu.ravel().tolist(), vv.ravel().tolist(), self.values.ravel().tolist()),
         )
+
+
+@dataclass(frozen=True, eq=False)
+class FieldBatch:
+    """Hashed, unshifted environments of one distribution on a leading
+    replica axis.  `values_at` hashes and transforms the sites of all of
+    them in one call; entry r equals fields[r].values_at bit for bit."""
+
+    fields: tuple[WeightField, ...]
+    seeds: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        fields = tuple(self.fields)
+        if not fields or any(
+            type(f) is not WeightField or f.spec != fields[0].spec or f.shift != Site(0, 0)
+            for f in fields
+        ):
+            raise ParameterError("a field batch takes unshifted hashed fields of one distribution")
+        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "seeds", np.array([_as_u64(f.seed) for f in fields]))
+
+    def values_at(self, uu, vv) -> np.ndarray:
+        """Weights at the sites in every environment, shape (R,) + sites."""
+        seeds = self.seeds.reshape((-1,) + (1,) * max(np.ndim(uu), np.ndim(vv)))
+        return self.fields[0].spec.quantile(site_uniforms(seeds, WEIGHT_STREAM, uu, vv))
 
 
 def generate_field(spec: WeightSpec, seed: int, window: Window) -> WeightField:

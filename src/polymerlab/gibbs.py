@@ -492,17 +492,16 @@ def ldp_rate_profile(
     deficit of both sides cancels; an external ShapeEstimate only feeds the
     descriptive `reference` columns.
     """
-    from .cocycle import _replica_seeds, busemann_from_p2l
-    from .env import generate_field
+    from .cocycle import _check_replicas, _mean_se, _replica_batch, busemann_from_p2l
 
+    _check_replicas(replicas, [n])
     horizon = 2 * n + horizon_margin
     rates = np.empty((replicas, n + 1))
     gaps = np.empty((replicas, n + 1))
     zeta1 = np.arange(n + 1) / n
     drift = -(h_hat[0] * zeta1 + h_hat[1] * (1 - zeta1))
     ident = 0.0
-    for k, env_seed in enumerate(_replica_seeds(seed, replicas, 0x1D9)):
-        fld = generate_field(spec, env_seed, Window(Site(0, 0), 1, 1))
+    for k, fld in enumerate(_replica_batch(spec, seed, replicas, 0x1D9).fields):
         bf = busemann_from_p2l(
             fld, beta, h_hat, horizon, Window(Site(0, 0), n + 2, n + 2)
         )
@@ -510,14 +509,8 @@ def ldp_rate_profile(
         rates[k] = r
         gaps[k] = r - (drift - lam_r)
         ident = max(ident, d)
-    rate = rates.mean(axis=0)
-    gap = gaps.mean(axis=0)
-    if replicas > 1:
-        rate_se = rates.std(axis=0, ddof=1) / math.sqrt(replicas)
-        gap_se = gaps.std(axis=0, ddof=1) / math.sqrt(replicas)
-    else:
-        rate_se = np.zeros_like(rate)
-        gap_se = np.zeros_like(gap)
+    rate, rate_se = _mean_se(rates)
+    gap, gap_se = _mean_se(gaps)
     reference = reference_se = None
     if shape is not None:
         tg = np.asarray(shape.t_grid)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import E1, E2, EHAT, Site, Window, WeightField
+from .env import E1, E2, EHAT, FieldBatch, Site, Window, WeightField
 from .errors import (
     DomainError,
     OrderingError,
@@ -70,12 +70,15 @@ def lse2(a: float, b: float) -> float:
 
 
 def _row(a: np.ndarray, s: np.ndarray, acc) -> np.ndarray:
-    """y[0] = a[0], y[j] = op(y[j-1] + s[j-1], a[j]), evaluated as
-    acc(a - S) + S with S the exclusive prefix sum of the edge terms s."""
-    S = np.empty(a.shape[0])
-    S[0] = 0.0
-    np.cumsum(s, out=S[1:])
-    return acc(a - S) + S
+    """y[0] = a[0], y[j] = op(y[j-1] + s[j-1], a[j]) along the last axis,
+    evaluated as acc(a - S) + S with S the exclusive prefix sum of the edge
+    terms s.  Leading axes are independent rows (replicas); prefix sums and
+    accumulates run sequentially along the last axis, so each row equals
+    its own one-row call bit for bit."""
+    S = np.empty(a.shape)
+    S[..., 0] = 0.0
+    np.cumsum(s, axis=-1, out=S[..., 1:])
+    return acc(a - S, axis=-1) + S
 
 
 def _sweep(s1: np.ndarray, s2: np.ndarray, zero_temp: bool) -> np.ndarray:
@@ -195,8 +198,9 @@ def p2p_table(
     return PartitionTable(field, anchor, beta, mode, window, logz)
 
 
-def p2p_values(field: WeightField, anchor: Site, beta: float, du, dv) -> np.ndarray:
-    """log Z_{anchor, anchor + (du, dv)} elementwise (G at beta = inf).
+def p2p_values(field: WeightField | FieldBatch, anchor: Site, beta: float, du, dv) -> np.ndarray:
+    """log Z_{anchor, anchor + (du, dv)} elementwise (G at beta = inf); a
+    FieldBatch puts its replica axis in front.
 
     Sweeps only the down-set of the targets: row i runs to the largest dv of
     a target with du >= i, and weights are streamed one row at a time, so
@@ -209,18 +213,20 @@ def p2p_values(field: WeightField, anchor: Site, beta: float, du, dv) -> np.ndar
     zero_temp = math.isinf(beta)
     scale = 1.0 if zero_temp else beta
     acc = np.maximum.accumulate if zero_temp else np.logaddexp.accumulate
-    out = np.empty(du.shape)
+    # targets first while filling: a boolean index on leading axes is fast
+    out = np.empty(du.shape + (field.seeds.shape if isinstance(field, FieldBatch) else ()))
     for i in range(int(du.max(initial=-1)) + 1):
         m = int(dv[du >= i].max())
         w = scale * field.values_at(np.full(m + 1, anchor.u + i), anchor.v + np.arange(m + 1))
         if i == 0:
-            row = np.concatenate(([0.0], np.cumsum(w[:-1])))
+            zero = np.zeros(w.shape[:-1] + (1,))
+            row = np.concatenate((zero, np.cumsum(w[..., :-1], axis=-1)), axis=-1)
         else:
-            row = _row(row[: m + 1] + w_prev[: m + 1], w[:-1], acc)
+            row = _row(row[..., : m + 1] + w_prev[..., : m + 1], w[..., :-1], acc)
         w_prev = w
         hit = du == i
-        out[hit] = row[dv[hit]]
-    return out
+        out[hit] = row[..., dv[hit]].T
+    return np.ascontiguousarray(np.moveaxis(out, range(du.ndim), range(-du.ndim, 0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,16 +311,24 @@ def p2l_table(
 
 
 def p2l_rows(
-    field: WeightField,
+    field: WeightField | FieldBatch,
     beta: float,
     h: tuple[float, float],
     n: int,
     base: Site,
     keep_rows: int,
+    horizons=None,
 ) -> np.ndarray:
     """First keep_rows rows of the tilted point-to-line triangle (row u holds
     the values at sites base + (u, 0..K-u)); weights are streamed, so memory
-    is O(keep_rows * K) regardless of the horizon."""
+    is O(keep_rows * K) regardless of the horizon.  A FieldBatch puts its
+    replica axis in front.
+
+    `horizons` (<= n, broadcast with the replica axis) gives each sweep its
+    own flat boundary: -inf above level N, 0 on it and edge terms of exactly
+    0.0 before it in each row, so the values below equal those of a sweep
+    of horizon N bit for bit.  The sweeps of one environment share its
+    weights."""
     beta = _check_beta(beta)
     zero_temp = math.isinf(beta)
     K = n - base.level()
@@ -325,20 +339,33 @@ def p2l_rows(
     scale = 1.0 if zero_temp else beta
     acc = np.maximum.accumulate if zero_temp else np.logaddexp.accumulate
     keep_rows = min(keep_rows, K + 1)
-    out = np.full((keep_rows, K + 1), NEG_INF)
+    lead = field.seeds.shape if isinstance(field, FieldBatch) else ()
+    pad = None
+    if horizons is not None:
+        horizons = np.asarray(horizons, dtype=np.int64)
+        if np.any(horizons > n):
+            raise ParameterError("horizons must not exceed n")
+        lead = np.broadcast_shapes(horizons.shape, lead)
+        pad = (n - horizons)[..., None]  # reversed index of each boundary
+    out = np.full(lead + (keep_rows, K + 1), NEG_INF)
     # sweep from the flat boundary (0 at level K, -inf above) down to row 0;
     # reversed, row u is a row recursion whose edge terms are w + bh2 and
     # whose entries from the row above are above + bh1 + w
-    row = np.zeros(1)
+    row = np.zeros(lead + (1,)) if pad is None else np.where(pad > 0, NEG_INF, 0.0)
     for u in range(K, -1, -1):
         m = K - u
         if m > 0:
             uu = np.full(m, base.u + u, dtype=np.int64)
-            w = scale * field.values_at(uu, base.v + np.arange(m, dtype=np.int64))[::-1]
-            a = np.concatenate(([0.0], row[::-1] + (w + bh1)))
-            row = _row(a, w + bh2, acc)[::-1]
+            w = scale * field.values_at(uu, base.v + np.arange(m, dtype=np.int64))[..., ::-1]
+            a = np.concatenate((np.zeros(lead + (1,)), row[..., ::-1] + (w + bh1)), axis=-1)
+            s = w + bh2
+            if pad is not None:
+                k = np.arange(m + 1)
+                a = np.where(k < pad, NEG_INF, np.where(k == pad, 0.0, a))
+                s = np.where(k[:-1] < pad, 0.0, s)
+            row = _row(a, s, acc)[..., ::-1]
         if u < keep_rows:
-            out[u, : m + 1] = row
+            out[..., u, : m + 1] = row
     return out
 
 

@@ -179,15 +179,3 @@ def test_suite_aggregates_and_fails_on_one_bad_item(tmp_path):
     manifest.write_text("good.cfg\nfailing.cfg\n")
     assert main(["suite", str(manifest), "--out", str(tmp_path / "out2")]) == 1
 
-
-def test_workers_do_not_change_results(tmp_path):
-    cfg_text = (
-        "kind = shape\nweights = gaussian\nt_grid = 0.4 0.5 0.6\n"
-        "n = 120\nreplicas = 4\nseed_weights = 2\n"
-    )
-    r1 = run(parse_config(cfg_text), out_dir=str(tmp_path / "w1"), workers=1)
-    r2 = run(parse_config(cfg_text), out_dir=str(tmp_path / "w2"), workers=2)
-    assert r1.passed == r2.passed
-    a = (tmp_path / "w1" / "shape.csv").read_bytes()
-    b = (tmp_path / "w2" / "shape.csv").read_bytes()
-    assert a == b

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from polymerlab.cocycle import (
+    _increments,
+    _replica_batch,
     boundary_profile,
     busemann_from_p2l,
     busemann_from_p2p,
@@ -18,7 +20,8 @@ from polymerlab.cocycle import (
 from polymerlab.env import E1, E2, Site, WeightSpec, Window, generate_field
 from polymerlab.errors import HorizonError, ParameterError, ProvenanceError, WindowError
 from polymerlab.fixtures import hand_grid_field
-from polymerlab.partition import enumerate_oracle
+from polymerlab.gibbs import ldp_rate_profile
+from polymerlab.partition import enumerate_oracle, p2l_rows
 
 GAUSS = WeightSpec.gaussian(0, 1)
 LOG2 = math.log(2.0)
@@ -158,6 +161,58 @@ def test_cesaro_single_sample_degenerates():
     bf, rep = cesaro_busemann(f, 1.0, (-1.0, -1.0), 30, 1, seed=3)
     assert bf.provenance.samples == 1
     assert math.isnan(rep.se_b1)
+
+
+@pytest.mark.parametrize("beta", [1.0, math.inf])
+def test_cesaro_equals_its_per_sample_sweeps(beta):
+    # reference: one environment, one horizon-N and one horizon-n sweep per
+    # sample, as before the samples were batched
+    f = generate_field(GAUSS, 4, Window(Site(2, 1), 3, 4))
+    h, n, samples, seed = (-1.2, -0.8), 12, 30, 8
+    bf, rep = cesaro_busemann(f, beta, h, n, samples, seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x4E5)))
+    horizons = rng.integers(1, n + 1, size=samples)
+    base, W, H = f.window.origin, 3, 4
+    level = sum(f.window.coord_grids())
+    b1_acc, b2_acc, fpl = np.zeros((W, H)), np.zeros((W, H)), []
+    for N, env in zip(horizons, _replica_batch(GAUSS, seed, samples, 0xE17).fields):
+        rows = np.full((W + 1, H + 1), -np.inf)
+        part = p2l_rows(env, beta, h, max(N, base.level()), base, keep_rows=W + 1)[:, : H + 1]
+        rows[: part.shape[0], : part.shape[1]] = part
+        with np.errstate(invalid="ignore"):
+            b1, b2 = _increments(rows, W, H, beta, h)
+        b1_acc += np.where(level >= N, 0.0, b1)
+        b2_acc += np.where(level >= N, 0.0, b2)
+        F = p2l_rows(env, beta, h, n, base, keep_rows=1)[0, 0]
+        fpl.append((F if math.isinf(beta) else F / beta) / (n - base.level()))
+    assert min(horizons) <= base.level()  # some samples lie wholly above N
+    assert np.array_equal(bf.b1, b1_acc / samples)
+    assert np.array_equal(bf.b2, b2_acc / samples)
+    assert rep.fpl_mean == np.mean(fpl)
+
+
+@pytest.mark.parametrize("beta", [1.0, math.inf])
+def test_shape_does_not_depend_on_the_batch_size(beta):
+    grid = (0.3, 0.5, 0.7)
+    five = estimate_shape(GAUSS, beta, grid, [40, 25], 5, 3)
+    eight = estimate_shape(GAUSS, beta, grid, [40, 25], 8, 3)
+    assert np.array_equal(five.samples, eight.samples[:5])
+
+
+def test_replica_runs_refuse_degenerate_sizes():
+    calls = [
+        lambda: estimate_shape(GAUSS, 1.0, (0.5,), [10], 0, 1),
+        lambda: estimate_shape(GAUSS, 1.0, (0.5,), [0], 2, 1),
+        lambda: point_to_line_value(GAUSS, 1.0, (-1.0, -1.0), 10, 0, 1),
+        lambda: point_to_line_value(GAUSS, 1.0, (-1.0, -1.0), 0, 2, 1),
+        lambda: boundary_profile(GAUSS, 1.0, [0.1], [50], 0, 1),
+        lambda: boundary_profile(GAUSS, 1.0, [0.1, 0.1], [50, 0], 2, 1),
+        lambda: ldp_rate_profile(GAUSS, 1.0, (-1.0, -1.0), 10, 0, 1),
+        lambda: ldp_rate_profile(GAUSS, 1.0, (-1.0, -1.0), 0, 2, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError):
+            call()
 
 
 def test_shape_entropy_reference_small():

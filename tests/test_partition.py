@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from polymerlab.env import Site, WeightSpec, Window, generate_field
+from polymerlab.env import FieldBatch, Site, WeightSpec, Window, field_from_values, generate_field
 from polymerlab.errors import OrderingError, ParameterError, SizeError
 from polymerlab.fixtures import hand_grid_field
 from polymerlab.partition import (
     beta_limit_check,
     comparison_check,
     enumerate_oracle,
+    p2l_rows,
     p2l_table,
     p2p_table,
     p2p_values,
@@ -104,6 +105,54 @@ def test_p2p_values_equal_the_table(beta):
     for du, dv in (([3, -1], [2, 4]), ([2], [-1])):
         with pytest.raises(OrderingError):
             p2p_values(f, anchor, beta, du, dv)
+
+
+# seeds of a replica batch: small, negative and >= 2^63
+BATCH_SEEDS = (29, 2**63 + 11, -4, 2**64 - 1)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0, math.inf])
+def test_a_batch_sweeps_each_environment_as_its_own_field(beta):
+    spec = WeightSpec.inverse_log_gamma(1.0)
+    fields = [generate_field(spec, s, Window(Site(0, 0), 1, 1)) for s in BATCH_SEEDS]
+    batch = FieldBatch(fields)
+    anchor, base, h, n = Site(-3, 2), Site(2, -1), (-1.4, -0.6), 26
+    a = np.arange(21)
+    du, dv = np.stack([a, np.full(21, 4)]), np.stack([20 - a, np.arange(21)])
+    got = p2p_values(batch, anchor, beta, du, dv)
+    rows = p2l_rows(batch, beta, h, n, base, keep_rows=5)
+    assert got.shape == (4, 2, 21) and rows.shape == (4, 5, n - base.level() + 1)
+    for r, f in enumerate(fields):
+        assert np.array_equal(got[r], p2p_values(f, anchor, beta, du, dv))
+        assert np.array_equal(rows[r], p2l_rows(f, beta, h, n, base, keep_rows=5))
+    # ragged horizons: each sweep equals the single sweep of its own horizon,
+    # -inf above it, including horizons within the kept rows, at the base
+    # level and below it
+    horizons = np.array([[n, 1, 3, -2], [5, n - 1, 2, 1]])
+    ragged = p2l_rows(batch, beta, h, n, base, 5, horizons)
+    assert ragged.shape == (2, 4, 5, n - base.level() + 1)
+    for (i, r), N in np.ndenumerate(horizons):
+        want = np.full(ragged.shape[2:], -np.inf)
+        if N >= base.level():
+            part = p2l_rows(fields[r], beta, h, int(N), base, keep_rows=5)
+            want[: part.shape[0], : part.shape[1]] = part
+        assert np.array_equal(ragged[i, r], want)
+    with pytest.raises(ParameterError):
+        p2l_rows(batch, beta, h, n, base, 5, [n + 1])
+
+
+def test_explicit_fields_stay_on_the_single_path():
+    f = generate_field(GAUSS, 8, Window(Site(0, 0), 12, 12))
+    g = field_from_values(f.values, f.window)
+    a = np.arange(11)
+    for probe in (
+        lambda x: p2p_values(x, Site(0, 0), 1.0, a, 10 - a),
+        lambda x: p2l_rows(x, 2.0, (0.3, -0.1), 11, Site(0, 0), 3),
+    ):
+        assert np.array_equal(probe(g), probe(f))
+    for bad in ([g], [f, generate_field(WeightSpec.constant(0.0), 1, f.window)], []):
+        with pytest.raises(ParameterError):
+            FieldBatch(bad)
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0, math.inf])
