@@ -217,6 +217,14 @@ class ExperimentConfig:
 # kinds whose runners need a finite beta: no zero-temperature version exists
 _FINITE_BETA_KINDS = ("dlr", "ldp", "interface", "cdf")
 
+# walker counts and lengths that must be at least 1 (every entry of a list)
+_AT_LEAST_ONE = {
+    "interface": ("replicas", "steps"),
+    "cdf": ("replicas", "steps"),
+    "junctions": ("boxes", "replicas"),
+    "coalescence": ("seeds", "horizon"),
+}
+
 
 def parse_config(text: str) -> ExperimentConfig:
     return _config(_fields(text))
@@ -268,6 +276,10 @@ def _config(raw: dict[str, str]) -> ExperimentConfig:
         raise ConfigError("field 'beta': must be positive or inf")
     if math.isinf(beta) and (kind in _FINITE_BETA_KINDS or values.get("rule") == "busemann"):
         raise ConfigError(f"field 'beta': kind {kind!r} is defined for finite beta only")
+    for key in _AT_LEAST_ONE.get(kind, ()):
+        sizes = values[key] if isinstance(values[key], tuple) else (values[key],)
+        if not sizes or min(sizes) < 1:
+            raise ConfigError(f"field {key!r}: must be at least 1")
     return ExperimentConfig(kind, values)
 
 

@@ -35,6 +35,10 @@ __all__ = [
     "junction_statistics",
 ]
 
+# sites per weight call of the band rule: enough to amortize the hash's
+# per-call cost; larger blocks raise the peak RSS through their temporaries
+_BAND_BLOCK_SITES = 8192
+
 
 @dataclass(frozen=True)
 class CouplingField:
@@ -103,37 +107,31 @@ def band_transition_rule(
     width = 2 * half_width + 1
     bh1 = beta * h[0]
     bh2 = beta * h[1]
-    neg_inf = float("-inf")
-
-    def band_lo(k: int) -> int:
-        return k // 2 - half_width
-
-    p_rows = np.empty((horizon + 1, width), dtype=np.float32)
     offs = np.arange(width, dtype=np.int64)
-    F_next = np.zeros(width)  # level n boundary: F = 0 on valid sites
-    uu_next = band_lo(n) + offs
-    F_next[(uu_next < 0) | (uu_next > n)] = neg_inf
-    for k in range(n - 1, -1, -1):
-        uu = band_lo(k) + offs
-        valid = (uu >= 0) & (uu <= k)
-        w = field.values_at(uu, k - uu)
-        # align children: child u+1 and u at level k+1, banded at band_lo(k+1)
-        shift = band_lo(k + 1) - band_lo(k)  # 0 or 1
-        c1 = np.full(width, neg_inf)  # F_{k+1}[u+1]
-        c2 = np.full(width, neg_inf)  # F_{k+1}[u]
-        src1 = offs + 1 - shift  # index of u+1 in next row
-        ok1 = (src1 >= 0) & (src1 < width)
-        c1[ok1] = F_next[src1[ok1]]
-        src2 = offs - shift
-        ok2 = (src2 >= 0) & (src2 < width)
-        c2[ok2] = F_next[src2[ok2]]
-        F_cur = beta * w + np.logaddexp(c1 + bh1, c2 + bh2)
-        F_cur[~valid] = neg_inf
-        if k <= horizon:
-            with np.errstate(invalid="ignore"):
-                p_rows[k] = np.exp(beta * w + bh1 + c1 - F_cur)
-            p_rows[k][~valid] = np.nan
-        F_next = F_cur
+    block = max(1, _BAND_BLOCK_SITES // width)
+
+    p_rows = np.empty((n, width), dtype=np.float32)
+    # F on a block of levels below the row above it, padded with -inf on both
+    # sides so that the children of every band offset are slices of that row
+    F = np.full((block + 1, width + 2), float("-inf"))
+    uu = n // 2 - half_width + offs
+    F[0, 1:-1][(uu >= 0) & (uu <= n)] = 0.0  # level n boundary
+    for top in range(n - 1, -1, -block):
+        kk = np.arange(top, max(top - block, -1), -1)
+        uu = (kk // 2 - half_width)[:, None] + offs
+        valid = (uu >= 0) & (uu <= kk[:, None])
+        bw = beta * field.values_at(uu, kk[:, None] - uu)
+        bw[~valid] = float("-inf")
+        for j, k in enumerate(kk.tolist()):
+            c = F[j, 1 - k % 2 :]  # c[i]: child u of band offset i; c[i + 1]: child u + 1
+            F[j + 1, 1:-1] = bw[j] + np.logaddexp(c[1 : width + 1] + bh1, c[:width] + bh2)
+        m = kk.size
+        c1 = np.where((kk % 2 == 1)[:, None], F[:m, 1:-1], F[:m, 2:])
+        with np.errstate(invalid="ignore"):
+            p = np.exp(bw + bh1 + c1 - F[1 : m + 1, 1:-1])
+        p[~valid] = np.nan
+        p_rows[kk] = p
+        F[0] = F[m]
 
     def p_fn(uu, vv):
         uu = np.asarray(uu, dtype=np.int64)
@@ -223,6 +221,8 @@ def coalescence_experiment(
     on, and reports the censored (never-met within horizon) fraction."""
     seeds = np.asarray(list(theta_seeds), dtype=np.uint64)
     S = seeds.size
+    if S == 0:
+        raise ParameterError("coalescence needs at least one coupling seed")
     if start_a.level() > start_b.level():
         start_a, start_b = start_b, start_a
     lag = start_b.level() - start_a.level()
@@ -231,23 +231,21 @@ def coalescence_experiment(
     # bring walker a up to walker b's level first, driven by the same thetas
     for k in range(lag):
         ua, va = _step(rule, seeds, ua, va)
-    ub = np.full(S, start_b.u, dtype=np.int64)
-    vb = np.full(S, start_b.v, dtype=np.int64)
+    # rows a, b; merged pairs keep stepping from their own sites (permanence)
+    u = np.stack([ua, np.full(S, start_b.u, dtype=np.int64)])
+    v = np.stack([va, np.full(S, start_b.v, dtype=np.int64)])
     met_level = np.full(S, -1, dtype=np.int64)
     post_merge_violations = 0
     level = start_b.level()
+    same = (u[0] == u[1]) & (v[0] == v[1])
     for k in range(horizon):
-        merged_now = (met_level >= 0) | ((ua == ub) & (va == vb))
-        just_met = (met_level < 0) & (ua == ub) & (va == vb)
-        met_level[just_met] = level
-        ua, va = _step(rule, seeds, ua, va)
-        ub, vb = _step(rule, seeds, ub, vb)
+        met_level[(met_level < 0) & same] = level
+        u, v = _step(rule, seeds, u, v)
         level += 1
+        same = (u[0] == u[1]) & (v[0] == v[1])
         # permanence: pairs that have met must still agree after stepping
-        bad = merged_now & ((ua != ub) | (va != vb))
-        post_merge_violations += int(bad.sum())
-    just_met = (met_level < 0) & (ua == ub) & (va == vb)
-    met_level[just_met] = level
+        post_merge_violations += int(((met_level >= 0) & ~same).sum())
+    met_level[(met_level < 0) & same] = level
     return CoalescenceStats(
         seeds=seeds,
         met_level=met_level,
@@ -308,6 +306,8 @@ def junction_statistics(
     of distinct merged classes) inside [1, box]^2 per unit area, and checks
     the binary-forest inequality leaves >= interior + trees."""
     L = int(box)
+    if L < 1:
+        raise ParameterError("junction box must be at least 1")
     if starts is None:
         starts = [(k, 0) for k in range(L + 1)] + [(0, k) for k in range(1, L + 1)]
     else:

@@ -66,6 +66,15 @@ def test_parse_round_trip_and_defaults():
         ("kind = cdf\nbeta = inf", "'beta'"),
         ("kind = decay\nrule = busemann\nbeta = inf", "'beta'"),
         ("kind = coalescence\nrule = busemann\nbeta = inf", "'beta'"),
+        ("kind = interface\nreplicas = 0", "'replicas'"),
+        ("kind = interface\nsteps = 0", "'steps'"),
+        ("kind = cdf\nreplicas = 0", "'replicas'"),
+        ("kind = cdf\nsteps = 0", "'steps'"),
+        ("kind = junctions\nboxes = 0", "'boxes'"),
+        ("kind = junctions\nboxes = 16 0 32", "'boxes'"),
+        ("kind = junctions\nreplicas = 0", "'replicas'"),
+        ("kind = coalescence\nseeds = 0", "'seeds'"),
+        ("kind = coalescence\nhorizon = 0", "'horizon'"),
         ("just some words", "key = value"),
     ],
 )

@@ -6,6 +6,7 @@ import pytest
 from polymerlab.cocycle import busemann_from_p2l
 from polymerlab.coupling import (
     CouplingField,
+    _step,
     band_transition_rule,
     coalescence_experiment,
     constant_rule,
@@ -143,3 +144,118 @@ def test_band_rule_keeps_walks_inside():
         assert np.max(np.abs(off)) <= 12
     with pytest.raises(ParameterError):
         band_transition_rule(f, math.inf, (0.0, 0.0), 10, 5)
+
+
+def test_walker_runs_refuse_degenerate_sizes():
+    with pytest.raises(ParameterError):
+        junction_statistics(constant_rule(0.5), 0, CouplingField(3))
+    with pytest.raises(ParameterError):
+        coalescence_experiment(constant_rule(0.5), Site(0, 0), Site(0, 2), 10, [])
+
+
+def _pairwise_coalescence(rule, start_a, start_b, horizon, theta_seeds):
+    """Reference: walkers a and b stepped by separate calls at every level."""
+    seeds = np.asarray(list(theta_seeds), dtype=np.uint64)
+    S = seeds.size
+    if start_a.level() > start_b.level():
+        start_a, start_b = start_b, start_a
+    ua = np.full(S, start_a.u, dtype=np.int64)
+    va = np.full(S, start_a.v, dtype=np.int64)
+    for k in range(start_b.level() - start_a.level()):
+        ua, va = _step(rule, seeds, ua, va)
+    ub = np.full(S, start_b.u, dtype=np.int64)
+    vb = np.full(S, start_b.v, dtype=np.int64)
+    met_level = np.full(S, -1, dtype=np.int64)
+    violations = 0
+    level = start_b.level()
+    for k in range(horizon):
+        merged_now = (met_level >= 0) | ((ua == ub) & (va == vb))
+        just_met = (met_level < 0) & (ua == ub) & (va == vb)
+        met_level[just_met] = level
+        ua, va = _step(rule, seeds, ua, va)
+        ub, vb = _step(rule, seeds, ub, vb)
+        level += 1
+        violations += int((merged_now & ((ua != ub) | (va != vb))).sum())
+    just_met = (met_level < 0) & (ua == ub) & (va == vb)
+    met_level[just_met] = level
+    return met_level, violations
+
+
+def test_coalescence_block_equals_pairwise_steps():
+    f = generate_field(GAUSS, 5, Window(Site(0, 0), 1, 1))
+    band = band_transition_rule(f, 1.0, (-0.7, -0.7), 260, 6)
+    side = 60
+    fw = generate_field(GAUSS, 7, Window(Site(0, 0), side, side))
+    bf = busemann_from_p2l(fw, 1.0, (0.0, 0.0), 150, Window(Site(0, 0), side, side))
+    transitions = busemann_transitions(bf, fw).as_step_rule()
+    starts = [
+        (Site(0, 0), Site(0, 2)),
+        (Site(0, 0), Site(3, 1)),  # lag 4
+        (Site(3, 1), Site(0, 0)),  # swapped starts
+        (Site(2, 2), Site(2, 2)),  # identical starts
+    ]
+    # short horizons make some pairs meet exactly at the last level
+    runs = [(constant_rule(0.5), h) for h in (1, 2, 3, 400)] + [(band, 250), (transitions, 50)]
+    for rule, horizon in runs:
+        for a, b in starts:
+            stats = coalescence_experiment(rule, a, b, horizon, range(40, 120))
+            met_level, violations = _pairwise_coalescence(rule, a, b, horizon, range(40, 120))
+            assert np.array_equal(stats.met_level, met_level)
+            assert stats.post_merge_violations == violations
+
+
+def _per_level_band(field, beta, h, horizon, half_width):
+    """Reference: the band recursion one level at a time, every level's
+    weights hashed by their own call."""
+    n = horizon + 2
+    width = 2 * half_width + 1
+    bh1, bh2 = beta * h[0], beta * h[1]
+    neg_inf = float("-inf")
+    p_rows = np.empty((horizon + 1, width), dtype=np.float32)
+    offs = np.arange(width, dtype=np.int64)
+    F_next = np.zeros(width)
+    uu_next = n // 2 - half_width + offs
+    F_next[(uu_next < 0) | (uu_next > n)] = neg_inf
+    for k in range(n - 1, -1, -1):
+        uu = k // 2 - half_width + offs
+        valid = (uu >= 0) & (uu <= k)
+        w = field.values_at(uu, k - uu)
+        shift = (k + 1) // 2 - k // 2
+        c1 = np.full(width, neg_inf)
+        c2 = np.full(width, neg_inf)
+        src1 = offs + 1 - shift
+        ok1 = (src1 >= 0) & (src1 < width)
+        c1[ok1] = F_next[src1[ok1]]
+        src2 = offs - shift
+        ok2 = (src2 >= 0) & (src2 < width)
+        c2[ok2] = F_next[src2[ok2]]
+        F_cur = beta * w + np.logaddexp(c1 + bh1, c2 + bh2)
+        F_cur[~valid] = neg_inf
+        if k <= horizon:
+            with np.errstate(invalid="ignore"):
+                p_rows[k] = np.exp(beta * w + bh1 + c1 - F_cur)
+            p_rows[k][~valid] = np.nan
+        F_next = F_cur
+    return p_rows
+
+
+@pytest.mark.parametrize(
+    "horizon,half_width",
+    [
+        (500, 40),  # 502 levels in blocks of 101
+        (60, 40),  # shorter than one block
+        (4000, 2),  # the narrowest band
+        (30, 1200),  # a wide band, blocks of 3 levels
+    ],
+)
+def test_band_rule_equals_per_level_recursion(horizon, half_width):
+    f = generate_field(GAUSS, 11, Window(Site(0, 0), 1, 1))
+    for beta, h in [(1.0, (-0.7, -0.7)), (2.5, (0.4, -1.1))]:
+        rule = band_transition_rule(f, beta, h, horizon, half_width)
+        expected = _per_level_band(f, beta, h, horizon, half_width)
+        width = 2 * half_width + 1
+        # every band offset of every level, including the NaN off-lattice ones
+        kk = np.repeat(np.arange(horizon + 1), width)
+        uu = kk // 2 - half_width + np.tile(np.arange(width), horizon + 1)
+        got = rule.p_at(uu, kk - uu).reshape(horizon + 1, width)
+        assert np.array_equal(got, expected.astype(np.float64), equal_nan=True)
