@@ -25,7 +25,8 @@ from .errors import (
     WindowError,
 )
 from .gibbs import PolymerPath, backward_transitions
-from .partition import PartitionTable, p2p_table, p2p_values
+from .cocycle import b1_logz
+from .partition import NEG_INF, PartitionTable
 
 __all__ = [
     "SpanningTree",
@@ -145,22 +146,15 @@ def competition_interface(
     return InterfaceResult(path, check_separation, bool(sep_ok))
 
 
-def _interface_logits(table: PartitionTable, field: WeightField):
-    """p(step e1) at y equals expit(logit[y + e1 + e2]) with
-    logit(z) = (beta*w + logZ)(z - e1) - (beta*w + logZ)(z - e2):
-    the westward-parent probability of the diagonal site."""
-    wb = table.beta * field.subfield(table.window).values
-    A = wb + table.logz
-    return A
-
-
 def interface_direct_sample(
     table: PartitionTable, field: WeightField, steps: int, rng
 ) -> InterfaceResult:
     """Interface sampled directly as the Markov chain with the
-    partition-ratio step law (no tree construction)."""
+    partition-ratio step law (no tree construction): p(step e1) at y is
+    expit(A(z - e1) - A(z - e2)) with A = beta*w + log Z and z = y + e1 + e2,
+    the westward-parent probability of the diagonal site."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    A = _interface_logits(table, field)
+    A = table.beta * field.subfield(table.window).values + table.logz
     win = table.window
     phi = table.anchor
     sites = [(phi.u, phi.v)]
@@ -219,19 +213,24 @@ def cif_direction_stats(
     """Terminal interface directions over many tree seeds in one quenched
     environment.  Trees are sampled lazily: only the parent choices on the
     interface's own diagonal are ever drawn, which is distributionally
-    identical to building the full tree."""
-    rect = Window(root, steps + 3, steps + 3)
-    table = p2p_table(field, root, rect, beta, "from_anchor")
-    A = _interface_logits(table, field)
+    identical to building the full tree.  The from-root DP advances with
+    the walkers one level at a time, hashing only that level: with
+    A = beta*w + log Z on level k, log Z on level k + 1 is
+    logaddexp(A[a - 1], A[a]), and a walker at root + (u, v) steps e1 with
+    probability expit(A[u] - A[u + 1]) on the new level."""
     seeds = np.asarray(
         [s + theta_seed for s in range(replicas)], dtype=np.uint64
     )
     u = np.zeros(replicas, dtype=np.int64)
     v = np.zeros(replicas, dtype=np.int64)
-    for _ in range(steps):
+    edge = np.full(1, NEG_INF)
+    A = beta * field.values_at(np.asarray([root.u]), np.asarray([root.v]))
+    for k in range(1, steps + 1):
+        a = np.arange(k + 1)
+        logz = np.logaddexp(np.concatenate((edge, A)), np.concatenate((A, edge)))
+        A = beta * field.values_at(root.u + a, root.v + k - a) + logz
+        p = expit(A[u] - A[u + 1])
         zu, zv = u + 1, v + 1
-        logit = A[zu - 1, zv] - A[zu, zv - 1]
-        p = expit(logit)
         theta = site_uniforms(seeds, COUPLING_STREAM, zu + root.u, zv + root.v)
         step1 = theta < p
         u = u + step1
@@ -276,15 +275,13 @@ class CdfComparison:
 
 
 def _busemann_cdf_values(
-    field: WeightField, beta: float, root: Site, t_eval: np.ndarray, N: int
+    field: WeightField, beta: float, root: Site, t_eval: np.ndarray, horizons
 ) -> np.ndarray:
     """exp(beta*(omega_root - b1(root; xi))) with b1 from point-to-point
-    values at targets root + (round(N t), N - round(N t))."""
-    aa = np.array([min(max(int(round(N * float(t))), 1), N - 1) for t in t_eval])
-    vals0 = p2p_values(field, root, beta, aa, N - aa)
-    vals1 = p2p_values(field, root + E1, beta, aa - 1, N - aa)
+    values at targets root + (round(N t), N - round(N t)), for every horizon
+    N (leading axes) in one pass."""
     w0 = float(field.values_at(np.asarray([root.u]), np.asarray([root.v]))[0])
-    b1 = (vals0 - vals1) / beta
+    b1 = b1_logz(field, beta, root, t_eval, horizons) / beta
     return np.exp(beta * (w0 - b1))
 
 
@@ -310,12 +307,14 @@ def cif_cdf_check(
     if t_grid.size < 2:
         raise ParameterError("need at least two grid directions")
     N = busemann_horizon if busemann_horizon is not None else steps
+    if N < 2:
+        raise ParameterError(f"busemann_horizon must be at least 2, got {N}")
     delta = float(right_shift) if right_shift is not None else 1.0 / N
+    t_eval = np.clip(t_grid + delta, 0.0, 1.0)
+    # the 2N targets' down-set holds the N targets': one pass for both
+    bus, bus2 = _busemann_cdf_values(field, beta, Site(0, 0), t_eval, [N, 2 * N])
     stats = cif_direction_stats(field, beta, replicas, steps, theta_seed)
     emp = stats.empirical_cdf(t_grid)
-    t_eval = np.clip(t_grid + delta, 0.0, 1.0)
-    bus = _busemann_cdf_values(field, beta, Site(0, 0), t_eval, N)
-    bus2 = _busemann_cdf_values(field, beta, Site(0, 0), t_eval, 2 * N)
     drift = float(np.max(np.abs(bus - bus2)))
     sup = float(np.max(np.abs(emp - bus)))
     dkw = math.sqrt(math.log(2.0 / 0.01) / (2.0 * replicas))

@@ -217,12 +217,13 @@ class ExperimentConfig:
 # kinds whose runners need a finite beta: no zero-temperature version exists
 _FINITE_BETA_KINDS = ("dlr", "ldp", "interface", "cdf")
 
-# walker counts and lengths that must be at least 1 (every entry of a list)
-_AT_LEAST_ONE = {
-    "interface": ("replicas", "steps"),
-    "cdf": ("replicas", "steps"),
-    "junctions": ("boxes", "replicas"),
-    "coalescence": ("seeds", "horizon"),
+# counts and sizes below which a run is degenerate (every entry of a list)
+_MINIMUMS = {
+    "interface": {"replicas": 1, "steps": 1},
+    "cdf": {"replicas": 1, "steps": 1, "grid_points": 2},
+    "scan": {"t_points": 1, "radius": 2},
+    "junctions": {"boxes": 1, "replicas": 1},
+    "coalescence": {"seeds": 1, "horizon": 1},
 }
 
 
@@ -276,10 +277,17 @@ def _config(raw: dict[str, str]) -> ExperimentConfig:
         raise ConfigError("field 'beta': must be positive or inf")
     if math.isinf(beta) and (kind in _FINITE_BETA_KINDS or values.get("rule") == "busemann"):
         raise ConfigError(f"field 'beta': kind {kind!r} is defined for finite beta only")
-    for key in _AT_LEAST_ONE.get(kind, ()):
+    for key, low in _MINIMUMS.get(kind, {}).items():
         sizes = values[key] if isinstance(values[key], tuple) else (values[key],)
-        if not sizes or min(sizes) < 1:
-            raise ConfigError(f"field {key!r}: must be at least 1")
+        if not sizes or min(sizes) < low:
+            raise ConfigError(f"field {key!r}: must be at least {low}")
+    if kind == "cdf":
+        # the Busemann side probes targets at this horizon; 0 means steps
+        horizon = values["busemann_horizon"]
+        if horizon != 0 and horizon < 2:
+            raise ConfigError("field 'busemann_horizon': must be 0 (use steps) or at least 2")
+        if horizon == 0 and values["steps"] < 2:
+            raise ConfigError("field 'steps': must be at least 2 when busemann_horizon = 0")
     return ExperimentConfig(kind, values)
 
 

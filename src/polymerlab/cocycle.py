@@ -28,7 +28,7 @@ from .errors import (
     ProvenanceError,
     WindowError,
 )
-from .partition import p2l_rows, p2p_table, p2p_values
+from .partition import p2l_rows, p2p_pair_values, p2p_table, p2p_values
 
 __all__ = [
     "Provenance",
@@ -546,6 +546,20 @@ class ScanProfile:
         )
 
 
+def b1_logz(field: WeightField, beta: float, x: Site, t, horizons) -> np.ndarray:
+    """log Z_{x, y} - log Z_{x+e1, y} (G differences at beta = inf) at the
+    targets y = x + (a, N - a), a = min(max(round(N t), 1), N - 1), for every
+    horizon N (leading axes) and direction t (last axis); all targets are
+    probed in one streamed pass (`p2p_pair_values`)."""
+    N = np.asarray(horizons, dtype=np.int64)[..., None]
+    if np.any(N < 2):
+        raise ParameterError("the target horizon must be at least 2")
+    aa = np.minimum(np.maximum(np.rint(N * np.asarray(t, dtype=np.float64)), 1), N - 1)
+    aa = aa.astype(np.int64)
+    logz = p2p_pair_values(field, x, beta, aa, N - aa)
+    return logz[0] - logz[1]
+
+
 def direction_scan(
     field: WeightField, beta: float, t_grid, target_radius: int, x: Site = Site(0, 0)
 ) -> ScanProfile:
@@ -558,11 +572,8 @@ def direction_scan(
     between adjacent grid directions is descriptive output.
     """
     t_grid = tuple(float(t) for t in t_grid)
-    N = int(target_radius)
-    aa = np.array([min(max(int(round(N * t)), 1), N - 1) for t in t_grid])
     scale = 1.0 if math.isinf(beta) else 1.0 / float(beta)
-    logz0 = p2p_values(field, x, beta, aa, N - aa)
-    vals = (logz0 - p2p_values(field, x + E1, beta, aa - 1, N - aa)) * scale
+    vals = b1_logz(field, beta, x, t_grid, target_radius) * scale
     diffs = np.diff(vals)
     violations = int(np.sum(diffs > 1e-12))
     max_jump = float(np.max(np.abs(diffs))) if diffs.size else 0.0

@@ -33,6 +33,7 @@ __all__ = [
     "TiltedLineTable",
     "p2p_table",
     "p2p_values",
+    "p2p_pair_values",
     "p2l_table",
     "enumerate_oracle",
     "beta_limit_check",
@@ -74,8 +75,9 @@ def _row(a: np.ndarray, s: np.ndarray, acc) -> np.ndarray:
     evaluated as acc(a - S) + S with S the exclusive prefix sum of the edge
     terms s.  Leading axes are independent rows (replicas); prefix sums and
     accumulates run sequentially along the last axis, so each row equals
-    its own one-row call bit for bit."""
-    S = np.empty(a.shape)
+    its own one-row call bit for bit.  s may have fewer leading axes than a:
+    rows that share their edge terms share one prefix sum."""
+    S = np.empty(s.shape[:-1] + (s.shape[-1] + 1,))
     S[..., 0] = 0.0
     np.cumsum(s, axis=-1, out=S[..., 1:])
     return acc(a - S, axis=-1) + S
@@ -206,6 +208,21 @@ def p2p_values(field: WeightField | FieldBatch, anchor: Site, beta: float, du, d
     a target with du >= i, and weights are streamed one row at a time, so
     memory is O(row).  Each row is a prefix of the row of the from_anchor
     table on the square window, so the values equal its entries bit for bit."""
+    return _probe(field, anchor, beta, du, dv, 1)
+
+
+def p2p_pair_values(field: WeightField | FieldBatch, x: Site, beta: float, du, dv) -> np.ndarray:
+    """log Z_{x, y} and log Z_{x+e1, y} at y = x + (du, dv) on a leading axis
+    of two, -inf where du = 0, from one pass: each row is hashed once, and
+    each value equals its own p2p_values call bit for bit."""
+    return _probe(field, x, beta, du, dv, 2)
+
+
+def _probe(field, anchor: Site, beta: float, du, dv, anchors: int) -> np.ndarray:
+    """The sweeps from anchor + (k, 0), k < anchors, on a leading axis when
+    anchors > 1: they cover the same sites row by row, so they advance as one
+    block on shared weights.  Each is -inf before its row k and starts there
+    as the row recursion of [0, -inf, ...], its prefix sum bit for bit."""
     beta = _check_beta(beta)
     du, dv = np.broadcast_arrays(np.asarray(du, dtype=np.int64), np.asarray(dv, dtype=np.int64))
     if np.any(du < 0) or np.any(dv < 0):
@@ -213,19 +230,23 @@ def p2p_values(field: WeightField | FieldBatch, anchor: Site, beta: float, du, d
     zero_temp = math.isinf(beta)
     scale = 1.0 if zero_temp else beta
     acc = np.maximum.accumulate if zero_temp else np.logaddexp.accumulate
+    lead = (anchors,) * (anchors > 1) + (field.seeds.shape if isinstance(field, FieldBatch) else ())
     # targets first while filling: a boolean index on leading axes is fast
-    out = np.empty(du.shape + (field.seeds.shape if isinstance(field, FieldBatch) else ()))
+    out = np.empty(du.shape + lead)
+    targets_first = (len(lead),) + tuple(range(len(lead)))
     for i in range(int(du.max(initial=-1)) + 1):
         m = int(dv[du >= i].max())
         w = scale * field.values_at(np.full(m + 1, anchor.u + i), anchor.v + np.arange(m + 1))
         if i == 0:
-            zero = np.zeros(w.shape[:-1] + (1,))
-            row = np.concatenate((zero, np.cumsum(w[..., :-1], axis=-1)), axis=-1)
+            a = np.full(lead + (m + 1,), NEG_INF)
         else:
-            row = _row(row[..., : m + 1] + w_prev[..., : m + 1], w[..., :-1], acc)
+            a = row[..., : m + 1] + w_prev[..., : m + 1]
+        if i < anchors:  # the sweep from anchor + (i, 0) starts on this row
+            a[(i,) * (anchors > 1) + (..., 0)] = 0.0
+        row = _row(a, w[..., :-1], acc)
         w_prev = w
         hit = du == i
-        out[hit] = row[..., dv[hit]].T
+        out[hit] = row[..., dv[hit]].transpose(targets_first)
     return np.ascontiguousarray(np.moveaxis(out, range(du.ndim), range(-du.ndim, 0)))
 
 

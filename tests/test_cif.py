@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
+from scipy.special import expit
 
 from polymerlab.cif import (
     build_tree,
@@ -13,8 +14,9 @@ from polymerlab.cif import (
     interface_direct_sample,
 )
 from polymerlab.coupling import CouplingField
-from polymerlab.env import Site, WeightSpec, Window, generate_field
-from polymerlab.errors import WindowError
+from polymerlab.cocycle import direction_scan
+from polymerlab.env import COUPLING_STREAM, Site, WeightSpec, Window, generate_field, site_uniforms
+from polymerlab.errors import ParameterError, WindowError
 from polymerlab.gibbs import backward_transitions, sample_p2p_batch
 from polymerlab.partition import p2p_table
 
@@ -133,6 +135,48 @@ def test_lazy_interface_follows_the_tree_path_for_path():
     ]
     assert stats.directions.tolist() == [e.u / steps for e in ends]
     assert len({e.u for e in ends}) > 3  # the replicas really differ
+
+
+def _table_walk(field, beta, replicas, steps, theta_seed, root):
+    # the interface walk read from a whole (steps+3)^2 from-root table
+    rect = Window(root, steps + 3, steps + 3)
+    table = p2p_table(field, root, rect, beta, "from_anchor")
+    A = beta * field.subfield(table.window).values + table.logz
+    seeds = np.asarray([s + theta_seed for s in range(replicas)], dtype=np.uint64)
+    u = np.zeros(replicas, dtype=np.int64)
+    v = np.zeros(replicas, dtype=np.int64)
+    for _ in range(steps):
+        zu, zv = u + 1, v + 1
+        p = expit(A[zu - 1, zv] - A[zu, zv - 1])
+        theta = site_uniforms(seeds, COUPLING_STREAM, zu + root.u, zv + root.v)
+        step1 = theta < p
+        u = u + step1
+        v = v + (~step1)
+    return u / steps
+
+
+@pytest.mark.parametrize(
+    "spec", [WeightSpec.constant(0.7), GAUSS, WeightSpec.inverse_log_gamma(1.5)]
+)
+def test_lockstep_interface_equals_table_walk(spec):
+    f = generate_field(spec, 53, Window(Site(0, 0), 1, 1))
+    for beta in (0.5, 1.0, 3.0):
+        for steps in (1, 2, 37):
+            for root in (Site(0, 0), Site(-6, 4)):
+                got = cif_direction_stats(f, beta, 120, steps, 400, root).directions
+                assert np.array_equal(got, _table_walk(f, beta, 120, steps, 400, root))
+
+
+def test_busemann_probes_refuse_horizons_below_two():
+    f = generate_field(GAUSS, 2, Window(Site(0, 0), 1, 1))
+    grid = [0.25, 0.75]
+    for N in (1, 0, -3):
+        with pytest.raises(ParameterError):
+            direction_scan(f, 1.0, grid, N)
+        with pytest.raises(ParameterError):
+            cif_cdf_check(f, 1.0, grid, 10, 20, 1, busemann_horizon=N)
+    with pytest.raises(ParameterError):
+        cif_cdf_check(f, 1.0, grid, 10, 1, 1)  # the horizon defaults to steps
 
 
 def test_constant_weights_cif_transitions_are_binomial():

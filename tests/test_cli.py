@@ -75,6 +75,14 @@ def test_parse_round_trip_and_defaults():
         ("kind = junctions\nreplicas = 0", "'replicas'"),
         ("kind = coalescence\nseeds = 0", "'seeds'"),
         ("kind = coalescence\nhorizon = 0", "'horizon'"),
+        ("kind = scan\nradius = 0", "'radius'"),
+        ("kind = scan\nradius = 1", "'radius'"),
+        ("kind = scan\nradius = -3", "'radius'"),
+        ("kind = scan\nt_points = 0", "'t_points'"),
+        ("kind = cdf\ngrid_points = 1", "'grid_points'"),
+        ("kind = cdf\nbusemann_horizon = 1", "'busemann_horizon'"),
+        ("kind = cdf\nbusemann_horizon = -5", "'busemann_horizon'"),
+        ("kind = cdf\nsteps = 1", "'steps'"),
         ("just some words", "key = value"),
     ],
 )

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from polymerlab.env import FieldBatch, Site, WeightSpec, Window, field_from_values, generate_field
+from polymerlab.cif import cif_cdf_check
+from polymerlab.cocycle import direction_scan
+from polymerlab.env import E1, FieldBatch, Site, WeightSpec, Window, field_from_values, generate_field
 from polymerlab.errors import OrderingError, ParameterError, SizeError
 from polymerlab.fixtures import hand_grid_field
 from polymerlab.partition import (
@@ -12,6 +14,7 @@ from polymerlab.partition import (
     enumerate_oracle,
     p2l_rows,
     p2l_table,
+    p2p_pair_values,
     p2p_table,
     p2p_values,
 )
@@ -139,6 +142,52 @@ def test_a_batch_sweeps_each_environment_as_its_own_field(beta):
         assert np.array_equal(ragged[i, r], want)
     with pytest.raises(ParameterError):
         p2l_rows(batch, beta, h, n, base, 5, [n + 1])
+
+
+def _two_probe_b1(field, beta, x, t, N):
+    # b1 as log Z_{x,y} - log Z_{x+e1,y} from one p2p_values call per anchor
+    aa = np.array([min(max(int(round(N * float(s))), 1), N - 1) for s in t])
+    return p2p_values(field, x, beta, aa, N - aa) - p2p_values(field, x + E1, beta, aa - 1, N - aa)
+
+
+def _two_probe_busemann_cdf(field, beta, t, N):
+    w0 = float(field.values_at(np.asarray([0]), np.asarray([0]))[0])
+    b1 = _two_probe_b1(field, beta, Site(0, 0), t, N) / beta
+    return np.exp(beta * (w0 - b1))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0, math.inf])
+def test_pair_probe_equals_two_probes(beta):
+    # one pass from x and x + e1 gives the values of one probe per anchor,
+    # bit for bit; targets on x's own axis (du = 0) are -inf from x + e1
+    fields = [generate_field(GAUSS, s, Window(Site(0, 0), 1, 1)) for s in (31, 2**63 + 5)]
+    f = fields[0]
+    x, N = Site(-4, -7), 12
+    a = np.array([0, 1, 1, 2, 5, 11, 12])
+    b = np.array([0, 1, 3, 12, 17, 23, 24])
+    du, dv = np.stack([a, b]), np.stack([N - a, 2 * N - b])  # the N and 2N sets
+    pair = p2p_pair_values(f, x, beta, du, dv)
+    assert pair.shape == (2,) + du.shape
+    assert np.array_equal(pair[0], p2p_values(f, x, beta, du, dv))
+    ordered = du >= 1
+    assert np.array_equal(pair[1][ordered], p2p_values(f, x + E1, beta, du[ordered] - 1, dv[ordered]))
+    assert np.all(pair[1][~ordered] == -np.inf)
+    batch = p2p_pair_values(FieldBatch(fields), x, beta, du, dv)
+    assert batch.shape == (2, 2) + du.shape
+    for r, g in enumerate(fields):
+        assert np.array_equal(batch[:, r], p2p_pair_values(g, x, beta, du, dv))
+    # the scan and the cdf Busemann side against their two-probe formulas
+    t = np.linspace(0.0, 1.0, 13)
+    scale = 1.0 if math.isinf(beta) else 1.0 / beta
+    want = _two_probe_b1(f, beta, x, t, N) * scale
+    assert np.array_equal(direction_scan(f, beta, t, N, x).b1, want)
+    if math.isinf(beta):
+        return  # the interface has no zero-temperature version
+    cmp_ = cif_cdf_check(f, beta, t[1:-1], 30, 8, 5, busemann_horizon=N)
+    t_eval = np.clip(t[1:-1] + 1.0 / N, 0.0, 1.0)
+    bus, bus2 = (_two_probe_busemann_cdf(f, beta, t_eval, n) for n in (N, 2 * N))
+    assert np.array_equal(cmp_.busemann, bus)
+    assert cmp_.horizon_drift == float(np.max(np.abs(bus - bus2)))
 
 
 def test_explicit_fields_stay_on_the_single_path():
