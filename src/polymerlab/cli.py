@@ -219,9 +219,12 @@ _FINITE_BETA_KINDS = ("dlr", "ldp", "interface", "cdf")
 
 # counts and sizes below which a run is degenerate (every entry of a list)
 _MINIMUMS = {
+    "busemann": {"width": 2, "height": 2, "staircases": 1},
+    "monotonicity": {"width": 1, "height": 1, "pairs": 1, "triples": 1, "triple_size": 3},
     "interface": {"replicas": 1, "steps": 1},
     "cdf": {"replicas": 1, "steps": 1, "grid_points": 2},
-    "scan": {"t_points": 1, "radius": 2},
+    # a smaller radius gives a backwards or one-point direction grid
+    "scan": {"t_points": 1, "radius": 5},
     "junctions": {"boxes": 1, "replicas": 1},
     "coalescence": {"seeds": 1, "horizon": 1},
 }
@@ -277,10 +280,22 @@ def _config(raw: dict[str, str]) -> ExperimentConfig:
         raise ConfigError("field 'beta': must be positive or inf")
     if math.isinf(beta) and (kind in _FINITE_BETA_KINDS or values.get("rule") == "busemann"):
         raise ConfigError(f"field 'beta': kind {kind!r} is defined for finite beta only")
-    for key, low in _MINIMUMS.get(kind, {}).items():
+    lows = dict(_MINIMUMS.get(kind, {}))
+    if kind == "monotonicity" or values.get("construction") == "p2l":
+        # every window site lies below the horizon
+        lows["horizon"] = values["width"] + values["height"] - 1
+    elif values.get("construction") == "p2p":
+        # the target (0, 0) stands for (width + horizon, height + horizon)
+        if (values["target_u"], values["target_v"]) == (0, 0):
+            lows["horizon"] = 0
+        else:
+            lows.update(target_u=values["width"], target_v=values["height"])
+    for key, low in lows.items():
         sizes = values[key] if isinstance(values[key], tuple) else (values[key],)
         if not sizes or min(sizes) < low:
             raise ConfigError(f"field {key!r}: must be at least {low}")
+    if kind == "monotonicity" and not 0 < values["tilt_scale"] < math.inf:
+        raise ConfigError("field 'tilt_scale': must be positive and finite")
     if kind == "cdf":
         # the Busemann side probes targets at this horizon; 0 means steps
         horizon = values["busemann_horizon"]
@@ -447,18 +462,21 @@ def _run_monotonicity(cfg: ExperimentConfig, outdir: str, checks: list, artifact
     field = generate_field(spec, cfg.seed_weights, Window(Site(0, 0), 1, 1))
     window = Window(Site(0, 0), cfg.width, cfg.height)
     rng = np.random.default_rng(cfg.seed_sampler)
-    violations = 0
-    rows = []
-    for k in range(cfg.pairs):
+    tilts = []
+    for _ in range(cfg.pairs):
         d1 = float(rng.uniform(0, cfg.tilt_scale))
         d2 = float(rng.uniform(0, cfg.tilt_scale))
         h = (float(rng.normal(0, cfg.tilt_scale)), float(rng.normal(0, cfg.tilt_scale)))
-        hp = (h[0] + d1, h[1] - d2)
-        fa = coc.busemann_from_p2l(field, cfg.beta, h, cfg.horizon, window)
-        fb = coc.busemann_from_p2l(field, cfg.beta, hp, cfg.horizon, window)
+        tilts += [h, (h[0] + d1, h[1] - d2)]
+    # one sweep per group of tilts; zip pairs the iterator's consecutive
+    # fields (h, h'), so only the current group is held
+    fields = coc.busemann_fields_from_p2l(field, cfg.beta, tilts, cfg.horizon, window)
+    violations = 0
+    rows = []
+    for k, (fa, fb) in enumerate(zip(fields, fields)):
         rep = coc.check_monotonicity(fa, fb)
         violations += rep.violations
-        rows.append((k, h[0], h[1], hp[0], hp[1], rep.violations, rep.worst_margin))
+        rows.append((k, *fa.provenance.h, *fb.provenance.h, rep.violations, rep.worst_margin))
     artifacts.append(
         write_csv(
             os.path.join(outdir, "monotonicity.csv"),

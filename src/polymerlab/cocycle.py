@@ -17,6 +17,7 @@ their construction metadata instead.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "BusemannField",
     "ShapeEstimate",
     "busemann_from_p2l",
+    "busemann_fields_from_p2l",
     "busemann_from_p2p",
     "check_monotonicity",
     "cesaro_busemann",
@@ -138,11 +140,17 @@ class BusemannField:
 
 def _increments(rows: np.ndarray, W: int, H: int, beta: float, h) -> tuple[np.ndarray, np.ndarray]:
     """b_i(y) = F_{y,(n)} - F_{y+e_i,(n)} - h.e_i from point-to-line rows
-    (the last two axes)."""
+    (the last two axes); tilts h (..., 2) broadcast with the leading axes."""
     scale = 1.0 if math.isinf(beta) else 1.0 / float(beta)
-    b1 = (rows[..., :W, :H] - rows[..., 1 : W + 1, :H]) * scale - h[0]
-    b2 = (rows[..., :W, :H] - rows[..., :W, 1 : H + 1]) * scale - h[1]
+    h = np.asarray(h, dtype=np.float64)[..., None, None]
+    b1 = (rows[..., :W, :H] - rows[..., 1 : W + 1, :H]) * scale - h[..., 0, :, :]
+    b2 = (rows[..., :W, :H] - rows[..., :W, 1 : H + 1]) * scale - h[..., 1, :, :]
     return b1, b2
+
+
+# Tilts of one environment are swept together in groups whose kept rows,
+# plus about five rows of sweep temporaries per tilt, fit in this budget.
+_TILT_BLOCK_BYTES = 8 << 20
 
 
 def busemann_from_p2l(
@@ -155,16 +163,35 @@ def busemann_from_p2l(
     """Pre-limit Busemann increments from the tilted point-to-line table:
     b_i(x) = F_{x,(n)} - F_{x+e_i,(n)} - h.e_i.  All window sites must be
     strictly below level n."""
+    return next(busemann_fields_from_p2l(field, beta, [h], n, window))
+
+
+def busemann_fields_from_p2l(
+    field: WeightField, beta: float, tilts, n: int, window: Window | None = None
+) -> Iterator[BusemannField]:
+    """`busemann_from_p2l` at every tilt of `tilts` (T, 2), in order.  The
+    tilts are swept in groups under `_TILT_BLOCK_BYTES`, one group at a time
+    as the fields are consumed; within a group each weight row is hashed once
+    and all tilts advance as one block, so each field equals its own
+    single-tilt build bit for bit."""
+    tilts = np.asarray(tilts, dtype=np.float64)
+    if tilts.ndim != 2 or tilts.shape[1] != 2 or len(tilts) == 0:
+        raise ParameterError(f"need a nonempty (T, 2) array of tilts, got shape {tilts.shape}")
     if window is None:
         window = field.window
     if window.corner.level() >= n:
         raise HorizonError(
             f"window reaches level {window.corner.level()} >= horizon {n}"
         )
-    rows = p2l_rows(field, beta, h, n, window.origin, keep_rows=window.width + 1)
-    b1, b2 = _increments(rows, window.width, window.height, beta, h)
-    prov = Provenance(kind="p2l", h=(float(h[0]), float(h[1])), horizon=n)
-    return BusemannField(window, float(beta), b1, b2, prov, field)
+    W, H = window.width, window.height
+    group = max(1, _TILT_BLOCK_BYTES // (8 * (n - window.origin.level() + 1) * (W + 6)))
+    for i in range(0, len(tilts), group):
+        hs = tilts[i : i + group]
+        rows = p2l_rows(field, beta, hs, n, window.origin, keep_rows=W + 1)
+        b1, b2 = _increments(rows, W, H, beta, hs)
+        for k, h in enumerate(hs.tolist()):
+            prov = Provenance(kind="p2l", h=(h[0], h[1]), horizon=n)
+            yield BusemannField(window, float(beta), b1[k], b2[k], prov, field)
 
 
 def busemann_from_p2p(

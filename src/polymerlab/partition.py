@@ -334,7 +334,7 @@ def p2l_table(
 def p2l_rows(
     field: WeightField | FieldBatch,
     beta: float,
-    h: tuple[float, float],
+    h,
     n: int,
     base: Site,
     keep_rows: int,
@@ -345,22 +345,29 @@ def p2l_rows(
     is O(keep_rows * K) regardless of the horizon.  A FieldBatch puts its
     replica axis in front.
 
-    `horizons` (<= n, broadcast with the replica axis) gives each sweep its
-    own flat boundary: -inf above level N, 0 on it and edge terms of exactly
-    0.0 before it in each row, so the values below equal those of a sweep
-    of horizon N bit for bit.  The sweeps of one environment share its
-    weights."""
+    `h` is one tilt (2,) or tilts (..., 2) whose leading axes broadcast with
+    the replica axis: each weight row is hashed once and every tilt advances
+    with it, each equal to its own single-tilt sweep bit for bit.
+
+    `horizons` (<= n, broadcast with the replica and tilt axes) gives each
+    sweep its own flat boundary: -inf above level N, 0 on it and edge terms
+    of exactly 0.0 before it in each row, so the values below equal those of
+    a sweep of horizon N bit for bit.  The sweeps of one environment share
+    its weights."""
     beta = _check_beta(beta)
     zero_temp = math.isinf(beta)
     K = n - base.level()
     if K < 0:
         raise ParameterError("target level n is below the base site")
-    bh1 = h[0] if zero_temp else beta * h[0]
-    bh2 = h[1] if zero_temp else beta * h[1]
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim < 1 or h.shape[-1] != 2:
+        raise ParameterError(f"tilts must have shape (..., 2), got {h.shape}")
+    bh = h if zero_temp else beta * h
+    bh1, bh2 = bh[..., :1], bh[..., 1:]  # broadcast along the row
     scale = 1.0 if zero_temp else beta
     acc = np.maximum.accumulate if zero_temp else np.logaddexp.accumulate
     keep_rows = min(keep_rows, K + 1)
-    lead = field.seeds.shape if isinstance(field, FieldBatch) else ()
+    lead = np.broadcast_shapes(h.shape[:-1], field.seeds.shape if isinstance(field, FieldBatch) else ())
     pad = None
     if horizons is not None:
         horizons = np.asarray(horizons, dtype=np.int64)

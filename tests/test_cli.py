@@ -1,9 +1,12 @@
 import json
 import math
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from polymerlab import cocycle
 from polymerlab.cli import (
     Check,
     ExperimentConfig,
@@ -14,7 +17,13 @@ from polymerlab.cli import (
     run,
     suite,
 )
+from polymerlab.cocycle import busemann_from_p2l, check_monotonicity
+from polymerlab.csvio import format_value, write_csv
+from polymerlab.env import Site, Window, generate_field
 from polymerlab.errors import ConfigError
+from polymerlab.partition import comparison_check
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DLR_CFG = """
 # bundled dlr check
@@ -78,7 +87,27 @@ def test_parse_round_trip_and_defaults():
         ("kind = scan\nradius = 0", "'radius'"),
         ("kind = scan\nradius = 1", "'radius'"),
         ("kind = scan\nradius = -3", "'radius'"),
+        ("kind = scan\nradius = 3", "'radius'"),
+        ("kind = scan\nradius = 4", "'radius'"),
         ("kind = scan\nt_points = 0", "'t_points'"),
+        ("kind = monotonicity\npairs = 0", "'pairs'"),
+        ("kind = monotonicity\npairs = -1", "'pairs'"),
+        ("kind = monotonicity\ntriples = 0", "'triples'"),
+        ("kind = monotonicity\ntriple_size = 2", "'triple_size'"),
+        ("kind = monotonicity\ntilt_scale = -1", "'tilt_scale'"),
+        ("kind = monotonicity\ntilt_scale = 0", "'tilt_scale'"),
+        ("kind = monotonicity\ntilt_scale = nan", "'tilt_scale'"),
+        ("kind = monotonicity\nwidth = 0", "'width'"),
+        ("kind = monotonicity\nwidth = 5\nheight = 6\nhorizon = 9", "'horizon'"),
+        ("kind = monotonicity\nhorizon = 10", "'horizon'"),
+        ("kind = busemann\nstaircases = 0", "'staircases'"),
+        ("kind = busemann\nwidth = 1", "'width'"),
+        ("kind = busemann\nheight = 1", "'height'"),
+        ("kind = busemann\nhorizon = 10", "'horizon'"),
+        ("kind = busemann\nwidth = 30\nheight = 30\nhorizon = 58", "'horizon'"),
+        ("kind = busemann\nconstruction = p2p\nhorizon = -1", "'horizon'"),
+        ("kind = busemann\nconstruction = p2p\ntarget_u = 39\ntarget_v = 80", "'target_u'"),
+        ("kind = busemann\nconstruction = p2p\ntarget_u = 80\ntarget_v = 2", "'target_v'"),
         ("kind = cdf\ngrid_points = 1", "'grid_points'"),
         ("kind = cdf\nbusemann_horizon = 1", "'busemann_horizon'"),
         ("kind = cdf\nbusemann_horizon = -5", "'busemann_horizon'"),
@@ -196,3 +225,77 @@ def test_suite_aggregates_and_fails_on_one_bad_item(tmp_path):
     manifest.write_text("good.cfg\nfailing.cfg\n")
     assert main(["suite", str(manifest), "--out", str(tmp_path / "out2")]) == 1
 
+
+
+def test_manifest_lists_every_shipped_config_and_each_loads():
+    lines = [line.strip() for line in (CONFIGS / "manifest.txt").read_text().splitlines()]
+    listed = [line for line in lines if line and not line.startswith("#")]
+    assert sorted(listed) == sorted(p.name for p in CONFIGS.glob("*.cfg"))
+    for name in listed:
+        load_config(CONFIGS / name)
+
+
+def _per_pair_monotonicity_csvs(cfg):
+    # the monotonicity runner before tilts were batched: two single-tilt
+    # fields per pair, then the comparison triples, formatted cell by cell
+    field = generate_field(cfg.weight_spec(), cfg.seed_weights, Window(Site(0, 0), 1, 1))
+    window = Window(Site(0, 0), cfg.width, cfg.height)
+    rng = np.random.default_rng(cfg.seed_sampler)
+    rows = []
+    for k in range(cfg.pairs):
+        d1 = float(rng.uniform(0, cfg.tilt_scale))
+        d2 = float(rng.uniform(0, cfg.tilt_scale))
+        h = (float(rng.normal(0, cfg.tilt_scale)), float(rng.normal(0, cfg.tilt_scale)))
+        hp = (h[0] + d1, h[1] - d2)
+        fa = busemann_from_p2l(field, cfg.beta, h, cfg.horizon, window)
+        fb = busemann_from_p2l(field, cfg.beta, hp, cfg.horizon, window)
+        rep = check_monotonicity(fa, fb)
+        rows.append((k, h[0], h[1], hp[0], hp[1], rep.violations, rep.worst_margin))
+    margin_rows = []
+    for k in range(cfg.triples):
+        L = cfg.triple_size
+        x = Site(int(rng.integers(0, L // 3)), int(rng.integers(0, L // 3)))
+        u = Site(int(rng.integers(x.u + 1, L)), int(rng.integers(x.v + 1, L)))
+        v = Site(int(rng.integers(x.u + 1, u.u + 1)), int(rng.integers(u.v, L)))
+        rep = comparison_check(field, x, u, v, cfg.beta)
+        margin_rows.append((k, rep.margin_e1, rep.margin_e2))
+
+    def text(header, rows):
+        return "".join(",".join(format_value(x) for x in row) + "\n" for row in [header, *rows])
+
+    return {
+        "monotonicity.csv": text(("pair", "h1", "h2", "hp1", "hp2", "violations", "worst_margin"), rows),
+        "comparison.csv": text(("triple", "margin_e1", "margin_e2"), margin_rows),
+    }
+
+
+@pytest.mark.parametrize("beta", ["1.5", "inf"])
+def test_batched_monotonicity_run_equals_the_per_pair_loop(tmp_path, monkeypatch, beta):
+    # the smallest accepted horizon, and three tilts per group, so some
+    # pairs straddle two groups
+    cfg = parse_config(
+        f"kind = monotonicity\nbeta = {beta}\nwidth = 6\nheight = 5\nhorizon = 10\npairs = 7\n"
+        "tilt_scale = 0.8\ntriples = 12\ntriple_size = 9\nseed_weights = 21\nseed_sampler = 4\n"
+    )
+    monkeypatch.setattr(cocycle, "_TILT_BLOCK_BYTES", 3 * 8 * (cfg.horizon + 1) * (cfg.width + 6))
+    report = run(cfg, out_dir=str(tmp_path))
+    assert report.passed
+    for name, want in _per_pair_monotonicity_csvs(cfg).items():
+        assert (tmp_path / name).read_text() == want
+
+
+def test_write_csv_matches_format_value(tmp_path):
+    # columns change type from row to row, so rows of one type tuple reuse a
+    # template and rows of another build their own
+    rows = [
+        (0, 0.1, True, "e1", -0.0),
+        (1, 0.2, False, "e2", 5e-324),
+        (np.int64(-3), np.float64(math.nan), 10**40, np.float32(0.1), math.inf),
+        (2**70, -math.inf, np.float64(-0.0), None, np.bool_(True)),
+        (-(10**30), np.float32(math.nan), np.int32(7), "a%b,c", 1e300),
+        (),
+        (np.float64(2 / 3), type("Tilt", (float,), {})(0.3)),
+    ]
+    path = write_csv(tmp_path / "sub" / "mixed.csv", ("a", "b", "c", "d", "e"), (r for r in rows))
+    want = "a,b,c,d,e\n" + "".join(",".join(format_value(x) for x in row) + "\n" for row in rows)
+    assert Path(path).read_text() == want

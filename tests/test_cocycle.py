@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from polymerlab import cocycle
 from polymerlab.cocycle import (
     _increments,
     _replica_batch,
     boundary_profile,
+    busemann_fields_from_p2l,
     busemann_from_p2l,
     busemann_from_p2p,
     cesaro_busemann,
@@ -17,7 +19,7 @@ from polymerlab.cocycle import (
     estimate_shape,
     point_to_line_value,
 )
-from polymerlab.env import E1, E2, Site, WeightSpec, Window, generate_field
+from polymerlab.env import E1, E2, FieldBatch, Site, WeightSpec, Window, generate_field
 from polymerlab.errors import HorizonError, ParameterError, ProvenanceError, WindowError
 from polymerlab.fixtures import hand_grid_field
 from polymerlab.gibbs import ldp_rate_profile
@@ -291,3 +293,46 @@ def test_direction_scan_monotone_and_binomial():
         a = round(N * t)
         want = math.log(math.comb(N, a)) - math.log(math.comb(N - 1, a - 1))
         assert got == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0, math.inf])
+def test_tilt_batch_equals_single_tilt_sweeps(beta, monkeypatch):
+    # tilts on a leading axis, crossed with a replica batch and with ragged
+    # horizons: every sweep equals its own single-tilt sweep bit for bit
+    fields = [generate_field(GAUSS, s, Window(Site(0, 0), 1, 1)) for s in (17, 2**63 + 3, -9)]
+    batch = FieldBatch(fields)
+    tilts = np.array([[0.0, 0.0], [0.4, -0.7], [-1.3, 0.2], [2.0, 2.0], [-0.0, 1e-3]])
+    base, n = Site(-2, 3), 19
+    crossed = p2l_rows(batch, beta, tilts[:, None], n, base, keep_rows=6)
+    assert crossed.shape == (5, 3, 6, n - base.level() + 1)
+    horizons = np.array([n, 15, 1])
+    ragged = p2l_rows(batch, beta, tilts[:, None], n, base, 6, horizons)
+    for t, h in enumerate(tilts.tolist()):
+        by_horizon = p2l_rows(batch, beta, h, n, base, 6, horizons)
+        for r, f in enumerate(fields):
+            assert np.array_equal(crossed[t, r], p2l_rows(f, beta, h, n, base, keep_rows=6))
+            assert np.array_equal(ragged[t, r], by_horizon[r])
+    # the field builder sweeps two tilts per group here, so three groups
+    win = Window(Site(1, -2), 4, 3)
+    K = n - win.origin.level()
+    monkeypatch.setattr(cocycle, "_TILT_BLOCK_BYTES", 2 * 8 * (K + 1) * (win.width + 6))
+    calls = []
+
+    def counted(field, beta, hs, *args, **kw):
+        calls.append(hs)
+        return p2l_rows(field, beta, hs, *args, **kw)
+
+    monkeypatch.setattr(cocycle, "p2l_rows", counted)
+    built = list(busemann_fields_from_p2l(fields[1], beta, tilts, n, win))
+    assert [len(h) for h in calls] == [2, 2, 1]
+    scale = 1.0 if math.isinf(beta) else 1.0 / beta
+    for h, bf in zip(tilts.tolist(), built):
+        # the single-tilt build before tilts were batched
+        rows = p2l_rows(fields[1], beta, h, n, win.origin, keep_rows=5)
+        assert np.array_equal(bf.b1, (rows[:4, :3] - rows[1:5, :3]) * scale - h[0])
+        assert np.array_equal(bf.b2, (rows[:4, :3] - rows[:4, 1:4]) * scale - h[1])
+        assert bf.provenance.h == tuple(h) and bf.provenance.horizon == n
+    with pytest.raises(ParameterError):
+        next(busemann_fields_from_p2l(fields[1], beta, np.empty((0, 2)), n, win))
+    with pytest.raises(ParameterError):
+        p2l_rows(fields[1], beta, (0.1, 0.2, 0.3), n, base, 6)
