@@ -18,13 +18,13 @@ import numpy as np
 from scipy.special import expit
 
 from .coupling import CouplingField
-from .env import COUPLING_STREAM, E1, E2, EHAT, Site, WeightField, Window, site_uniforms
+from .env import COUPLING_STREAM, E1, E2, EHAT, Site, WeightField, Window, _as_u64, site_uniforms
 from .errors import (
     DomainError,
     ParameterError,
     WindowError,
 )
-from .gibbs import PolymerPath, backward_transitions
+from .gibbs import PolymerPath, TransitionField, _walk, backward_transitions, path_from_steps
 from .cocycle import b1_logz
 from .partition import NEG_INF, PartitionTable
 
@@ -152,21 +152,17 @@ def interface_direct_sample(
     """Interface sampled directly as the Markov chain with the
     partition-ratio step law (no tree construction): p(step e1) at y is
     expit(A(z - e1) - A(z - e2)) with A = beta*w + log Z and z = y + e1 + e2,
-    the westward-parent probability of the diagonal site."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    A = table.beta * field.subfield(table.window).values + table.logz
+    the westward-parent probability of the diagonal site.  Only the last
+    step may leave the table window less its top row and right column."""
     win = table.window
-    phi = table.anchor
-    sites = [(phi.u, phi.v)]
-    for _ in range(steps):
-        z = phi + EHAT
-        if not win.contains(z):
-            raise WindowError("table window too shallow for the requested steps")
-        zu, zv = win.index(z)
-        p_e1 = expit(A[zu - 1, zv] - A[zu, zv - 1])  # westward parent prob
-        phi = phi + E1 if rng.random() < p_e1 else phi + E2
-        sites.append((phi.u, phi.v))
-    return InterfaceResult(PolymerPath(np.asarray(sites, dtype=np.int64)), False, True)
+    A = table.beta * field.subfield(win).values + table.logz
+    with np.errstate(invalid="ignore"):  # -inf - -inf outside the anchor's cone
+        p1 = expit(A[:-1, 1:] - A[1:, :-1])
+    chain = TransitionField(Window(win.origin, win.width - 1, win.height - 1), p1, "cif", 1, table.beta)
+    steps_e1, taken, _ = _walk(chain, table.anchor, steps, 1, rng)
+    if taken[0] < steps:
+        raise WindowError("table window too shallow for the requested steps")
+    return InterfaceResult(path_from_steps(table.anchor, steps_e1[0]), False, True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,9 +214,7 @@ def cif_direction_stats(
     A = beta*w + log Z on level k, log Z on level k + 1 is
     logaddexp(A[a - 1], A[a]), and a walker at root + (u, v) steps e1 with
     probability expit(A[u] - A[u + 1]) on the new level."""
-    seeds = np.asarray(
-        [s + theta_seed for s in range(replicas)], dtype=np.uint64
-    )
+    seeds = np.fromiter(map(_as_u64, range(theta_seed, theta_seed + replicas)), np.uint64)
     u = np.zeros(replicas, dtype=np.int64)
     v = np.zeros(replicas, dtype=np.int64)
     edge = np.full(1, NEG_INF)

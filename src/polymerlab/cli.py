@@ -219,8 +219,14 @@ _FINITE_BETA_KINDS = ("dlr", "ldp", "interface", "cdf")
 
 # counts and sizes below which a run is degenerate (every entry of a list)
 _MINIMUMS = {
+    "shape": {"n": 1, "replicas": 1},
     "busemann": {"width": 2, "height": 2, "staircases": 1},
     "monotonicity": {"width": 1, "height": 1, "pairs": 1, "triples": 1, "triple_size": 3},
+    # the Cesaro field lives on the 8x8 window, whose corner is at level 14
+    "cesaro": {"n": 15, "samples": 1, "shape_n": 1, "shape_replicas": 1},
+    "dlr": {"windows": 1, "levels": 1},
+    "ldp": {"n": 1, "replicas": 1, "shape_n": 1, "shape_replicas": 1},
+    "decay": {"levels": 0, "seeds": 1},
     "interface": {"replicas": 1, "steps": 1},
     "cdf": {"replicas": 1, "steps": 1, "grid_points": 2},
     # a smaller radius gives a backwards or one-point direction grid

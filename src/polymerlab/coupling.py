@@ -19,6 +19,7 @@ from .env import (
     Site,
     WeightField,
     Window,
+    _as_u64,
     site_uniforms,
 )
 from .errors import OrderingError, ParameterError, WindowError
@@ -219,7 +220,7 @@ def coalescence_experiment(
     """Level-synchronized coupled walks from two starts under many coupling
     seeds: detects the first common site, asserts the walks agree from then
     on, and reports the censored (never-met within horizon) fraction."""
-    seeds = np.asarray(list(theta_seeds), dtype=np.uint64)
+    seeds = np.fromiter(map(_as_u64, theta_seeds), np.uint64)
     S = seeds.size
     if S == 0:
         raise ParameterError("coalescence needs at least one coupling seed")
@@ -270,7 +271,7 @@ def ordering_check(
     if p_low is not None and p_high is not None:
         if np.any(p_low > p_high + 1e-12):
             raise OrderingError("step laws are not pointwise ordered")
-    seeds = np.asarray(list(theta_seeds), dtype=np.uint64)
+    seeds = np.fromiter(map(_as_u64, theta_seeds), np.uint64)
     S = seeds.size
     ul = np.full(S, start.u, dtype=np.int64)
     vl = np.full(S, start.v, dtype=np.int64)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import BusemannField
-from .env import E1, E2, Site, WeightField, Window
+from .env import Site, WeightField, Window
 from .errors import (
     DomainError,
     ParameterError,
@@ -187,10 +187,33 @@ def busemann_transitions(busemann: BusemannField, field: WeightField) -> Transit
     )
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
+def _walk(transitions: TransitionField, start: Site, steps: int, count: int, rng):
+    """Advance `count` walkers from `start` by `steps` steps of the chain in
+    its direction.  Each step draws `rng.random(k)` for the k walkers still
+    in the window and takes the e1-type step where the uniform is below p1;
+    a walker that leaves the window, or starts outside it, is frozen, and a
+    NaN step law raises.  Returns the (count, steps) int8 e1-step matrix,
+    the steps each walker took (a leaving step included) and the indices of
+    the walkers that stayed in the window."""
+    rng = np.random.default_rng(rng)  # a Generator is returned unaltered
+    win, d = transitions.window, transitions.direction
+    e1 = np.zeros((count, steps), dtype=np.int8)
+    taken = np.zeros(count, dtype=np.int64)
+    live = np.arange(count if win.contains(start) else 0)
+    du = np.full(live.size, start.u - win.origin.u)
+    dv = np.full(live.size, start.v - win.origin.v)
+    for j in range(steps):
+        p = transitions.p1[du, dv]
+        if np.isnan(p).any():
+            i = int(np.argmax(np.isnan(p)))
+            raise DomainError(f"site ({win.origin.u + du[i]},{win.origin.v + dv[i]}) has no step law")
+        take = rng.random(live.size) < p
+        e1[live, j] = take
+        taken[live] = j + 1
+        du, dv = du + d * take, dv + d * ~take
+        inside = (du >= 0) & (du < win.width) & (dv >= 0) & (dv < win.height)
+        live, du, dv = live[inside], du[inside], dv[inside]
+    return e1, taken, live
 
 
 def sample_p2p(transitions: TransitionField, start: Site, rng) -> PolymerPath:
@@ -211,24 +234,9 @@ def sample_p2p_batch(
     anchor = transitions.anchor
     if not anchor <= start:
         raise DomainError("start must dominate the anchor")
-    k = (start - anchor).level()
-    rng = _as_rng(rng)
-    du0, dv0 = transitions.window.index(start)
-    du = np.full(count, du0, dtype=np.int64)
-    dv = np.full(count, dv0, dtype=np.int64)
-    steps = np.empty((count, k), dtype=np.int8)
-    for j in range(k - 1, -1, -1):
-        p = transitions.p1[du, dv]
-        lost = np.isnan(p)
-        if lost.any():
-            i = int(np.argmax(lost))
-            site = transitions.window.origin + Site(int(du[i]), int(dv[i]))
-            raise DomainError(f"site ({site.u},{site.v}) not reachable from anchor")
-        take_e1 = rng.random(count) < p
-        steps[:, j] = take_e1
-        du = du - take_e1
-        dv = dv - (~take_e1)
-    return steps
+    transitions.window.index(start)  # a start outside the window raises
+    steps, _, _ = _walk(transitions, start, (start - anchor).level(), count, rng)
+    return steps[:, ::-1]
 
 
 def exact_path_probability(
@@ -345,22 +353,10 @@ def forward_chain_sample(
     the path is cut short and flagged truncated."""
     if transitions.direction != 1:
         raise ParameterError("forward sampling needs a forward transition field")
-    rng = _as_rng(rng)
-    sites = [(x.u, x.v)]
-    cur = x
-    truncated = False
-    for _ in range(steps):
-        if not transitions.window.contains(cur):
-            truncated = True
-            break
-        p = transitions.p_at(cur)
-        nxt = cur + E1 if rng.random() < p else cur + E2
-        if not transitions.window.contains(nxt):
-            truncated = True
-            break
-        sites.append((nxt.u, nxt.v))
-        cur = nxt
-    return PolymerPath(np.asarray(sites, dtype=np.int64), truncated=truncated)
+    e1, taken, stayed = _walk(transitions, x, steps, 1, rng)
+    truncated = steps > 0 and stayed.size == 0
+    path = path_from_steps(x, e1[0, : max(int(taken[0]) - truncated, 0)])
+    return PolymerPath(path.sites, truncated=truncated)
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,28 +374,10 @@ def forward_chain_batch(
     every walker at once."""
     if transitions.direction != 1:
         raise ParameterError("forward sampling needs a forward transition field")
-    rng = _as_rng(rng)
-    win = transitions.window
-    du = np.full(count, x.u - win.origin.u, dtype=np.int64)
-    dv = np.full(count, x.v - win.origin.v, dtype=np.int64)
-    alive = np.full(count, win.contains(x))
-    first_e1 = 0
-    for j in range(steps):
-        p = transitions.p1[du[alive], dv[alive]]
-        take = rng.random(int(alive.sum())) < p
-        if j == 0:
-            first_e1 = int(take.sum())
-        ndu = du[alive] + take
-        ndv = dv[alive] + (~take)
-        stay = (ndu < win.width) & (ndv < win.height)
-        idx = np.flatnonzero(alive)
-        du[idx[stay]] = ndu[stay]
-        dv[idx[stay]] = ndv[stay]
-        alive[idx[~stay]] = False
-    endpoints = np.stack(
-        [du[alive] + win.origin.u, dv[alive] + win.origin.v], axis=1
-    )
-    return ForwardBatch(endpoints, first_e1, int(count - alive.sum()))
+    e1, _, stayed = _walk(transitions, x, steps, count, rng)
+    s1 = e1[stayed].sum(axis=1)
+    endpoints = np.stack([x.u + s1, x.v + steps - s1], axis=1)
+    return ForwardBatch(endpoints, int(e1[:, :1].sum()), count - stayed.size)
 
 
 @dataclass(frozen=True, eq=False)

@@ -292,14 +292,11 @@ class TiltedLineTable:
         bh1 = self.h[0] if self.zero_temp else self.beta * self.h[0]
         bh2 = self.h[1] if self.zero_temp else self.beta * self.h[1]
         comb = np.maximum if self.zero_temp else np.logaddexp
-        res = 0.0
         L = self.logz
-        for k in range(K - 1, -1, -1):
-            dus = np.arange(k + 1)
-            dvs = k - dus
-            pred = wb[dus, dvs] + comb(L[dus + 1, dvs] + bh1, L[dus, dvs + 1] + bh2)
-            res = max(res, float(np.max(np.abs(pred - L[dus, dvs]))))
-        return res
+        below = np.add.outer(np.arange(K), np.arange(K)) < K  # levels under n
+        pred = wb[:-1, :-1] + comb(L[1:, :-1] + bh1, L[:-1, 1:] + bh2)
+        with np.errstate(invalid="ignore"):  # -inf - -inf above the horizon
+            return float(np.max(np.abs(pred - L[:-1, :-1])[below]))
 
 
 def _triangle_grids(base: Site, K: int):

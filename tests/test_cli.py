@@ -112,6 +112,23 @@ def test_parse_round_trip_and_defaults():
         ("kind = cdf\nbusemann_horizon = 1", "'busemann_horizon'"),
         ("kind = cdf\nbusemann_horizon = -5", "'busemann_horizon'"),
         ("kind = cdf\nsteps = 1", "'steps'"),
+        ("kind = decay\nlevels =", "'levels'"),
+        ("kind = decay\nlevels = 8 -1 16", "'levels'"),
+        ("kind = decay\nseeds = 0", "'seeds'"),
+        ("kind = decay\nrule = busemann\nseeds = 0", "'seeds'"),
+        ("kind = dlr\nwindows = 0", "'windows'"),
+        ("kind = dlr\nlevels = 0", "'levels'"),
+        ("kind = cesaro\nsamples = 0", "'samples'"),
+        ("kind = cesaro\nn = 10", "'n'"),
+        ("kind = cesaro\nn = 14", "'n'"),
+        ("kind = cesaro\nshape_n = 0", "'shape_n'"),
+        ("kind = cesaro\nshape_replicas = 0", "'shape_replicas'"),
+        ("kind = ldp\nreplicas = 0", "'replicas'"),
+        ("kind = ldp\nn = 0", "'n'"),
+        ("kind = ldp\nshape_n = 0", "'shape_n'"),
+        ("kind = ldp\nshape_replicas = 0", "'shape_replicas'"),
+        ("kind = shape\nreplicas = 0", "'replicas'"),
+        ("kind = shape\nn = 0", "'n'"),
         ("just some words", "key = value"),
     ],
 )
@@ -299,3 +316,22 @@ def test_write_csv_matches_format_value(tmp_path):
     path = write_csv(tmp_path / "sub" / "mixed.csv", ("a", "b", "c", "d", "e"), (r for r in rows))
     want = "a,b,c,d,e\n" + "".join(",".join(format_value(x) for x in row) + "\n" for row in rows)
     assert Path(path).read_text() == want
+
+
+@pytest.mark.parametrize(
+    "text,csv",
+    [
+        ("kind = interface\nsteps = 30\nreplicas = 20", "interface_directions.csv"),
+        (
+            "kind = cdf\ngrid_points = 5\nreplicas = 20\nsteps = 30\nbusemann_horizon = 30",
+            "cdf_comparison.csv",
+        ),
+        ("kind = coalescence\nrule = half\nhorizon = 40\nseeds = 12", "coalescence.csv"),
+    ],
+)
+def test_negative_coupling_seeds_wrap_like_weight_seeds(tmp_path, text, csv):
+    # seeds wrap modulo 2^64, so -5 names the same coupling field as 2^64 - 5;
+    # the replica seeds -5, -4, ... cross zero
+    for seed, sub in ((-5, "neg"), (2**64 - 5, "wrapped")):
+        run(parse_config(f"{text}\nseed_coupling = {seed}"), out_dir=str(tmp_path / sub))
+    assert (tmp_path / "neg" / csv).read_bytes() == (tmp_path / "wrapped" / csv).read_bytes()

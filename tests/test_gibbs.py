@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
+from scipy.special import expit
 
+from polymerlab.cif import interface_direct_sample
 from polymerlab.cocycle import busemann_from_p2l, busemann_from_p2p
 from polymerlab.env import Site, WeightSpec, Window, generate_field
-from polymerlab.errors import DomainError, ParameterError, SizeError
+from polymerlab.errors import DomainError, ParameterError, SizeError, WindowError
 from polymerlab.fixtures import hand_grid_field
 from polymerlab.gibbs import (
     PolymerPath,
@@ -82,9 +84,9 @@ def test_sample_p2p_batch_refuses_unreachable_starts():
     with pytest.raises(DomainError):
         sample_p2p(bt, Site(5, 1), rng=1)
     # a site on the way without a step law
-    p1 = np.ones((4, 1))
-    p1[2, 0] = np.nan
-    holed = TransitionField(Window(Site(0, 0), 4, 1), p1, "backward", -1, 1.0, Site(0, 0))
+    hole = np.ones((4, 1))
+    hole[2, 0] = np.nan
+    holed = TransitionField(Window(Site(0, 0), 4, 1), hole, "backward", -1, 1.0, Site(0, 0))
     with pytest.raises(DomainError, match=r"\(2,0\)"):
         sample_p2p_batch(holed, Site(3, 0), 2, rng=1)
 
@@ -280,3 +282,175 @@ def test_path_csv(tmp_path):
     path = p.to_csv(tmp_path / "p.csv")
     lines = open(path).read().strip().splitlines()
     assert lines[0] == "k,u,v" and len(lines) == 5
+
+
+# The four chain loops as they were before they shared `gibbs._walk`, kept
+# as references: the wrappers must reproduce them draw for draw.
+
+
+def _ref_forward_chain_sample(transitions, x, steps, rng):
+    sites = [(x.u, x.v)]
+    cur = x
+    truncated = False
+    for _ in range(steps):
+        if not transitions.window.contains(cur):
+            truncated = True
+            break
+        p = transitions.p_at(cur)
+        nxt = cur + Site(1, 0) if rng.random() < p else cur + Site(0, 1)
+        if not transitions.window.contains(nxt):
+            truncated = True
+            break
+        sites.append((nxt.u, nxt.v))
+        cur = nxt
+    return np.asarray(sites, dtype=np.int64), truncated
+
+
+def _ref_forward_chain_batch(transitions, x, steps, count, rng):
+    win = transitions.window
+    du = np.full(count, x.u - win.origin.u, dtype=np.int64)
+    dv = np.full(count, x.v - win.origin.v, dtype=np.int64)
+    alive = np.full(count, win.contains(x))
+    first_e1 = 0
+    for j in range(steps):
+        p = transitions.p1[du[alive], dv[alive]]
+        take = rng.random(int(alive.sum())) < p
+        if j == 0:
+            first_e1 = int(take.sum())
+        ndu = du[alive] + take
+        ndv = dv[alive] + (~take)
+        stay = (ndu < win.width) & (ndv < win.height)
+        idx = np.flatnonzero(alive)
+        du[idx[stay]] = ndu[stay]
+        dv[idx[stay]] = ndv[stay]
+        alive[idx[~stay]] = False
+    endpoints = np.stack([du[alive] + win.origin.u, dv[alive] + win.origin.v], axis=1)
+    return endpoints, first_e1, int(count - alive.sum())
+
+
+def _ref_sample_p2p_batch(transitions, start, count, rng):
+    anchor = transitions.anchor
+    if not anchor <= start:
+        raise DomainError("start must dominate the anchor")
+    k = (start - anchor).level()
+    du0, dv0 = transitions.window.index(start)
+    du = np.full(count, du0, dtype=np.int64)
+    dv = np.full(count, dv0, dtype=np.int64)
+    steps = np.empty((count, k), dtype=np.int8)
+    for j in range(k - 1, -1, -1):
+        p = transitions.p1[du, dv]
+        lost = np.isnan(p)
+        if lost.any():
+            i = int(np.argmax(lost))
+            site = transitions.window.origin + Site(int(du[i]), int(dv[i]))
+            raise DomainError(f"site ({site.u},{site.v}) not reachable from anchor")
+        take_e1 = rng.random(count) < p
+        steps[:, j] = take_e1
+        du = du - take_e1
+        dv = dv - (~take_e1)
+    return steps
+
+
+def _ref_interface_direct_sample(table, field, steps, rng):
+    A = table.beta * field.subfield(table.window).values + table.logz
+    win = table.window
+    phi = table.anchor
+    sites = [(phi.u, phi.v)]
+    for _ in range(steps):
+        z = phi + Site(1, 1)
+        if not win.contains(z):
+            raise WindowError("table window too shallow for the requested steps")
+        zu, zv = win.index(z)
+        p_e1 = expit(A[zu - 1, zv] - A[zu, zv - 1])
+        phi = phi + Site(1, 0) if rng.random() < p_e1 else phi + Site(0, 1)
+        sites.append((phi.u, phi.v))
+    return np.asarray(sites, dtype=np.int64)
+
+
+def _same_outcome(seed, ref, new):
+    """Run both samplers on generators seeded alike; return their results
+    (or error types) and one further uniform from each generator, so a
+    difference in the number of draws shows."""
+    out = []
+    for fn in (ref, new):
+        rng = np.random.default_rng(seed)
+        try:
+            res = fn(rng)
+        except (DomainError, WindowError) as exc:
+            res = type(exc)
+        out.append((res, rng.random()))
+    return out
+
+
+def test_chain_wrappers_equal_the_parent_loops():
+    win = Window(Site(1, 2), 7, 5)
+    p1 = np.random.default_rng(0).random((7, 5))
+    fields = [TransitionField(win, p1, "busemann", 1, 1.0)]
+    f, bf = busemann_window_field(side=12)
+    fields.append(busemann_transitions(bf, f))
+    starts = [Site(1, 2), Site(3, 4), Site(7, 5), Site(0, 3), Site(8, 2)]  # last two outside
+    g = generate_field(GAUSS, 3, Window(Site(0, 0), 7, 6))
+    table = p2p_table(g, Site(2, 2), Window(Site(0, 0), 7, 6), 1.0, "from_anchor")
+    bt = backward_transitions(table)
+    # the anchor, interior and corner starts, two that do not dominate the
+    # anchor and one outside the window; then a walk through a site with no
+    # step law
+    hole = np.ones((4, 1))
+    hole[2, 0] = np.nan
+    holed = TransitionField(Window(Site(0, 0), 4, 1), hole, "backward", -1, 1.0, Site(0, 0))
+    p2p_starts = (Site(2, 2), Site(3, 2), Site(4, 5), Site(6, 5), Site(5, 1), Site(1, 4), Site(7, 5))
+    p2p_cases = [(bt, s) for s in p2p_starts]
+    p2p_cases += [(holed, Site(1, 0)), (holed, Site(3, 0))]
+    shallow = p2p_table(g, Site(0, 0), Window(Site(0, 0), 4, 3), 0.7, "from_anchor")
+    for seed in range(20):
+        for trans in fields:
+            for x in starts:
+                for steps in (0, 1, 5, 30):
+                    (ref, r1), (new, r2) = _same_outcome(
+                        seed,
+                        lambda rng: _ref_forward_chain_sample(trans, x, steps, rng),
+                        lambda rng: forward_chain_sample(trans, x, steps, rng),
+                    )
+                    assert np.array_equal(ref[0], new.sites) and ref[1] == new.truncated and r1 == r2
+                    for count in (1, 7):
+                        (ref, r1), (new, r2) = _same_outcome(
+                            seed,
+                            lambda rng: _ref_forward_chain_batch(trans, x, steps, count, rng),
+                            lambda rng: forward_chain_batch(trans, x, steps, count, rng),
+                        )
+                        assert np.array_equal(ref[0], new.endpoints) and r1 == r2
+                        assert (ref[1], ref[2]) == (new.first_e1, new.truncated)
+        for back, start in p2p_cases:
+            for count in (1, 7):
+                (ref, r1), (new, r2) = _same_outcome(
+                    seed,
+                    lambda rng: _ref_sample_p2p_batch(back, start, count, rng),
+                    lambda rng: sample_p2p_batch(back, start, count, rng),
+                )
+                assert r1 == r2
+                if isinstance(ref, type):
+                    assert ref is new
+                else:
+                    assert np.array_equal(ref, new) and new.dtype == np.int8
+        for tab in (table, shallow):
+            for steps in range(0, 9):
+                (ref, r1), (new, r2) = _same_outcome(
+                    seed,
+                    lambda rng: _ref_interface_direct_sample(tab, g, steps, rng),
+                    lambda rng: interface_direct_sample(tab, g, steps, rng),
+                )
+                assert r1 == r2
+                if isinstance(ref, type):
+                    assert ref is new is WindowError
+                else:
+                    assert np.array_equal(ref, new.path.sites)
+
+
+def test_forward_chains_refuse_sites_without_a_step_law():
+    p1 = np.full((4, 3), 0.5)
+    p1[1, 0] = np.nan
+    trans = TransitionField(Window(Site(0, 0), 4, 3), p1, "busemann", 1, 1.0)
+    with pytest.raises(DomainError, match=r"\(1,0\)"):
+        forward_chain_batch(trans, Site(1, 0), 2, 3, rng=1)
+    with pytest.raises(DomainError, match=r"\(1,0\)"):
+        forward_chain_sample(trans, Site(1, 0), 2, rng=1)

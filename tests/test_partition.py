@@ -366,3 +366,35 @@ def test_table_csv(tmp_path):
     lines = open(path).read().strip().splitlines()
     assert lines[0] == "u,v,logF"
     assert len(lines) == 10
+
+
+def _antidiagonal_residual(t):
+    # TiltedLineTable.recursion_residual as one loop per antidiagonal, the
+    # form the masked expression replaced
+    K = t.depth
+    if K == 0:
+        return 0.0
+    uu, vv = np.meshgrid(np.arange(K + 1), np.arange(K + 1), indexing="ij")
+    w = t.field.values_at(t.base.u + uu, t.base.v + vv)
+    wb = w if t.zero_temp else t.beta * w
+    bh1 = t.h[0] if t.zero_temp else t.beta * t.h[0]
+    bh2 = t.h[1] if t.zero_temp else t.beta * t.h[1]
+    comb = np.maximum if t.zero_temp else np.logaddexp
+    res = 0.0
+    L = t.logz
+    for k in range(K - 1, -1, -1):
+        dus = np.arange(k + 1)
+        dvs = k - dus
+        pred = wb[dus, dvs] + comb(L[dus + 1, dvs] + bh1, L[dus, dvs + 1] + bh2)
+        res = max(res, float(np.max(np.abs(pred - L[dus, dvs]))))
+    return res
+
+
+def test_p2l_recursion_residual_equals_the_antidiagonal_loop():
+    f = generate_field(WeightSpec.gaussian(0.3, 2.0), 17, Window(Site(-2, 1), 1, 1))
+    cases = [((0.1, 0.2), 14, None), ((-0.7, 0.4), 40, Site(3, -1)), ((0.0, 0.0), 0, None)]
+    for beta in (0.5, 1.0, 3.0, math.inf):
+        for h, n, base in cases:
+            for n in (n, n + 1):  # n = 0 gives depths 1 and 2
+                t = p2l_table(f, beta, h, n, base)
+                assert t.recursion_residual() == _antidiagonal_residual(t)
