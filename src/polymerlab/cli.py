@@ -29,7 +29,7 @@ from . import cocycle as coc
 from . import coupling as cpl
 from . import gibbs as gb
 from .csvio import format_value, write_csv
-from .env import Site, WeightSpec, Window, generate_field
+from .env import Site, WeightSpec, Window, _wrapped_seed, generate_field
 from .errors import ConfigError, PolymerlabError
 from .fixtures import hand_grid_field
 from .partition import comparison_check
@@ -300,6 +300,9 @@ def _config(raw: dict[str, str]) -> ExperimentConfig:
         sizes = values[key] if isinstance(values[key], tuple) else (values[key],)
         if not sizes or min(sizes) < low:
             raise ConfigError(f"field {key!r}: must be at least {low}")
+    if kind == "dlr" and values["levels"] > 20:
+        # every path of `levels` steps is enumerated; dlr_consistency_check stops at 20
+        raise ConfigError("field 'levels': must be at most 20")
     if kind == "monotonicity" and not 0 < values["tilt_scale"] < math.inf:
         raise ConfigError("field 'tilt_scale': must be positive and finite")
     if kind == "cdf":
@@ -448,7 +451,7 @@ def _run_busemann(cfg: ExperimentConfig, outdir: str, checks: list, artifacts: l
     artifacts.append(bf.to_csv(os.path.join(outdir, "busemann.csv")))
     checks.append(_leq("recovery_residual", bf.recovery_residual(), cfg.recovery_tol))
     checks.append(_leq("closure_residual", bf.closure_residual(), cfg.closure_tol))
-    rng = np.random.default_rng(cfg.seed_sampler)
+    rng = np.random.default_rng(_wrapped_seed(cfg.seed_sampler))
     B = bf.integrated()
     worst = 0.0
     for _ in range(cfg.staircases):
@@ -467,7 +470,7 @@ def _run_monotonicity(cfg: ExperimentConfig, outdir: str, checks: list, artifact
     spec = cfg.weight_spec()
     field = generate_field(spec, cfg.seed_weights, Window(Site(0, 0), 1, 1))
     window = Window(Site(0, 0), cfg.width, cfg.height)
-    rng = np.random.default_rng(cfg.seed_sampler)
+    rng = np.random.default_rng(_wrapped_seed(cfg.seed_sampler))
     tilts = []
     for _ in range(cfg.pairs):
         d1 = float(rng.uniform(0, cfg.tilt_scale))

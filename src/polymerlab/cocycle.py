@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .env import E1, E2, FieldBatch, Site, WeightField, WeightSpec, Window, generate_field
+from .env import E1, E2, FieldBatch, Site, WeightField, WeightSpec, Window, _wrapped_seed, generate_field
 from .errors import (
     HorizonError,
     ParameterError,
@@ -289,7 +289,7 @@ def cesaro_busemann(
     base = window.origin
     if window.corner.level() >= n:
         raise HorizonError("window levels must stay below n")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x4E5)))
+    rng = np.random.default_rng(np.random.SeedSequence((_wrapped_seed(seed), 0x4E5)))
     horizons = rng.integers(1, n + 1, size=sample_count)
     envs = _replica_batch(field.spec, seed, sample_count, 0xE17)
     W, H = window.width, window.height
@@ -390,7 +390,7 @@ class ShapeEstimate:
 
 def _replica_batch(spec: WeightSpec, seed: int, count: int, salt: int) -> FieldBatch:
     """`count` environments whose seeds are spawned from (seed, salt)."""
-    children = np.random.SeedSequence((seed, salt)).spawn(count)
+    children = np.random.SeedSequence((_wrapped_seed(seed), salt)).spawn(count)
     seeds = [int(c.generate_state(1, np.uint64)[0]) for c in children]
     return FieldBatch([generate_field(spec, s, Window(Site(0, 0), 1, 1)) for s in seeds])
 

@@ -226,6 +226,13 @@ def _as_u64(x) -> np.ndarray | np.uint64:
     return np.asarray(x).astype(np.uint64)
 
 
+def _wrapped_seed(seed) -> int:
+    """The seed modulo 2^64, the value the hash keys on, as an int for
+    seeding numpy generators: a negative seed names the same streams as its
+    wrapped value, and seeds in [0, 2^64) are unchanged."""
+    return int(_as_u64(seed))
+
+
 def site_uniforms(seed, stream: int, uu, vv) -> np.ndarray:
     """Uniform(0,1) variates attached to sites, as a pure function of
     (seed, stream, u, v). Output is strictly inside (0, 1).  `seed` may be a

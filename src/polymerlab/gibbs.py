@@ -16,14 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import BusemannField
-from .env import Site, WeightField, Window
+from .env import FieldBatch, Site, WeightField, Window
 from .errors import (
     DomainError,
+    HorizonError,
     ParameterError,
     SizeError,
     WindowError,
 )
-from .partition import NEG_INF, PartitionTable, _sweep, p2p_table, p2p_values
+from .partition import NEG_INF, PartitionTable, _p2l_sweep, _sweep, p2p_table, p2p_values
 
 __all__ = [
     "PolymerPath",
@@ -415,38 +416,10 @@ class LdpProfile:
         )
 
 
-def _ldp_rate_single(
-    busemann: BusemannField, field: WeightField, x: Site, n: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Empirical rate -(1/n) log Pi_x(X_n = y) for all y at level distance n,
-    via the probability-flow DP, the matching free-energy curve F_{x,y}/n of
-    the same environment, and the max defect of the flow rate against the
-    algebraic form -(1/n)(log Z - beta B)."""
-    if busemann.zero_temp:
-        raise ParameterError("the probability flow is defined for finite beta")
-    beta = busemann.beta
-    win = busemann.window
-    if not (win.contains(x) and win.contains(x + Site(n, n))):
-        raise WindowError("cocycle window too small for level n")
-    x0u, x0v = win.index(x)
-    rect = Window(x, n + 1, n + 1)
-    # the flow DP is the sweep whose edge terms are the cocycle measure's
-    # log step probabilities beta * (omega - b_i)
-    blk = (slice(x0u, x0u + n + 1), slice(x0v, x0v + n + 1))
-    w = field.subfield(rect).values
-    logflow = _sweep(
-        (beta * (w - busemann.b1[blk]))[:-1],
-        (beta * (w - busemann.b2[blk]))[:, :-1],
-        False,
-    )
-    a = np.arange(n + 1)
-    rate_flow = -logflow[a, n - a] / n
-    logz = p2p_values(field, x, beta, a, n - a)
-    B = busemann.integrated()
-    bvals = B[x0u + a, x0v + (n - a)] - B[x0u, x0v]
-    rate_alg = -(logz - beta * bvals) / n
-    lam = logz / (beta * n)
-    return rate_flow, lam, float(np.max(np.abs(rate_flow - rate_alg)))
+# Replicas of `ldp_rate_profile` are swept together in groups whose five
+# (n+2)^2 squares per replica fit in this budget: the kept rows and weights,
+# and the two increments with one temporary while they are formed.
+_LDP_BLOCK_BYTES = 4 << 20
 
 
 def ldp_rate_profile(
@@ -462,31 +435,73 @@ def ldp_rate_profile(
     """Monte Carlo estimate of the rate curve of the Busemann-driven chain:
     mean over environments of -(1/n) log Pi_0(X_n = (a, n-a)).
 
-    Each replica builds a fresh environment, the tilted cocycle field at
-    horizon 2n + margin, and the exact flow probabilities; the algebraic
-    identity rate = -(1/n)(log Z - beta B) is verified per replica.  The
-    `gap` columns compare the rate against -h.zeta - F_r/n with the
-    free-energy curve taken from the same replica, so the common finite-n
-    deficit of both sides cancels; an external ShapeEstimate only feeds the
-    descriptive `reference` columns.
+    Each replica builds a fresh environment, the tilted cocycle increments
+    b_i = F_{y,(N)} - F_{y+e_i,(N)} - h.e_i at horizon N = 2n + margin on the
+    (n+1)^2 square, and the exact flow probabilities, a sweep whose edge
+    terms are the cocycle measure's log step probabilities beta(omega - b_i);
+    the algebraic identity rate = -(1/n)(log Z - beta B) is verified per
+    replica.  The `gap` columns compare the rate against -h.zeta - F_r/n
+    with the free-energy curve taken from the same replica, so the common
+    finite-n deficit of both sides cancels; an external ShapeEstimate only
+    feeds the descriptive `reference` columns.
+
+    Replicas are swept in groups under `_LDP_BLOCK_BYTES`.  One
+    point-to-line sweep per group hashes each site once and keeps the
+    (n+2)^2 corner of its rows and the raw weights of the (n+1)^2 square;
+    the flow and the free-energy curve (the from_anchor table of the
+    square, whose entries equal `p2p_values` bit for bit) sweep those
+    weights, so each replica equals its own busemann_from_p2l, subfield and
+    p2p_values route bit for bit.
     """
-    from .cocycle import _check_replicas, _mean_se, _replica_batch, busemann_from_p2l
+    from .cocycle import _check_replicas, _increments, _mean_se, _replica_batch
 
     _check_replicas(replicas, [n])
+    beta = float(beta)
+    if math.isinf(beta):
+        raise ParameterError("the probability flow is defined for finite beta")
     horizon = 2 * n + horizon_margin
+    if horizon <= 2 * n + 2:
+        raise HorizonError(f"window reaches level {2 * n + 2} >= horizon {horizon}")
+    envs = _replica_batch(spec, seed, replicas, 0x1D9).fields
+    group = max(1, _LDP_BLOCK_BYTES // (5 * 8 * (n + 2) ** 2))
+    a = np.arange(n + 1)
+    zeta1 = a / n
+    drift = -(h_hat[0] * zeta1 + h_hat[1] * (1 - zeta1))
+    # C-contiguous sample arrays: their means over replicas add row by row
     rates = np.empty((replicas, n + 1))
     gaps = np.empty((replicas, n + 1))
-    zeta1 = np.arange(n + 1) / n
-    drift = -(h_hat[0] * zeta1 + h_hat[1] * (1 - zeta1))
-    ident = 0.0
-    for k, fld in enumerate(_replica_batch(spec, seed, replicas, 0x1D9).fields):
-        bf = busemann_from_p2l(
-            fld, beta, h_hat, horizon, Window(Site(0, 0), n + 2, n + 2)
-        )
-        r, lam_r, d = _ldp_rate_single(bf, fld, Site(0, 0), n)
-        rates[k] = r
-        gaps[k] = r - (drift - lam_r)
-        ident = max(ident, d)
+    ident = np.empty(replicas)
+    for g in range(0, replicas, group):
+        batch = FieldBatch(envs[g : g + group])
+        rows = np.empty((len(batch.fields), n + 2, n + 2))
+        w = np.empty((len(batch.fields), n + 1, n + 1))
+        for u, raw, row in _p2l_sweep(batch, beta, h_hat, horizon, Site(0, 0)):
+            if u <= n + 1:
+                rows[:, u] = row[:, : n + 2]
+            if u <= n:
+                w[:, u] = raw[:, : n + 1]
+        b1, b2 = _increments(rows, n + 1, n + 1, beta, h_hat)
+        del rows
+        # B(0, (a, n-a)) along the staircase e1 first, then e2
+        col0 = np.zeros((len(b1), n + 1))
+        np.cumsum(b1[:, :-1, 0], axis=-1, out=col0[:, 1:])
+        body = np.zeros_like(b2)
+        np.cumsum(b2[..., :-1], axis=-1, out=body[..., 1:])
+        bvals = col0 + body[:, a, n - a]
+        del body
+        # in place: the flow's edge terms beta * (omega - b_i), then beta * omega
+        for b in (b1, b2):
+            np.subtract(w, b, out=b)
+            b *= beta
+        rate_flow = -_sweep(b1[:, :-1], b2[..., :-1], False)[:, a, n - a] / n
+        del b1, b2
+        w *= beta
+        logz = _sweep(w[:, :-1], w[..., :-1], False)[:, a, n - a]
+        rate_alg = -(logz - beta * bvals) / n
+        lam = logz / (beta * n)
+        rates[g : g + group] = rate_flow
+        gaps[g : g + group] = rate_flow - (drift - lam)
+        ident[g : g + group] = np.max(np.abs(rate_flow - rate_alg), axis=-1)
     rate, rate_se = _mean_se(rates)
     gap, gap_se = _mean_se(gaps)
     reference = reference_se = None
@@ -499,7 +514,9 @@ def ldp_rate_profile(
         se_i = np.interp(zeta1, tg, lse)
         reference = np.where(inside, drift - lam_i, np.nan)
         reference_se = np.where(inside, se_i, np.nan)
-    return LdpProfile(zeta1, rate, rate_se, gap, gap_se, ident, reference, reference_se)
+    return LdpProfile(
+        zeta1, rate, rate_se, gap, gap_se, float(np.max(ident)), reference, reference_se
+    )
 
 
 @dataclass(frozen=True)

@@ -87,18 +87,19 @@ def _sweep(s1: np.ndarray, s2: np.ndarray, zero_temp: bool) -> np.ndarray:
     """L[0, 0] = 0, L[i, j] = op(L[i-1, j] + s1[i-1, j], L[i, j-1] + s2[i, j-1])
     on a W x H rectangle, with op = logaddexp (max when zero_temp).
 
-    s1 (W-1, H) and s2 (W, H-1) are the log-weights of the e1 and e2 edges
-    into each site; the caller chooses them (site weights, cocycle
-    log-probabilities, ...).  Rows run along the longer side."""
-    W, H = s2.shape[0], s1.shape[1]
+    s1 (..., W-1, H) and s2 (..., W, H-1) are the log-weights of the e1 and
+    e2 edges into each site; the caller chooses them (site weights, cocycle
+    log-probabilities, ...).  Leading axes are independent rectangles, each
+    equal to its own call bit for bit.  Rows run along the longer side."""
+    W, H = s2.shape[-2], s1.shape[-1]
     if W > H:
-        return _sweep(s2.T, s1.T, zero_temp).T
+        return _sweep(s2.swapaxes(-1, -2), s1.swapaxes(-1, -2), zero_temp).swapaxes(-1, -2)
     acc = np.maximum.accumulate if zero_temp else np.logaddexp.accumulate
-    L = np.empty((W, H), dtype=np.float64)
-    L[0, 0] = 0.0
-    np.cumsum(s2[0], out=L[0, 1:])
+    L = np.empty(s1.shape[:-2] + (W, H), dtype=np.float64)
+    L[..., 0, 0] = 0.0
+    np.cumsum(s2[..., 0, :], axis=-1, out=L[..., 0, 1:])
     for i in range(1, W):
-        L[i] = _row(L[i - 1] + s1[i - 1], s2[i], acc)
+        L[..., i, :] = _row(L[..., i - 1, :] + s1[..., i - 1, :], s2[..., i, :], acc)
     return L
 
 
@@ -351,6 +352,47 @@ def p2l_rows(
     of exactly 0.0 before it in each row, so the values below equal those of
     a sweep of horizon N bit for bit.  The sweeps of one environment share
     its weights."""
+    out = None
+    for u, _, row in _p2l_sweep(field, beta, h, n, base, horizons):
+        if out is None:  # the apex row, u = K, fixes the leading axes
+            out = np.full(row.shape[:-1] + (min(keep_rows, u + 1), u + 1), NEG_INF)
+        if u < out.shape[-2]:
+            out[..., u, : row.shape[-1]] = row
+    return out
+
+
+# The point-to-line sweep hashes consecutive rows as one block of about this
+# many sites over all replicas, so the fixed cost of a hash call is shared
+# and the hash temporaries stay small.
+_HASH_BLOCK_SITES = 8192
+
+
+def _triangle_weights(field, base: Site, K: int):
+    """Raw weights at base + (u, 0..K-u-1) for u = K-1, ..., 0, one row at a
+    time, hashed in blocks of rows: `values_at` is elementwise, so each row
+    equals its own call bit for bit."""
+    block = _HASH_BLOCK_SITES // (field.seeds.size if isinstance(field, FieldBatch) else 1)
+    m = 1  # row u = K - m holds m sites
+    while m <= K:
+        lengths = np.arange(m, K + 1)
+        ends = np.cumsum(lengths)
+        rows = max(1, int(np.searchsorted(ends, block, "right")))
+        lengths, ends = lengths[:rows], ends[:rows]
+        starts = ends - lengths
+        vals = field.values_at(
+            np.repeat(base.u + K - lengths, lengths),
+            base.v + np.arange(ends[-1]) - np.repeat(starts, lengths),
+        )
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            yield vals[..., start:end]
+        m += rows
+
+
+def _p2l_sweep(field, beta: float, h, n: int, base: Site, horizons=None):
+    """The sweep of `p2l_rows`, one row at a time from the apex down: yields
+    (u, w, row) for u = K, ..., 0, where row holds the values at sites
+    base + (u, 0..K-u) and w the raw weights hashed for it, at
+    base + (u, 0..K-u-1) (None at the apex, where nothing is hashed)."""
     beta = _check_beta(beta)
     zero_temp = math.isinf(beta)
     K = n - base.level()
@@ -363,7 +405,6 @@ def p2l_rows(
     bh1, bh2 = bh[..., :1], bh[..., 1:]  # broadcast along the row
     scale = 1.0 if zero_temp else beta
     acc = np.maximum.accumulate if zero_temp else np.logaddexp.accumulate
-    keep_rows = min(keep_rows, K + 1)
     lead = np.broadcast_shapes(h.shape[:-1], field.seeds.shape if isinstance(field, FieldBatch) else ())
     pad = None
     if horizons is not None:
@@ -372,26 +413,24 @@ def p2l_rows(
             raise ParameterError("horizons must not exceed n")
         lead = np.broadcast_shapes(horizons.shape, lead)
         pad = (n - horizons)[..., None]  # reversed index of each boundary
-    out = np.full(lead + (keep_rows, K + 1), NEG_INF)
     # sweep from the flat boundary (0 at level K, -inf above) down to row 0;
     # reversed, row u is a row recursion whose edge terms are w + bh2 and
     # whose entries from the row above are above + bh1 + w
-    row = np.zeros(lead + (1,)) if pad is None else np.where(pad > 0, NEG_INF, 0.0)
-    for u in range(K, -1, -1):
+    row = np.zeros(lead + (1,))
+    if pad is not None:
+        row = np.where(pad > 0, NEG_INF, row)
+    yield K, None, row
+    for u, raw in zip(range(K - 1, -1, -1), _triangle_weights(field, base, K)):
         m = K - u
-        if m > 0:
-            uu = np.full(m, base.u + u, dtype=np.int64)
-            w = scale * field.values_at(uu, base.v + np.arange(m, dtype=np.int64))[..., ::-1]
-            a = np.concatenate((np.zeros(lead + (1,)), row[..., ::-1] + (w + bh1)), axis=-1)
-            s = w + bh2
-            if pad is not None:
-                k = np.arange(m + 1)
-                a = np.where(k < pad, NEG_INF, np.where(k == pad, 0.0, a))
-                s = np.where(k[:-1] < pad, 0.0, s)
-            row = _row(a, s, acc)[..., ::-1]
-        if u < keep_rows:
-            out[..., u, : m + 1] = row
-    return out
+        w = scale * raw[..., ::-1]
+        a = np.concatenate((np.zeros(lead + (1,)), row[..., ::-1] + (w + bh1)), axis=-1)
+        s = w + bh2
+        if pad is not None:
+            k = np.arange(m + 1)
+            a = np.where(k < pad, NEG_INF, np.where(k == pad, 0.0, a))
+            s = np.where(k[:-1] < pad, 0.0, s)
+        row = _row(a, s, acc)[..., ::-1]
+        yield u, raw, row
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,7 @@ def test_parse_round_trip_and_defaults():
         ("kind = decay\nrule = busemann\nseeds = 0", "'seeds'"),
         ("kind = dlr\nwindows = 0", "'windows'"),
         ("kind = dlr\nlevels = 0", "'levels'"),
+        ("kind = dlr\nlevels = 21", "'levels'"),
         ("kind = cesaro\nsamples = 0", "'samples'"),
         ("kind = cesaro\nn = 10", "'n'"),
         ("kind = cesaro\nn = 14", "'n'"),
@@ -335,3 +336,32 @@ def test_negative_coupling_seeds_wrap_like_weight_seeds(tmp_path, text, csv):
     for seed, sub in ((-5, "neg"), (2**64 - 5, "wrapped")):
         run(parse_config(f"{text}\nseed_coupling = {seed}"), out_dir=str(tmp_path / sub))
     assert (tmp_path / "neg" / csv).read_bytes() == (tmp_path / "wrapped" / csv).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text,seed_field",
+    [
+        ("kind = shape\nn = 40\nreplicas = 4\nt_grid = 0.3 0.5 0.7", "seed_weights"),
+        ("kind = ldp\nn = 20\nreplicas = 3\nshape_n = 40\nshape_replicas = 4", "seed_weights"),
+        ("kind = busemann\nwidth = 6\nheight = 5\nhorizon = 20\nstaircases = 5", "seed_sampler"),
+        (
+            "kind = monotonicity\nwidth = 5\nheight = 5\nhorizon = 12\npairs = 3\ntriples = 4\ntriple_size = 6",
+            "seed_sampler",
+        ),
+        (
+            "kind = cesaro\nn = 20\nsamples = 10\nshape_n = 40\nshape_replicas = 4\nfpl_replicas = 2",
+            "seed_sampler",
+        ),
+    ],
+)
+def test_negative_replica_and_sampler_seeds_wrap(tmp_path, text, seed_field):
+    # -200 stays negative after the runners' offsets (ldp adds 7 and 101) and
+    # wraps modulo 2^64 like a weight seed, so it runs exactly as 2^64 - 200
+    for seed, sub in ((-200, "neg"), (2**64 - 200, "wrapped")):
+        cfg = tmp_path / f"{sub}.cfg"
+        cfg.write_text(f"{text}\n{seed_field} = {seed}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / sub)]) == 0
+    csvs = sorted(p.name for p in (tmp_path / "neg").glob("*.csv"))
+    assert csvs
+    for name in csvs:
+        assert (tmp_path / "neg" / name).read_bytes() == (tmp_path / "wrapped" / name).read_bytes()

@@ -6,8 +6,9 @@ import pytest
 import scipy.stats as st
 from scipy.special import expit
 
+from polymerlab import env, gibbs
 from polymerlab.cif import interface_direct_sample
-from polymerlab.cocycle import busemann_from_p2l, busemann_from_p2p
+from polymerlab.cocycle import _mean_se, _replica_batch, busemann_from_p2l, busemann_from_p2p
 from polymerlab.env import Site, WeightSpec, Window, generate_field
 from polymerlab.errors import DomainError, ParameterError, SizeError, WindowError
 from polymerlab.fixtures import hand_grid_field
@@ -27,7 +28,7 @@ from polymerlab.gibbs import (
     sample_p2p,
     sample_p2p_batch,
 )
-from polymerlab.partition import p2p_table
+from polymerlab.partition import _sweep, p2p_table, p2p_values
 
 GAUSS = WeightSpec.gaussian(0, 1)
 LOG2 = math.log(2.0)
@@ -256,6 +257,71 @@ def test_ldp_identity_on_log_gamma():
     # so the identity holds to rounding for inverse-log-gamma weights too
     prof = ldp_rate_profile(WeightSpec.inverse_log_gamma(1.0), 1.0, (-1.9, -1.9), 200, 4, 20241)
     assert prof.identity_residual <= 1e-10
+
+
+def _ref_ldp_samples(spec, beta, h, n, replicas, seed, margin=50):
+    """The per-replica loop of ldp_rate_profile before replicas were swept in
+    groups: each replica builds its cocycle with busemann_from_p2l, hashes
+    the flow square again with subfield and its free-energy curve again with
+    p2p_values.  Samples are filled row by row into C-ordered arrays."""
+    rates = np.empty((replicas, n + 1))
+    gaps = np.empty((replicas, n + 1))
+    a = np.arange(n + 1)
+    zeta1 = a / n
+    drift = -(h[0] * zeta1 + h[1] * (1 - zeta1))
+    ident = 0.0
+    for k, fld in enumerate(_replica_batch(spec, seed, replicas, 0x1D9).fields):
+        bf = busemann_from_p2l(fld, beta, h, 2 * n + margin, Window(Site(0, 0), n + 2, n + 2))
+        w = fld.subfield(Window(Site(0, 0), n + 1, n + 1)).values
+        logflow = _sweep(
+            (beta * (w - bf.b1[: n + 1, : n + 1]))[:-1],
+            (beta * (w - bf.b2[: n + 1, : n + 1]))[:, :-1],
+            False,
+        )
+        rates[k] = -logflow[a, n - a] / n
+        logz = p2p_values(fld, Site(0, 0), beta, a, n - a)
+        B = bf.integrated()
+        rate_alg = -(logz - beta * (B[a, n - a] - B[0, 0])) / n
+        gaps[k] = rates[k] - (drift - logz / (beta * n))
+        ident = max(ident, float(np.max(np.abs(rates[k] - rate_alg))))
+    return rates, gaps, ident
+
+
+@pytest.mark.parametrize(
+    "spec,beta,h,n,replicas,group",
+    [
+        (GAUSS, 1.0, (-1.07, -1.07), 12, 10, None),  # one group; R > 8 pins the mean's order
+        (GAUSS, 2.5, (-0.9, -1.3), 9, 10, 4),  # groups of 4, 4 and 2
+        (WeightSpec.inverse_log_gamma(1.0), 1.0, (-1.9, -1.9), 15, 9, 2),
+        (WeightSpec.constant(0.0), 1.0, (-LOG2, -LOG2), 8, 3, 1),
+    ],
+)
+def test_ldp_replica_groups_equal_the_per_replica_loop(monkeypatch, spec, beta, h, n, replicas, group):
+    if group is not None:
+        monkeypatch.setattr(gibbs, "_LDP_BLOCK_BYTES", group * 5 * 8 * (n + 2) ** 2)
+    rates, gaps, ident = _ref_ldp_samples(spec, beta, h, n, replicas, 31)
+    seeds = [f.seed for f in _replica_batch(spec, 31, replicas, 0x1D9).fields]
+    hashed = collections.Counter()
+    site_uniforms = env.site_uniforms
+
+    def counted(seed, stream, uu, vv):
+        keys = np.broadcast_arrays(np.asarray(seed, dtype=np.uint64), np.asarray(uu), np.asarray(vv))
+        hashed.update(zip(*(k.ravel().tolist() for k in keys)))
+        return site_uniforms(seed, stream, uu, vv)
+
+    monkeypatch.setattr(env, "site_uniforms", counted)
+    prof = ldp_rate_profile(spec, beta, h, n, replicas, 31)
+    for got, want in (((prof.rate, prof.rate_se), rates), ((prof.gap, prof.gap_se), gaps)):
+        assert all(map(np.array_equal, got, _mean_se(want)))
+    assert prof.identity_residual == ident
+    # one point-to-line triangle per environment, each site hashed once; the
+    # origin is hashed once more when the environment is made
+    K = 2 * n + 50
+    want = collections.Counter(
+        (s, u, v) for s in seeds for u in range(K) for v in range(K - u)
+    )
+    want.update((s, 0, 0) for s in seeds)
+    assert hashed == want
 
 
 def test_rooted_mass_decay_binomial_and_trivial():

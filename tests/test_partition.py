@@ -1,8 +1,10 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from polymerlab import env, partition
 from polymerlab.cif import cif_cdf_check
 from polymerlab.cocycle import direction_scan
 from polymerlab.env import E1, FieldBatch, Site, WeightSpec, Window, field_from_values, generate_field
@@ -188,6 +190,41 @@ def test_pair_probe_equals_two_probes(beta):
     bus, bus2 = (_two_probe_busemann_cdf(f, beta, t_eval, n) for n in (N, 2 * N))
     assert np.array_equal(cmp_.busemann, bus)
     assert cmp_.horizon_drift == float(np.max(np.abs(bus - bus2)))
+
+
+@pytest.mark.parametrize("block", [1, 2, 40, 100])
+def test_p2l_rows_hash_blocks_of_rows_once(monkeypatch, block):
+    # with a block of one site each row is its own hash call, as before the
+    # sweep hashed blocks of rows; blocks of any size give the same rows bit
+    # for bit, and each site of the triangle is hashed once
+    spec = WeightSpec.inverse_log_gamma(1.5)
+    batch = FieldBatch([generate_field(spec, s, Window(Site(0, 0), 1, 1)) for s in (3, 4)])
+    base, n = Site(-3, 5), 40
+    K = n - base.level()
+    tilts = np.array([[[0.2, -0.1]], [[-0.5, 0.4]]])  # (2, 1, 2): tilts x replicas
+    horizons = np.array([n, n - 7])
+    for beta in (1.5, math.inf):
+        want = p2l_rows(batch, beta, tilts, n, base, 6, horizons)
+        calls, hashed = [], collections.Counter()
+        site_uniforms = env.site_uniforms
+
+        def counted(seed, stream, uu, vv):
+            keys = np.broadcast_arrays(np.asarray(seed, dtype=np.uint64), np.asarray(uu), np.asarray(vv))
+            calls.append(keys[0].size)
+            hashed.update(zip(*(k.ravel().tolist() for k in keys)))
+            return site_uniforms(seed, stream, uu, vv)
+
+        with monkeypatch.context() as m:
+            m.setattr(partition, "_HASH_BLOCK_SITES", block)
+            m.setattr(env, "site_uniforms", counted)
+            got = p2l_rows(batch, beta, tilts, n, base, 6, horizons)
+        assert np.array_equal(got, want)
+        assert hashed == collections.Counter(
+            (s, base.u + u, base.v + v) for s in batch.seeds.tolist() for u in range(K) for v in range(K - u)
+        )
+        if block == 1:
+            assert len(calls) == K  # one row per call
+        assert max(calls) <= max(block, len(batch.fields) * K)  # a longer row is its own block
 
 
 def test_explicit_fields_stay_on_the_single_path():
