@@ -206,12 +206,8 @@ def busemann_from_p2p(
         target.u - window.origin.u + 1,
         target.v - window.origin.v + 1,
     )
-    table = p2p_table(field, target, rect, beta, "to_anchor")
-    L = table.logz
-    W, H = window.width, window.height
-    scale = 1.0 if table.zero_temp else 1.0 / float(beta)
-    b1 = (L[:W, :H] - L[1 : W + 1, :H]) * scale
-    b2 = (L[:W, :H] - L[:W, 1 : H + 1]) * scale
+    L = p2p_table(field, target, rect, beta, "to_anchor").logz
+    b1, b2 = _increments(L, window.width, window.height, beta, (0.0, 0.0))
     prov = Provenance(kind="p2p", target=target, horizon=target.level())
     return BusemannField(window, float(beta), b1, b2, prov, field)
 

@@ -133,13 +133,13 @@ class WeightSpec:
         p = tuple(float(x) for x in self.params)
         object.__setattr__(self, "params", p)
         if self.distribution == "gaussian":
-            if len(p) != 2 or p[1] <= 0:
+            if len(p) != 2 or not p[1] > 0:
                 raise ParameterError("gaussian requires (mean, sd) with sd > 0")
         elif self.distribution == "inverse_log_gamma":
-            if len(p) != 1 or p[0] <= 0:
+            if len(p) != 1 or not p[0] > 0:
                 raise ParameterError("inverse_log_gamma requires shape > 0")
         elif self.distribution == "uniform":
-            if len(p) != 2 or p[0] >= p[1]:
+            if len(p) != 2 or not p[0] < p[1]:
                 raise ParameterError("uniform requires (a, b) with a < b")
         elif self.distribution == "constant":
             if len(p) != 1:

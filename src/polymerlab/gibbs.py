@@ -551,20 +551,12 @@ def rooted_mass_decay(
     if not (win.contains(base) and win.contains(target)):
         raise WindowError("window too small for the requested distances")
     b0u, b0v = win.index(base)
-    p1 = transitions.p1[b0u : b0u + n_max + 1, b0v : b0v + n_max + 1]
-    hit = np.zeros((n_max + 1, n_max + 1))
-    hit[n_max, n_max] = 1.0
-    for k in range(2 * n_max - 1, -1, -1):
-        a_lo = max(0, k - n_max)
-        a_hi = min(n_max, k)
-        a = np.arange(a_lo, a_hi + 1)
-        b = k - a
-        up1 = np.where(a + 1 <= n_max, hit[np.minimum(a + 1, n_max), b], 0.0)
-        up2 = np.where(b + 1 <= n_max, hit[a, np.minimum(b + 1, n_max)], 0.0)
-        hit[a, b] = p1[a, b] * up1 + (1.0 - p1[a, b]) * up2
-    out = []
-    for n in levels:
-        a = np.arange(0, n + 1)
-        vals = hit[n_max - a, n_max - (n - a)]
-        out.append(float(np.max(vals)))
+    # reversed, hit(target - (i, j)) is the sweep from the target with edge
+    # terms log p1 and log(1 - p1).  An exact p1 = 1 would leave -inf in the
+    # in-row prefix sums, so its e2 edge gets weight 2^-53 instead of 0.
+    p1 = transitions.p1[b0u : b0u + n_max + 1, b0v : b0v + n_max + 1][::-1, ::-1]
+    s2 = np.log1p(-np.minimum(p1[:, 1:], np.nextafter(1.0, 0.0)))
+    with np.errstate(divide="ignore"):  # an exact p1 = 0 has an e1 edge of -inf
+        hit = np.exp(_sweep(np.log(p1[1:]), s2, False))
+    out = [float(np.max(hit[np.arange(n + 1), n - np.arange(n + 1)])) for n in levels]
     return MassDecayProfile(levels, tuple(out))

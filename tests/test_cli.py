@@ -8,6 +8,7 @@ import pytest
 
 from polymerlab import cocycle
 from polymerlab.cli import (
+    KINDS,
     Check,
     ExperimentConfig,
     _leq,
@@ -130,6 +131,17 @@ def test_parse_round_trip_and_defaults():
         ("kind = ldp\nshape_replicas = 0", "'shape_replicas'"),
         ("kind = shape\nreplicas = 0", "'replicas'"),
         ("kind = shape\nn = 0", "'n'"),
+        ("kind = shape\nweights = gausian", "'weights'"),
+        ("kind = busemann\nconstruction = p2q", "'construction'"),
+        ("kind = dlr\nfixture = hand3x3", "'fixture'"),
+        ("kind = decay\nrule = halff", "'rule'"),
+        ("kind = coalescence\nrule = busemman", "'rule'"),
+        ("kind = shape\nsd = 0", "'sd'"),
+        ("kind = scan\nsd = nan", "'sd'"),
+        ("kind = scan\nweights = uniform\na = 1\nb = 1", "'b'"),
+        ("kind = scan\nweights = uniform\na = 2\nb = 1", "'b'"),
+        ("kind = shape\nweights = inverse_log_gamma\nshape_param = 0", "'shape_param'"),
+        ("kind = cesaro\nfpl_replicas = 2", "'fpl_replicas'"),
         ("just some words", "key = value"),
     ],
 )
@@ -137,6 +149,12 @@ def test_malformed_configs_name_the_field(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_parses_with_its_defaults(kind):
+    # every default lies in its own field's accepted set
+    assert parse_config(f"kind = {kind}").kind == kind
 
 
 def test_run_dlr_fixture_passes(tmp_path):
@@ -189,6 +207,24 @@ def test_beta_flag_is_checked_like_the_field(tmp_path, capsys):
     # kinds that do not depend on beta still take --beta inf
     for text in ("kind = junctions", "kind = decay\nrule = half", "kind = coalescence"):
         assert parse_config(text + "\nbeta = inf").beta == math.inf
+
+
+@pytest.mark.parametrize(
+    "typo,field",
+    [("kind = scan\nweights = gausian", "'weights'"), ("kind = decay\nrule = halff", "'rule'")],
+)
+def test_typos_are_refused_before_any_work(tmp_path, capsys, typo, field):
+    scan = tmp_path / "scan.cfg"
+    scan.write_text(SCAN_CFG)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(typo + "\n")
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("scan.cfg\nbad.cfg\n")  # the good config comes first
+    for command, target in [("run", bad), ("suite", manifest)]:
+        out = tmp_path / f"o_{command}"
+        assert main([command, str(target), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_reproducibility_byte_identical(tmp_path):
@@ -349,7 +385,7 @@ def test_negative_coupling_seeds_wrap_like_weight_seeds(tmp_path, text, csv):
             "seed_sampler",
         ),
         (
-            "kind = cesaro\nn = 20\nsamples = 10\nshape_n = 40\nshape_replicas = 4\nfpl_replicas = 2",
+            "kind = cesaro\nn = 20\nsamples = 10\nshape_n = 40\nshape_replicas = 4",
             "seed_sampler",
         ),
     ],

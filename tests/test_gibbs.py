@@ -343,6 +343,53 @@ def test_rooted_mass_decay_gaussian_decreasing():
     assert prof.strictly_decreasing
 
 
+def _antidiagonal_hits(trans, target, levels):
+    # the linear-probability loop that rooted_mass_decay ran before it moved
+    # onto the sweep kernel: one antidiagonal of h at a time, from the target
+    n_max = max(levels)
+    b0u, b0v = trans.window.index(target - Site(n_max, n_max))
+    p1 = trans.p1[b0u : b0u + n_max + 1, b0v : b0v + n_max + 1]
+    hit = np.zeros((n_max + 1, n_max + 1))
+    hit[n_max, n_max] = 1.0
+    for k in range(2 * n_max - 1, -1, -1):
+        a = np.arange(max(0, k - n_max), min(n_max, k) + 1)
+        b = k - a
+        up1 = np.where(a + 1 <= n_max, hit[np.minimum(a + 1, n_max), b], 0.0)
+        up2 = np.where(b + 1 <= n_max, hit[a, np.minimum(b + 1, n_max)], 0.0)
+        hit[a, b] = p1[a, b] * up1 + (1.0 - p1[a, b]) * up2
+    return [float(np.max(hit[n_max - np.arange(n + 1), n_max - n + np.arange(n + 1)])) for n in levels]
+
+
+def test_rooted_mass_decay_equals_the_antidiagonal_loop():
+    levels = tuple(range(0, 41))
+    window = Window(Site(3, -2), 45, 43)
+    target = Site(44, 39)
+    for seed in (600, 601, 602):
+        for h in ((-1.0, -1.0), (-0.7, -0.7), (-0.4, -1.1)):
+            f = generate_field(GAUSS, seed, Window(Site(0, 0), 1, 1))
+            trans = busemann_transitions(busemann_from_p2l(f, 1.0, h, 200, window), f)
+            prof = rooted_mass_decay(trans, target, levels)
+            want = _antidiagonal_hits(trans, target, levels)
+            assert prof.max_hit[0] == 1.0
+            np.testing.assert_allclose(prof.max_hit, want, rtol=0, atol=1e-13)
+            assert prof.strictly_decreasing == all(b < a for a, b in zip(want, want[1:]))
+    # exact 0 and 1 step probabilities: forced steps, and whole rows of them
+    rng = np.random.default_rng(8)
+    for forced in (0.1, 0.5, 0.9, 1.0):
+        p1 = rng.uniform(size=(31, 31))
+        mark = rng.uniform(size=p1.shape)
+        p1[mark < forced / 2] = 0.0
+        p1[(mark >= forced / 2) & (mark < forced)] = 1.0
+        p1[7] = 1.0
+        p1[:, 11] = 0.0
+        trans = TransitionField(Window(Site(0, 0), 31, 31), p1, "busemann", 1, 1.0)
+        with np.errstate(invalid="raise"):
+            prof = rooted_mass_decay(trans, Site(30, 30), range(31))
+        assert prof.max_hit[0] == 1.0
+        want = _antidiagonal_hits(trans, Site(30, 30), range(31))
+        np.testing.assert_allclose(prof.max_hit, want, rtol=0, atol=1e-13)
+
+
 def test_path_csv(tmp_path):
     p = path_from_steps(Site(0, 0), [1, 0, 1])
     path = p.to_csv(tmp_path / "p.csv")
