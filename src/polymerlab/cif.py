@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 from .coupling import CouplingField
-from .env import COUPLING_STREAM, E1, E2, EHAT, Site, WeightField, Window, _as_u64, site_uniforms
+from .env import COUPLING_STREAM, E1, E2, EHAT, Site, WeightField, Window, _as_u64, _rows, site_uniforms
 from .errors import (
     DomainError,
     ParameterError,
@@ -210,19 +210,20 @@ def cif_direction_stats(
     environment.  Trees are sampled lazily: only the parent choices on the
     interface's own diagonal are ever drawn, which is distributionally
     identical to building the full tree.  The from-root DP advances with
-    the walkers one level at a time, hashing only that level: with
-    A = beta*w + log Z on level k, log Z on level k + 1 is
+    the walkers one level at a time, reading its weights from `env._rows`:
+    with A = beta*w + log Z on level k, log Z on level k + 1 is
     logaddexp(A[a - 1], A[a]), and a walker at root + (u, v) steps e1 with
     probability expit(A[u] - A[u + 1]) on the new level."""
     seeds = np.fromiter(map(_as_u64, range(theta_seed, theta_seed + replicas)), np.uint64)
     u = np.zeros(replicas, dtype=np.int64)
     v = np.zeros(replicas, dtype=np.int64)
     edge = np.full(1, NEG_INF)
-    A = beta * field.values_at(np.asarray([root.u]), np.asarray([root.v]))
-    for k in range(1, steps + 1):
-        a = np.arange(k + 1)
+    # level k holds the sites root + (a, k - a), a = 0..k
+    levels = _rows(field, root.u, root.v + np.arange(steps + 1), np.arange(1, steps + 2), (1, -1))
+    A = beta * next(levels)
+    for w in levels:
         logz = np.logaddexp(np.concatenate((edge, A)), np.concatenate((A, edge)))
-        A = beta * field.values_at(root.u + a, root.v + k - a) + logz
+        A = beta * w + logz
         p = expit(A[u] - A[u + 1])
         zu, zv = u + 1, v + 1
         theta = site_uniforms(seeds, COUPLING_STREAM, zu + root.u, zv + root.v)

@@ -81,6 +81,8 @@ def _at_least(lo: int) -> _In:
 _COUNT = _at_least(1)
 # the smallest positive double, so `x in _In(_TINY, ...)` means x > 0
 _TINY = math.ulp(0.0)
+_PROBABILITY = _In(0.0, 1.0, "between 0 and 1")
+_INTERIOR = _In(_TINY, math.nextafter(1.0, 0.0), "strictly between 0 and 1")
 
 # each weight distribution -> the config fields of its parameters, in order
 _WEIGHT_FIELDS = {
@@ -141,7 +143,7 @@ _SCHEMAS: dict[str, dict] = {
         "triple_size": (int, 30, _at_least(3)),
     },
     "cesaro": {
-        "t": (float, 0.5, None),
+        "t": (float, 0.5, _INTERIOR),
         # the Cesaro field lives on the 8x8 window, whose corner is at level 14
         "n": (int, 400, _at_least(15)),
         "samples": (int, 200, _COUNT),
@@ -159,7 +161,7 @@ _SCHEMAS: dict[str, dict] = {
     "ldp": {
         "n": (int, 500, _COUNT),
         "replicas": (int, 10, _COUNT),
-        "t": (float, 0.5, None),
+        "t": (float, 0.5, _INTERIOR),
         "shape_n": (int, 2000, _COUNT),
         "shape_replicas": (int, 12, _COUNT),
         "shape_step": (float, 0.05, None),
@@ -183,7 +185,7 @@ _SCHEMAS: dict[str, dict] = {
         "half_width": (int, 1200, None),
     },
     "junctions": {
-        "p": (float, 0.5, None),
+        "p": (float, 0.5, _PROBABILITY),
         "boxes": (_parse_intlist, (16, 32, 64), _COUNT),
         "replicas": (int, 20, _COUNT),
     },
@@ -195,8 +197,8 @@ _SCHEMAS: dict[str, dict] = {
     },
     "cdf": {
         "grid_points": (int, 21, _at_least(2)),
-        "grid_lo": (float, 0.05, None),
-        "grid_hi": (float, 0.95, None),
+        "grid_lo": (float, 0.05, _PROBABILITY),
+        "grid_hi": (float, 0.95, _PROBABILITY),
         "replicas": (int, 1000, _COUNT),
         "steps": (int, 2000, _COUNT),
         "busemann_horizon": (int, 0, None),
@@ -286,7 +288,14 @@ def _config(raw: dict[str, str]) -> ExperimentConfig:
         else:
             _refuse_outside("target_u", values["target_u"], _at_least(values["width"]))
             _refuse_outside("target_v", values["target_v"], _at_least(values["height"]))
+    if "shape_step" in values:
+        # the shape estimate differences its directions t +- step and t +- 2 step
+        t, step = values["t"], values["shape_step"]
+        if not 0 < t - 2 * step < t < t + 2 * step < 1:
+            raise ConfigError("field 'shape_step': must be positive, with t +- 2 shape_step in (0, 1)")
     if kind == "cdf":
+        if not values["grid_lo"] < values["grid_hi"]:
+            raise ConfigError("field 'grid_hi': must be greater than grid_lo")
         # the Busemann side probes targets at this horizon; 0 means steps
         horizon = values["busemann_horizon"]
         if horizon != 0 and horizon < 2:

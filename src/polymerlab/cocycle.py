@@ -591,13 +591,13 @@ def direction_scan(
     target(t) = x + (round(N t), N - round(N t)).
 
     The comparison inequality forces the profile to be nonincreasing in t;
-    violations beyond 1e-12 are counted (expected zero).  The largest jump
-    between adjacent grid directions is descriptive output.
+    violations beyond 1e-12 or NaN are counted (expected zero).  The largest
+    jump between adjacent grid directions is descriptive output.
     """
     t_grid = tuple(float(t) for t in t_grid)
     scale = 1.0 if math.isinf(beta) else 1.0 / float(beta)
     vals = b1_logz(field, beta, x, t_grid, target_radius) * scale
     diffs = np.diff(vals)
-    violations = int(np.sum(diffs > 1e-12))
+    violations = int(np.sum(~(diffs <= 1e-12)))
     max_jump = float(np.max(np.abs(diffs))) if diffs.size else 0.0
     return ScanProfile(t_grid, vals, violations, max_jump)

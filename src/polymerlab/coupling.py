@@ -20,6 +20,7 @@ from .env import (
     WeightField,
     Window,
     _as_u64,
+    _rows,
     site_uniforms,
 )
 from .errors import OrderingError, ParameterError, WindowError
@@ -35,10 +36,6 @@ __all__ = [
     "ordering_check",
     "junction_statistics",
 ]
-
-# sites per weight call of the band rule: enough to amortize the hash's
-# per-call cost; larger blocks raise the peak RSS through their temporaries
-_BAND_BLOCK_SITES = 8192
 
 
 @dataclass(frozen=True)
@@ -108,31 +105,26 @@ def band_transition_rule(
     width = 2 * half_width + 1
     bh1 = beta * h[0]
     bh2 = beta * h[1]
-    offs = np.arange(width, dtype=np.int64)
-    block = max(1, _BAND_BLOCK_SITES // width)
-
-    p_rows = np.empty((n, width), dtype=np.float32)
-    # F on a block of levels below the row above it, padded with -inf on both
-    # sides so that the children of every band offset are slices of that row
-    F = np.full((block + 1, width + 2), float("-inf"))
-    uu = n // 2 - half_width + offs
-    F[0, 1:-1][(uu >= 0) & (uu <= n)] = 0.0  # level n boundary
-    for top in range(n - 1, -1, -block):
-        kk = np.arange(top, max(top - block, -1), -1)
-        uu = (kk // 2 - half_width)[:, None] + offs
-        valid = (uu >= 0) & (uu <= kk[:, None])
-        bw = beta * field.values_at(uu, kk[:, None] - uu)
-        bw[~valid] = float("-inf")
-        for j, k in enumerate(kk.tolist()):
-            c = F[j, 1 - k % 2 :]  # c[i]: child u of band offset i; c[i + 1]: child u + 1
-            F[j + 1, 1:-1] = bw[j] + np.logaddexp(c[1 : width + 1] + bh1, c[:width] + bh2)
-        m = kk.size
-        c1 = np.where((kk % 2 == 1)[:, None], F[:m, 1:-1], F[:m, 2:])
-        with np.errstate(invalid="ignore"):
-            p = np.exp(bw + bh1 + c1 - F[1 : m + 1, 1:-1])
-        p[~valid] = np.nan
-        p_rows[kk] = p
-        F[0] = F[m]
+    p_rows = np.full((n, width), np.nan, dtype=np.float32)
+    # F on the level above, padded with -inf on both sides so that the
+    # children of every band offset are slices of it
+    F = np.full(width + 2, float("-inf"))
+    uu = n // 2 - half_width + np.arange(width)
+    F[1:-1][(uu >= 0) & (uu <= n)] = 0.0  # level n boundary
+    # the band's sites on level k are u in [lo, hi], offsets [a, a + hi - lo]
+    kk = np.arange(n - 1, -1, -1)
+    lo = np.maximum(kk // 2 - half_width, 0)
+    hi = np.minimum(kk // 2 + half_width, kk)
+    levels = _rows(field, lo, kk - lo, hi - lo + 1, (1, -1))
+    for k, a, w in zip(kk.tolist(), (lo - kk // 2 + half_width).tolist(), levels):
+        b = a + w.size
+        bw = beta * w
+        c = F[1 - k % 2 :]  # c[i]: child u of band offset i; c[i + 1]: child u + 1
+        up = c[a + 1 : b + 1]
+        Fk = bw + np.logaddexp(up + bh1, c[a:b] + bh2)
+        p_rows[k, a:b] = np.exp(bw + bh1 + up - Fk)
+        F[1 : a + 1] = F[b + 1 : -1] = float("-inf")
+        F[a + 1 : b + 1] = Fk
 
     def p_fn(uu, vv):
         uu = np.asarray(uu, dtype=np.int64)

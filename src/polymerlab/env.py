@@ -132,6 +132,8 @@ class WeightSpec:
             raise ParameterError(f"unknown distribution {self.distribution!r}")
         p = tuple(float(x) for x in self.params)
         object.__setattr__(self, "params", p)
+        if not np.all(np.isfinite(p)):
+            raise ParameterError(f"{self.distribution} parameters must be finite")
         if self.distribution == "gaussian":
             if len(p) != 2 or not p[1] > 0:
                 raise ParameterError("gaussian requires (mean, sd) with sd > 0")
@@ -248,6 +250,44 @@ def site_uniforms(seed, stream: int, uu, vv) -> np.ndarray:
     return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
+# Weight reads hash whole rows of sites in blocks of at most this many sites
+# over all replicas, so the fixed cost of a hash call is shared.
+_HASH_BLOCK_SITES = 8192
+
+
+def _hashed(window: Window, spec: WeightSpec, seed, shift: Site = Site(0, 0)) -> "WeightField":
+    """The environment materialized over a window: its values are written in
+    place from `values_at`, in blocks of whole rows of constant u."""
+    field = WeightField(window, spec, seed, np.empty((window.width, window.height)), shift)
+    rows = max(1, _HASH_BLOCK_SITES // window.height)
+    uu = window.origin.u + np.arange(window.width, dtype=np.int64)[:, None]
+    vv = window.origin.v + np.arange(window.height, dtype=np.int64)
+    for i in range(0, window.width, rows):
+        field.values[i : i + rows] = field.values_at(uu[i : i + rows], vv)
+    return field
+
+
+def _rows(field, u0, v0, lengths, step=(0, 1)):
+    """Raw weights of a WeightField or FieldBatch (replica axis in front) on
+    rows (u0[r], v0[r]) + j * step, j < lengths[r] (step (0, 1) along u =
+    const, (1, -1) along a level), one row at a time, hashed in blocks of
+    whole rows (at least one): each equals its own `values_at` bit for bit."""
+    u0, v0, lengths = np.broadcast_arrays(u0, v0, lengths)
+    block = _HASH_BLOCK_SITES // (field.seeds.size if isinstance(field, FieldBatch) else 1)
+    ends = np.cumsum(lengths)
+    i = done = 0
+    while i < lengths.size:
+        j = max(i + 1, int(np.searchsorted(ends, done + block, "right")))
+        n = lengths[i:j]
+        starts = ends[i:j] - n - done  # of each row within the block
+        k = np.arange(ends[j - 1] - done)
+        uu, vv = (np.repeat(c[i:j] - d * starts, n) + d * k for c, d in zip((u0, v0), step))
+        vals = field.values_at(uu, vv)
+        for s, m in zip(starts.tolist(), n.tolist()):
+            yield vals[..., s : s + m]
+        i, done = j, int(ends[j - 1])
+
+
 @dataclass(frozen=True, eq=False)
 class WeightField:
     """The i.i.d. environment restricted to a window.
@@ -276,10 +316,7 @@ class WeightField:
 
     def subfield(self, window: Window) -> "WeightField":
         """The same environment materialized over another window."""
-        uu, vv = window.coord_grids()
-        return WeightField(window, self.spec, self.seed, self.spec.quantile(
-            site_uniforms(self.seed, WEIGHT_STREAM, uu + self.shift.u, vv + self.shift.v)
-        ), self.shift)
+        return _hashed(window, self.spec, self.seed, self.shift)
 
     def to_csv(self, path) -> None:
         from .csvio import write_csv
@@ -323,9 +360,7 @@ def generate_field(spec: WeightSpec, seed: int, window: Window) -> WeightField:
     Regeneration with the same (seed, spec) over any window reproduces
     identical per-site values; overlapping windows agree on the overlap.
     """
-    uu, vv = window.coord_grids()
-    values = spec.quantile(site_uniforms(seed, WEIGHT_STREAM, uu, vv))
-    return WeightField(window, spec, seed, values)
+    return _hashed(window, spec, seed)
 
 
 def shift_view(field: WeightField, z: Site) -> WeightField:
@@ -333,13 +368,7 @@ def shift_view(field: WeightField, z: Site) -> WeightField:
 
     Composes as a group action; shifting by z then -z restores the original.
     """
-    window = field.window.shifted(-z)
-    shift = field.shift + z
-    uu, vv = window.coord_grids()
-    values = field.spec.quantile(
-        site_uniforms(field.seed, WEIGHT_STREAM, uu + shift.u, vv + shift.v)
-    )
-    return WeightField(window, field.spec, field.seed, values, shift)
+    return _hashed(field.window.shifted(-z), field.spec, field.seed, field.shift + z)
 
 
 def field_from_values(values: np.ndarray, window: Window, label: str = "explicit") -> WeightField:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import E1, E2, EHAT, FieldBatch, Site, Window, WeightField
+from .env import E1, E2, EHAT, FieldBatch, Site, Window, WeightField, _rows
 from .errors import (
     DomainError,
     OrderingError,
@@ -235,13 +235,13 @@ def _probe(field, anchor: Site, beta: float, du, dv, anchors: int) -> np.ndarray
     # targets first while filling: a boolean index on leading axes is fast
     out = np.empty(du.shape + lead)
     targets_first = (len(lead),) + tuple(range(len(lead)))
-    for i in range(int(du.max(initial=-1)) + 1):
-        m = int(dv[du >= i].max())
-        w = scale * field.values_at(np.full(m + 1, anchor.u + i), anchor.v + np.arange(m + 1))
+    lengths = [int(dv[du >= i].max()) + 1 for i in range(int(du.max(initial=-1)) + 1)]
+    for i, raw in enumerate(_rows(field, anchor.u + np.arange(len(lengths)), anchor.v, lengths)):
+        w = scale * raw
         if i == 0:
-            a = np.full(lead + (m + 1,), NEG_INF)
+            a = np.full(lead + (w.shape[-1],), NEG_INF)
         else:
-            a = row[..., : m + 1] + w_prev[..., : m + 1]
+            a = row[..., : w.shape[-1]] + w_prev[..., : w.shape[-1]]
         if i < anchors:  # the sweep from anchor + (i, 0) starts on this row
             a[(i,) * (anchors > 1) + (..., 0)] = 0.0
         row = _row(a, w[..., :-1], acc)
@@ -288,7 +288,7 @@ class TiltedLineTable:
         K = self.depth
         if K == 0:
             return 0.0
-        w = self.field.values_at(*_triangle_grids(self.base, K))
+        w = self.field.subfield(Window(self.base, K + 1, K + 1)).values
         wb = w if self.zero_temp else self.beta * w
         bh1 = self.h[0] if self.zero_temp else self.beta * self.h[0]
         bh2 = self.h[1] if self.zero_temp else self.beta * self.h[1]
@@ -298,12 +298,6 @@ class TiltedLineTable:
         pred = wb[:-1, :-1] + comb(L[1:, :-1] + bh1, L[:-1, 1:] + bh2)
         with np.errstate(invalid="ignore"):  # -inf - -inf above the horizon
             return float(np.max(np.abs(pred - L[:-1, :-1])[below]))
-
-
-def _triangle_grids(base: Site, K: int):
-    uu = base.u + np.arange(K + 1, dtype=np.int64)[:, None]
-    vv = base.v + np.arange(K + 1, dtype=np.int64)[None, :]
-    return np.broadcast_to(uu, (K + 1, K + 1)), np.broadcast_to(vv, (K + 1, K + 1))
 
 
 def p2l_table(
@@ -361,33 +355,6 @@ def p2l_rows(
     return out
 
 
-# The point-to-line sweep hashes consecutive rows as one block of about this
-# many sites over all replicas, so the fixed cost of a hash call is shared
-# and the hash temporaries stay small.
-_HASH_BLOCK_SITES = 8192
-
-
-def _triangle_weights(field, base: Site, K: int):
-    """Raw weights at base + (u, 0..K-u-1) for u = K-1, ..., 0, one row at a
-    time, hashed in blocks of rows: `values_at` is elementwise, so each row
-    equals its own call bit for bit."""
-    block = _HASH_BLOCK_SITES // (field.seeds.size if isinstance(field, FieldBatch) else 1)
-    m = 1  # row u = K - m holds m sites
-    while m <= K:
-        lengths = np.arange(m, K + 1)
-        ends = np.cumsum(lengths)
-        rows = max(1, int(np.searchsorted(ends, block, "right")))
-        lengths, ends = lengths[:rows], ends[:rows]
-        starts = ends - lengths
-        vals = field.values_at(
-            np.repeat(base.u + K - lengths, lengths),
-            base.v + np.arange(ends[-1]) - np.repeat(starts, lengths),
-        )
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            yield vals[..., start:end]
-        m += rows
-
-
 def _p2l_sweep(field, beta: float, h, n: int, base: Site, horizons=None):
     """The sweep of `p2l_rows`, one row at a time from the apex down: yields
     (u, w, row) for u = K, ..., 0, where row holds the values at sites
@@ -420,7 +387,8 @@ def _p2l_sweep(field, beta: float, h, n: int, base: Site, horizons=None):
     if pad is not None:
         row = np.where(pad > 0, NEG_INF, row)
     yield K, None, row
-    for u, raw in zip(range(K - 1, -1, -1), _triangle_weights(field, base, K)):
+    uu = np.arange(K - 1, -1, -1)
+    for u, raw in zip(uu.tolist(), _rows(field, base.u + uu, base.v, K - uu)):
         m = K - u
         w = scale * raw[..., ::-1]
         a = np.concatenate((np.zeros(lead + (1,)), row[..., ::-1] + (w + bh1)), axis=-1)

@@ -142,6 +142,22 @@ def test_parse_round_trip_and_defaults():
         ("kind = scan\nweights = uniform\na = 2\nb = 1", "'b'"),
         ("kind = shape\nweights = inverse_log_gamma\nshape_param = 0", "'shape_param'"),
         ("kind = cesaro\nfpl_replicas = 2", "'fpl_replicas'"),
+        ("kind = scan\nsd = inf", "'sd'"),
+        ("kind = shape\nmean = inf", "'mean'"),
+        ("kind = shape\nweights = constant\nvalue = -inf", "'value'"),
+        ("kind = ldp\nt = 1.5", "'t'"),
+        ("kind = ldp\nt = 0", "'t'"),
+        ("kind = cesaro\nt = 1.5", "'t'"),
+        ("kind = cesaro\nt = nan", "'t'"),
+        ("kind = ldp\nshape_step = 0.3", "'shape_step'"),
+        ("kind = ldp\nt = 0.9\nshape_step = 0.05", "'shape_step'"),
+        ("kind = cesaro\nshape_step = 0", "'shape_step'"),
+        ("kind = junctions\np = 1.5", "'p'"),
+        ("kind = junctions\np = -0.1", "'p'"),
+        ("kind = cdf\ngrid_lo = 0.9\ngrid_hi = 0.1", "'grid_hi'"),
+        ("kind = cdf\ngrid_lo = 0.5\ngrid_hi = 0.5", "'grid_hi'"),
+        ("kind = cdf\ngrid_lo = -0.1", "'grid_lo'"),
+        ("kind = cdf\ngrid_hi = 1.5", "'grid_hi'"),
         ("just some words", "key = value"),
     ],
 )
@@ -211,7 +227,16 @@ def test_beta_flag_is_checked_like_the_field(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "typo,field",
-    [("kind = scan\nweights = gausian", "'weights'"), ("kind = decay\nrule = halff", "'rule'")],
+    [
+        ("kind = scan\nweights = gausian", "'weights'"),
+        ("kind = decay\nrule = halff", "'rule'"),
+        ("kind = ldp\nt = 1.5", "'t'"),
+        ("kind = cesaro\nt = 1.5", "'t'"),
+        ("kind = ldp\nshape_step = 0.3", "'shape_step'"),
+        ("kind = junctions\np = 1.5", "'p'"),
+        ("kind = cdf\ngrid_lo = 0.9\ngrid_hi = 0.1", "'grid_hi'"),
+        ("kind = scan\nsd = inf", "'sd'"),
+    ],
 )
 def test_typos_are_refused_before_any_work(tmp_path, capsys, typo, field):
     scan = tmp_path / "scan.cfg"

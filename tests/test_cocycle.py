@@ -19,7 +19,16 @@ from polymerlab.cocycle import (
     estimate_shape,
     point_to_line_value,
 )
-from polymerlab.env import E1, E2, FieldBatch, Site, WeightSpec, Window, generate_field
+from polymerlab.env import (
+    E1,
+    E2,
+    FieldBatch,
+    Site,
+    WeightSpec,
+    Window,
+    field_from_values,
+    generate_field,
+)
 from polymerlab.errors import HorizonError, ParameterError, ProvenanceError, WindowError
 from polymerlab.fixtures import hand_grid_field
 from polymerlab.gibbs import ldp_rate_profile
@@ -293,6 +302,18 @@ def test_direction_scan_monotone_and_binomial():
         a = round(N * t)
         want = math.log(math.comb(N, a)) - math.log(math.comb(N - 1, a - 1))
         assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_direction_scan_counts_nan_differences_as_violations():
+    # an infinite weight makes every b1 an inf - inf; NaN differences must
+    # not read as a monotone profile
+    values = np.zeros((25, 25))
+    values[3, 4] = math.inf
+    f = field_from_values(values, Window(Site(0, 0), 25, 25))
+    with np.errstate(invalid="ignore"):
+        prof = direction_scan(f, 1.0, np.linspace(0.2, 0.8, 5), 20)
+    assert np.all(np.isnan(prof.b1))
+    assert prof.violations == 4
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0, math.inf])

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from polymerlab import env
+from polymerlab.cif import cif_direction_stats
+from polymerlab.coupling import band_transition_rule
 from polymerlab.env import (
     COUPLING_STREAM,
     WEIGHT_STREAM,
+    FieldBatch,
     Site,
     WeightSpec,
     Window,
+    field_from_values,
     generate_field,
     shift_view,
     site_uniforms,
 )
 from polymerlab.errors import ParameterError, WindowError
+from polymerlab.partition import p2p_pair_values, p2p_values
 
 
 def test_site_arithmetic_and_order():
@@ -107,6 +113,18 @@ def test_invalid_parameters_rejected():
         WeightSpec.uniform(1.0, 1.0)
     with pytest.raises(ParameterError):
         WeightSpec("weibull", (1.0,))
+    # an infinite parameter gives infinite or NaN weights
+    for bad in (
+        lambda: WeightSpec.gaussian(0, math.inf),
+        lambda: WeightSpec.gaussian(math.inf, 1),
+        lambda: WeightSpec.gaussian(-math.inf, 1),
+        lambda: WeightSpec.inverse_log_gamma(math.inf),
+        lambda: WeightSpec.uniform(-math.inf, 0),
+        lambda: WeightSpec.constant(math.nan),
+        lambda: WeightSpec.constant(-math.inf),
+    ):
+        with pytest.raises(ParameterError):
+            bad()
 
 
 def test_inverse_log_gamma_mean_against_quadrature():
@@ -154,3 +172,52 @@ def test_csv_roundtrip(tmp_path):
     assert lines[0] == "u,v,omega"
     u, v, w = lines[1].split(",")
     assert float(w) == f.value(Site(int(u), int(v)))
+
+
+def _stream_reads():
+    """Every kind of weight read that goes through env's blocked rows, with
+    the most sites one row of it hashes over all replicas."""
+    spec = WeightSpec.inverse_log_gamma(1.5)
+    f = generate_field(spec, 6, Window(Site(-4, 3), 11, 9))
+    batch = FieldBatch([generate_field(spec, s, Window(Site(0, 0), 1, 1)) for s in (2, 2**63 + 5)])
+    explicit = field_from_values(f.values, f.window)
+    a = np.arange(0, 9, 2)
+    kk = np.repeat(np.arange(61), 9)
+    uu = kk // 2 - 4 + np.tile(np.arange(9), 61)
+    inside = (uu >= 0) & (uu <= kk)
+    return {
+        "generate_field": (lambda: generate_field(spec, 6, Window(Site(-4, 3), 11, 9)).values, 9),
+        "subfield": (lambda: f.subfield(Window(Site(-30, -2), 5, 40)).values, 40),
+        "shift_view": (lambda: shift_view(f, Site(7, -3)).values, 9),
+        "band": (
+            lambda: band_transition_rule(f, 1.3, (-0.7, -0.6), 60, 4).p_at(uu[inside], (kk - uu)[inside]),
+            9,
+        ),
+        "interface": (lambda: cif_direction_stats(f, 0.8, 50, 40, 3, Site(-2, 5)).directions, 41),
+        "probe": (lambda: p2p_values(batch, Site(-1, 4), 1.5, a, 30 - a), 2 * 31),
+        "probe_explicit": (lambda: p2p_pair_values(explicit, Site(-4, 3), 1.5, a, 8 - a), 0),
+    }
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("read", list(_stream_reads()))
+def test_every_weight_read_hashes_blocks_of_whole_rows(monkeypatch, block, read):
+    # the same values bit for bit under any block size, including rows
+    # longer than the block, and no hash call beyond the block unless it is
+    # a single row; an explicit field hashes nothing
+    fn, row = _stream_reads()[read]
+    want = fn()
+    calls = []
+    hash_sites = env.site_uniforms
+
+    def counted(seed, stream, uu, vv):
+        if stream == WEIGHT_STREAM:
+            calls.append(np.broadcast(np.asarray(seed), np.asarray(uu), np.asarray(vv)).size)
+        return hash_sites(seed, stream, uu, vv)
+
+    monkeypatch.setattr(env, "_HASH_BLOCK_SITES", block)
+    monkeypatch.setattr(env, "site_uniforms", counted)
+    got = fn()
+    assert np.array_equal(got, want)
+    assert bool(calls) == (row > 0)
+    assert max(calls, default=0) <= max(block, row)

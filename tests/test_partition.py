@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from polymerlab import env, partition
+from polymerlab import env
 from polymerlab.cif import cif_cdf_check
 from polymerlab.cocycle import direction_scan
 from polymerlab.env import E1, FieldBatch, Site, WeightSpec, Window, field_from_values, generate_field
@@ -215,7 +215,7 @@ def test_p2l_rows_hash_blocks_of_rows_once(monkeypatch, block):
             return site_uniforms(seed, stream, uu, vv)
 
         with monkeypatch.context() as m:
-            m.setattr(partition, "_HASH_BLOCK_SITES", block)
+            m.setattr(env, "_HASH_BLOCK_SITES", block)
             m.setattr(env, "site_uniforms", counted)
             got = p2l_rows(batch, beta, tilts, n, base, 6, horizons)
         assert np.array_equal(got, want)
