@@ -255,23 +255,47 @@ def site_uniforms(seed, stream: int, uu, vv) -> np.ndarray:
 _HASH_BLOCK_SITES = 8192
 
 
+def _weights(spec: WeightSpec, seed, uu, vv) -> np.ndarray:
+    """The weights of one distribution at sites: the quantiles of their
+    hashed uniforms, or the constant of a constant spec in the sites'
+    broadcast shape, with nothing hashed."""
+    if spec.distribution == "constant":
+        return np.full(np.broadcast_shapes(np.shape(seed), np.shape(uu), np.shape(vv)), spec.params[0])
+    return spec.quantile(site_uniforms(seed, WEIGHT_STREAM, uu, vv))
+
+
 def _hashed(window: Window, spec: WeightSpec, seed, shift: Site = Site(0, 0)) -> "WeightField":
     """The environment materialized over a window: its values are written in
-    place from `values_at`, in blocks of whole rows of constant u."""
+    place from `_blocks`, in blocks of whole rows of constant u."""
     field = WeightField(window, spec, seed, np.empty((window.width, window.height)), shift)
-    rows = max(1, _HASH_BLOCK_SITES // window.height)
-    uu = window.origin.u + np.arange(window.width, dtype=np.int64)[:, None]
-    vv = window.origin.v + np.arange(window.height, dtype=np.int64)
-    for i in range(0, window.width, rows):
-        field.values[i : i + rows] = field.values_at(uu[i : i + rows], vv)
+    u = window.origin.u + np.arange(window.width)
+    for i, vals in _blocks(field, u, window.origin.v, window.height, (0, 1)):
+        field.values[i : i + len(vals)] = vals
     return field
+
+
+def _blocks(field, across, start, n: int, step):
+    """Raw weights of a rectangle of rows of n sites from `start` along an
+    axis step ((0, +-1) or (+-1, 0)), at the coordinates `across` of the
+    other axis, in the blocks of whole rows of `_rows`: yields (i, weights
+    of rows i, i+1, ... on axis -2).  A block hashes a column of the rows'
+    coordinates against one row of coordinates along them."""
+    block = _HASH_BLOCK_SITES // (field.seeds.size if isinstance(field, FieldBatch) else 1)
+    d = step[0] + step[1]
+    along = start + np.arange(0, d * n, d)
+    across = np.asarray(across)[:, None]
+    rows = max(1, block // n)
+    for i in range(0, len(across), rows):
+        col = across[i : i + rows]
+        yield i, field.values_at(along, col) if step[0] else field.values_at(col, along)
 
 
 def _rows(field, u0, v0, lengths, step=(0, 1)):
     """Raw weights of a WeightField or FieldBatch (replica axis in front) on
     rows (u0[r], v0[r]) + j * step, j < lengths[r] (step (0, 1) along u =
     const, (1, -1) along a level), one row at a time, hashed in blocks of
-    whole rows (at least one): each equals its own `values_at` bit for bit."""
+    whole rows (at least one): each equals its own `values_at` bit for bit.
+    `_blocks` streams a rectangle of rows without ragged coordinates."""
     u0, v0, lengths = np.broadcast_arrays(u0, v0, lengths)
     block = _HASH_BLOCK_SITES // (field.seeds.size if isinstance(field, FieldBatch) else 1)
     ends = np.cumsum(lengths)
@@ -309,10 +333,14 @@ class WeightField:
     def values_at(self, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
         """Weights at arbitrary sites, regenerated from the hash (no window
         restriction); agrees exactly with `values` on the window."""
-        q = site_uniforms(
-            self.seed, WEIGHT_STREAM, np.asarray(uu) + self.shift.u, np.asarray(vv) + self.shift.v
-        )
-        return self.spec.quantile(q)
+        if self.shift.u or self.shift.v:
+            uu, vv = np.asarray(uu) + self.shift.u, np.asarray(vv) + self.shift.v
+        return _weights(self.spec, self.seed, uu, vv)
+
+    def covers(self, window: Window) -> bool:
+        """Whether `values_at` reaches every site of the window: a hashed
+        field regenerates anywhere, an explicit grid only on its window."""
+        return True
 
     def subfield(self, window: Window) -> "WeightField":
         """The same environment materialized over another window."""
@@ -351,7 +379,7 @@ class FieldBatch:
     def values_at(self, uu, vv) -> np.ndarray:
         """Weights at the sites in every environment, shape (R,) + sites."""
         seeds = self.seeds.reshape((-1,) + (1,) * max(np.ndim(uu), np.ndim(vv)))
-        return self.fields[0].spec.quantile(site_uniforms(seeds, WEIGHT_STREAM, uu, vv))
+        return _weights(self.fields[0].spec, seeds, uu, vv)
 
 
 def generate_field(spec: WeightSpec, seed: int, window: Window) -> WeightField:
@@ -367,8 +395,34 @@ def shift_view(field: WeightField, z: Site) -> WeightField:
     """Translated view: (shift_view(f, z)).value(y) == f.value(y + z).
 
     Composes as a group action; shifting by z then -z restores the original.
+    An explicit grid keeps its values over the shifted window.
     """
+    if isinstance(field, _ExplicitField):
+        return dataclasses.replace(field, window=field.window.shifted(-z))
     return _hashed(field.window.shifted(-z), field.spec, field.seed, field.shift + z)
+
+
+class _ExplicitField(WeightField):
+    """A field whose weights are a stored grid over its window."""
+
+    def values_at(self, uu, vv):  # type: ignore[override]
+        uu = np.asarray(uu, dtype=np.int64)
+        vv = np.asarray(vv, dtype=np.int64)
+        du = uu - self.window.origin.u
+        dv = vv - self.window.origin.v
+        if np.any((du < 0) | (du >= self.window.width) | (dv < 0) | (dv >= self.window.height)):
+            raise WindowError("explicit field queried outside its window")
+        return self.values[du, dv]
+
+    def covers(self, window: Window) -> bool:  # type: ignore[override]
+        return self.window.contains_window(window)
+
+    def subfield(self, window):  # type: ignore[override]
+        if not self.covers(window):
+            raise WindowError("explicit field cannot extend beyond its window")
+        du0 = window.origin.u - self.window.origin.u
+        dv0 = window.origin.v - self.window.origin.v
+        return field_from_values(self.values[du0 : du0 + window.width, dv0 : dv0 + window.height], window)
 
 
 def field_from_values(values: np.ndarray, window: Window, label: str = "explicit") -> WeightField:
@@ -382,25 +436,5 @@ def field_from_values(values: np.ndarray, window: Window, label: str = "explicit
         raise ParameterError(
             f"values shape {arr.shape} does not match window {window.width}x{window.height}"
         )
-
-    class _ExplicitField(WeightField):
-        def values_at(self, uu, vv):  # type: ignore[override]
-            uu = np.asarray(uu, dtype=np.int64)
-            vv = np.asarray(vv, dtype=np.int64)
-            du = uu - self.window.origin.u
-            dv = vv - self.window.origin.v
-            if np.any((du < 0) | (du >= self.window.width) | (dv < 0) | (dv >= self.window.height)):
-                raise WindowError("explicit field queried outside its window")
-            return self.values[du, dv]
-
-        def subfield(self, window):  # type: ignore[override]
-            if not self.window.contains_window(window):
-                raise WindowError("explicit field cannot extend beyond its window")
-            du0 = window.origin.u - self.window.origin.u
-            dv0 = window.origin.v - self.window.origin.v
-            return field_from_values(
-                self.values[du0 : du0 + window.width, dv0 : dv0 + window.height], window
-            )
-
     # constant(0) spec is a placeholder carrying no distribution semantics
     return _ExplicitField(window, WeightSpec.constant(0.0), -1, arr)

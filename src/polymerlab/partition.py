@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import E1, E2, EHAT, FieldBatch, Site, Window, WeightField, _rows
+from .env import E1, E2, EHAT, FieldBatch, Site, Window, WeightField, _blocks, _rows
 from .errors import (
     DomainError,
     OrderingError,
@@ -94,12 +94,22 @@ def _sweep(s1: np.ndarray, s2: np.ndarray, zero_temp: bool) -> np.ndarray:
     W, H = s2.shape[-2], s1.shape[-1]
     if W > H:
         return _sweep(s2.swapaxes(-1, -2), s1.swapaxes(-1, -2), zero_temp).swapaxes(-1, -2)
-    acc = np.maximum.accumulate if zero_temp else np.logaddexp.accumulate
     L = np.empty(s1.shape[:-2] + (W, H), dtype=np.float64)
-    L[..., 0, 0] = 0.0
-    np.cumsum(s2[..., 0, :], axis=-1, out=L[..., 0, 1:])
-    for i in range(1, W):
-        L[..., i, :] = _row(L[..., i - 1, :] + s1[..., i - 1, :], s2[..., i, :], acc)
+    rows = zip(itertools.chain((None,), np.moveaxis(s1, -2, 0)), np.moveaxis(s2, -2, 0))
+    return _fill(L, rows, zero_temp)
+
+
+def _fill(L: np.ndarray, edges, zero_temp: bool) -> np.ndarray:
+    """The rows of `_sweep` written into L (..., W, H), which may be a view:
+    `edges` yields (s1[i-1], s2[i]) for i < W (s1 unread at i = 0), so the
+    caller may stream them row by row."""
+    acc = np.maximum.accumulate if zero_temp else np.logaddexp.accumulate
+    for i, (e1, e2) in enumerate(edges):
+        if i:
+            L[..., i, :] = _row(L[..., i - 1, :] + e1, e2, acc)
+        else:
+            L[..., 0, 0] = 0.0
+            np.cumsum(e2, axis=-1, out=L[..., 0, 1:])
     return L
 
 
@@ -183,21 +193,31 @@ def p2p_table(
         raise ParameterError(f"unknown mode {mode!r}")
     if not window.contains(anchor):
         raise WindowError("anchor must lie inside the table window")
+    if not field.covers(window):
+        raise WindowError("explicit field cannot extend beyond its window")
     zero_temp = math.isinf(beta)
-    # counter-based fields regenerate anywhere; explicit grids raise if the
-    # window exceeds them
-    w = field.subfield(window).values
-    wb = w if zero_temp else beta * w
+    scale = 1.0 if zero_temp else beta
     au, av = window.index(anchor)
     logz = np.full((window.width, window.height), NEG_INF)
-    if mode == "to_anchor":
-        # reversed, the anchor is the origin and each edge carries the
-        # weight of the site it enters
-        r = wb[au::-1, av::-1]
-        logz[au::-1, av::-1] = _sweep(r[1:], r[:, 1:], zero_temp)
+    # the sweep from the anchor fills its view of logz (reversed for
+    # to_anchor) row by row as the weight rows stream in; rows run along the
+    # longer side.  An edge carries the weight of the site it leaves
+    # (from_anchor: e1 the previous row, e2 the row without its last site)
+    # or, reversed, of the site it enters (to_anchor: e1 the current row,
+    # e2 the row without its first site)
+    d = -1 if mode == "to_anchor" else 1
+    L = logz[au::d, av::d]
+    W, H = L.shape
+    if W > H:
+        L, blocks = L.T, _blocks(field, anchor.v + d * np.arange(H), anchor.u, W, (d, 0))
     else:
-        b = wb[au:, av:]
-        logz[au:, av:] = _sweep(b[:-1], b[:, :-1], zero_temp)
+        blocks = _blocks(field, anchor.u + d * np.arange(W), anchor.v, H, (0, d))
+    rows = (w for _, raw in blocks for w in scale * raw)
+    if d < 0:
+        edges = ((w, w[1:]) for w in rows)
+    else:
+        edges = ((prev, w[:-1]) for prev, w in itertools.pairwise(itertools.chain((None,), rows)))
+    _fill(L, edges, zero_temp)
     return PartitionTable(field, anchor, beta, mode, window, logz)
 
 

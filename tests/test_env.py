@@ -20,7 +20,7 @@ from polymerlab.env import (
     site_uniforms,
 )
 from polymerlab.errors import ParameterError, WindowError
-from polymerlab.partition import p2p_pair_values, p2p_values
+from polymerlab.partition import p2p_pair_values, p2p_table, p2p_values
 
 
 def test_site_arithmetic_and_order():
@@ -102,6 +102,39 @@ def test_shift_view_offsets_match():
     for _ in range(5):
         y = Site(int(rng.integers(0, 7)), int(rng.integers(0, 6)))
         assert g.value(y) == f.value(y + z)
+
+
+def test_shift_view_of_an_explicit_field_keeps_its_values():
+    f = field_from_values(np.arange(12.0).reshape(3, 4), Window(Site(0, 0), 3, 4))
+    z = Site(1, 0)
+    g = shift_view(f, z)
+    assert g.window == Window(Site(-1, 0), 3, 4)
+    assert g.value(Site(0, 0)) == f.value(Site(1, 0)) == 4.0
+    for u in range(-1, 2):
+        for v in range(4):
+            assert g.value(Site(u, v)) == f.value(Site(u, v) + z)
+    assert np.array_equal(g.values_at([-1, 1], [3, 0]), f.values_at([0, 2], [3, 0]))
+    back = shift_view(g, -z)
+    assert back.window == f.window and np.array_equal(back.values, f.values)
+    with pytest.raises(WindowError):
+        g.values_at(2, 0)  # (3, 0) is outside the explicit grid
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+def test_constant_weights_are_not_hashed(monkeypatch, shape):
+    spec = WeightSpec.constant(-0.75)
+    f = generate_field(spec, 2**63 + 1, Window(Site(-2, 3), 4, 3))
+    batch = FieldBatch([f, generate_field(spec, 8, Window(Site(0, 0), 1, 1))])
+    uu = np.full(shape, -5)
+    vv = np.arange(int(np.prod(shape))).reshape(shape)
+    q = site_uniforms(f.seed, WEIGHT_STREAM, uu, vv)
+    monkeypatch.setattr(env, "site_uniforms", None)  # any hash call would fail
+    want = spec.quantile(q)
+    for got in (f.values_at(uu, vv), batch.values_at(uu, vv)[1], shift_view(f, Site(1, 1)).values_at(uu, vv)):
+        assert got.shape == shape and got.dtype == np.float64
+        assert np.array_equal(got, want)
+    assert batch.values_at(uu, vv).shape == (2,) + shape
+    assert np.array_equal(generate_field(spec, 3, Window(Site(0, 0), 2, 5)).values, np.full((2, 5), -0.75))
 
 
 def test_invalid_parameters_rejected():
@@ -196,6 +229,12 @@ def _stream_reads():
         "interface": (lambda: cif_direction_stats(f, 0.8, 50, 40, 3, Site(-2, 5)).directions, 41),
         "probe": (lambda: p2p_values(batch, Site(-1, 4), 1.5, a, 30 - a), 2 * 31),
         "probe_explicit": (lambda: p2p_pair_values(explicit, Site(-4, 3), 1.5, a, 8 - a), 0),
+        "table_to": (lambda: p2p_table(f, Site(4, 10), f.window, 1.5, "to_anchor").logz, 9),
+        "table_from": (
+            lambda: p2p_table(f, Site(-3, 5), Window(Site(-4, 3), 6, 30), 0.5, "from_anchor").logz,
+            28,
+        ),
+        "table_explicit": (lambda: p2p_table(explicit, Site(2, 8), f.window, 1.5, "to_anchor").logz, 0),
     }
 
 

@@ -321,6 +321,8 @@ def test_ldp_replica_groups_equal_the_per_replica_loop(monkeypatch, spec, beta, 
         (s, u, v) for s in seeds for u in range(K) for v in range(K - u)
     )
     want.update((s, 0, 0) for s in seeds)
+    if spec.distribution == "constant":  # constant weights are never hashed
+        want.clear()
     assert hashed == want
 
 

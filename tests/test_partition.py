@@ -1,5 +1,6 @@
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,3 +436,22 @@ def test_p2l_recursion_residual_equals_the_antidiagonal_loop():
             for n in (n, n + 1):  # n = 0 gives depths 1 and 2
                 t = p2l_table(f, beta, h, n, base)
                 assert t.recursion_residual() == _antidiagonal_residual(t)
+
+
+@pytest.mark.parametrize("mode", ["to_anchor", "from_anchor"])
+@pytest.mark.parametrize("size", [(600, 400), (400, 600)])
+def test_p2p_table_holds_only_its_table(mode, size):
+    # the weights stream in blocks of whole rows into the table's view: no
+    # hashed window, scaled copy or second table on top of logz
+    f = generate_field(GAUSS, 2**63 + 3, Window(Site(0, 0), 1, 1))
+    for window in (Window(Site(-7, 5), 3, 3), Window(Site(-7, 5), *size)):  # the first warms up
+        anchor = window.corner if mode == "to_anchor" else window.origin
+        p2p_table(f, anchor, window, 1.5, mode)
+    tracemalloc.start()
+    try:
+        table = p2p_table(f, anchor, window, 1.5, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(table.logz).all()
+    assert peak <= 1.5 * table.logz.nbytes
