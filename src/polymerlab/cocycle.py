@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .env import E1, E2, FieldBatch, Site, WeightField, WeightSpec, Window, _wrapped_seed, generate_field
+from .env import FieldBatch, Site, WeightField, WeightSpec, Window, _site_array, _wrapped_seed, generate_field
 from .errors import (
     HorizonError,
     ParameterError,
@@ -109,18 +109,23 @@ class BusemannField:
         body[:, 1:] = np.cumsum(self.b2[:, :-1], axis=1)
         return col0[:, None] + body
 
-    def staircase_sum(self, sites: list[Site]) -> float:
-        """Sum of increments along an explicit up-right staircase."""
-        total = 0.0
-        for a, b in zip(sites[:-1], sites[1:]):
-            step = b - a
-            if step == E1:
-                total += self.b_at(a, 1)
-            elif step == E2:
-                total += self.b_at(a, 2)
-            else:
-                raise ParameterError("staircase steps must be e1 or e2")
-        return total
+    def staircase_sum(self, sites) -> float:
+        """Sum of increments along an explicit up-right staircase, a list of
+        Sites or an (n+1, 2) coordinate array.  The increments are gathered
+        at once and summed in path order from 0.0 by a sequential cumsum, so
+        the sum equals a running `total +=` bit for bit."""
+        sites = _site_array(sites)
+        step = np.diff(sites, axis=0)
+        e1 = (step[:, 0] == 1) & (step[:, 1] == 0)
+        if not np.all(e1 | ((step[:, 0] == 0) & (step[:, 1] == 1))):
+            raise ParameterError("staircase steps must be e1 or e2")
+        du = sites[:-1, 0] - self.window.origin.u
+        dv = sites[:-1, 1] - self.window.origin.v
+        if np.any((du < 0) | (du >= self.window.width) | (dv < 0) | (dv >= self.window.height)):
+            raise WindowError(f"staircase leaves window {self.window}")
+        b = np.zeros(len(sites))  # b[0] = 0.0 starts the running total
+        b[1:] = np.where(e1, self.b1[du, dv], self.b2[du, dv])
+        return float(np.cumsum(b)[-1]) if len(sites) else 0.0
 
     def to_csv(self, path) -> str:
         from .csvio import write_csv
@@ -244,9 +249,10 @@ def check_monotonicity(
         raise ParameterError(f"incomparable tilts {ha} vs {hb}")
     d1 = field_a.b1 - field_b.b1  # must be >= 0
     d2 = field_b.b2 - field_a.b2  # must be >= 0
-    v1 = int(np.sum(d1 < -tol))
-    v2 = int(np.sum(d2 < -tol))
-    worst = float(min(d1.min(), d2.min(), 0.0)) if d1.size else 0.0
+    # counted as in direction_scan, so a NaN slack is a violation
+    v1 = int(np.sum(~(d1 >= -tol)))
+    v2 = int(np.sum(~(d2 >= -tol)))
+    worst = float(np.min([d1.min(), d2.min(), 0.0])) if d1.size else 0.0
     return MonotonicityReport(int(d1.size), v1, v2, worst)
 
 

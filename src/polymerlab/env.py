@@ -70,6 +70,18 @@ E2 = Site(0, 1)
 EHAT = Site(1, 1)
 
 
+def _site_array(sites) -> np.ndarray:
+    """A Site, a sequence of Sites or an (n, 2) int array as an (n, 2)
+    int64 array of (u, v) rows."""
+    if isinstance(sites, Site):
+        sites = [sites]
+    if not isinstance(sites, np.ndarray):
+        sites = np.array([(s.u, s.v) for s in sites], dtype=np.int64).reshape(-1, 2)
+    if sites.ndim != 2 or sites.shape[1] != 2:
+        raise ParameterError(f"sites must be a Site, Sites or an (n, 2) array, got shape {sites.shape}")
+    return sites.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class Window:
     """Axis-aligned rectangle of sites: origin + [0, width) x [0, height)."""

@@ -340,11 +340,11 @@ def dlr_consistency_check(
         rect = Window(x, a + 1, steps - a + 1)
         logz = p2p_table(field, x, rect, beta, "from_anchor").logz_at(end)
         rhs = mass * np.exp(blw - logz)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))  # keeps a NaN
         count += lhs.size
     if not found:
         raise WindowError("no admissible endpoints inside the window")
-    return DlrReport(count, worst)
+    return DlrReport(count, float(worst))
 
 
 def forward_chain_sample(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import E1, E2, EHAT, FieldBatch, Site, Window, WeightField, _blocks, _rows
+from .env import FieldBatch, Site, Window, WeightField, _blocks, _rows, _site_array
 from .errors import (
     DomainError,
     OrderingError,
@@ -308,14 +308,18 @@ class TiltedLineTable:
         K = self.depth
         if K == 0:
             return 0.0
-        w = self.field.subfield(Window(self.base, K + 1, K + 1)).values
+        # the weights of the sites below level n, row u of K - u sites
+        w = np.zeros((K, K))
+        uu = np.arange(K)
+        for u, row in zip(uu.tolist(), _rows(self.field, self.base.u + uu, self.base.v, K - uu)):
+            w[u, : K - u] = row
         wb = w if self.zero_temp else self.beta * w
         bh1 = self.h[0] if self.zero_temp else self.beta * self.h[0]
         bh2 = self.h[1] if self.zero_temp else self.beta * self.h[1]
         comb = np.maximum if self.zero_temp else np.logaddexp
         L = self.logz
         below = np.add.outer(np.arange(K), np.arange(K)) < K  # levels under n
-        pred = wb[:-1, :-1] + comb(L[1:, :-1] + bh1, L[:-1, 1:] + bh2)
+        pred = wb + comb(L[1:, :-1] + bh1, L[:-1, 1:] + bh2)
         with np.errstate(invalid="ignore"):  # -inf - -inf above the horizon
             return float(np.max(np.abs(pred - L[:-1, :-1])[below]))
 
@@ -569,33 +573,82 @@ def beta_limit_check(field: WeightField, x: Site, y: Site, betas) -> BetaLimitRe
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    margin_e1: float
-    margin_e2: float
+    """Margins of one triple (floats) or of a batch (arrays, one entry per
+    triple); `ok` is elementwise and false on NaN."""
+
+    margin_e1: float | np.ndarray
+    margin_e2: float | np.ndarray
 
     @property
-    def ok(self) -> bool:
-        return self.margin_e1 >= -1e-12 and self.margin_e2 >= -1e-12
+    def ok(self) -> bool | np.ndarray:
+        return (self.margin_e1 >= -1e-12) & (self.margin_e2 >= -1e-12)
 
 
-def comparison_check(
-    field: WeightField, x: Site, u: Site, v: Site, beta: float
-) -> ComparisonReport:
+# The to_anchor tables of a comparison batch are swept in groups whose
+# padded rectangles fit in this many bytes.
+_COMPARISON_BLOCK_BYTES = 8 << 20
+
+
+def comparison_check(field: WeightField, x, u, v, beta: float) -> ComparisonReport:
     """Partition-ratio comparison between two targets u, v with u at least as
     e1-ward as v: log(Z_{x+e1,u}/Z_{x,u}) >= log(Z_{x+e1,v}/Z_{x,v}) and the
-    e2 ratio reversed.  Margins are the (nonnegative) log-space slacks."""
+    e2 ratio reversed.  Margins are the (nonnegative) log-space slacks.
+
+    x, u, v are Sites (one triple, float margins) or batches of triples,
+    each an (n, 2) int array or a sequence of Sites, broadcast along n
+    (array margins).  Every margin equals that of the to_anchor
+    `p2p_table`s on [x, u] and [x, v] bit for bit: the bounding rectangle of
+    all triples is hashed once, and the tables of one orientation run as a
+    leading axis of `_fill`, each padded to the largest of its group (see
+    `_to_anchor_ratios`)."""
     beta = _check_beta(beta)
-    if not (u >= x + EHAT and v >= x + EHAT):
+    single = all(isinstance(s, Site) for s in (x, u, v))
+    x, u, v = np.broadcast_arrays(_site_array(x), _site_array(u), _site_array(v))
+    if not (np.all(u >= x + 1) and np.all(v >= x + 1)):
         raise OrderingError("targets must dominate x + e1 + e2")
-    if not (u.u >= v.u and u.v <= v.v):
+    if not (np.all(u[:, 0] >= v[:, 0]) and np.all(u[:, 1] <= v[:, 1])):
         raise OrderingError("need u.e1 >= v.e1 and u.e2 <= v.e2")
+    if len(x) == 0:
+        return ComparisonReport(np.empty(0), np.empty(0))
+    lo, hi = x.min(axis=0), np.maximum(u, v).max(axis=0)
+    rect = Window(Site(int(lo[0]), int(lo[1])), int(hi[0] - lo[0]) + 1, int(hi[1] - lo[1]) + 1)
+    w = field.subfield(rect).values
+    wb = w if math.isinf(beta) else beta * w
+    r1, r2 = _to_anchor_ratios(wb, np.concatenate([x, x]) - lo, np.concatenate([u, v]) - lo, beta)
+    n = len(x)
+    m1, m2 = r1[:n] - r1[n:], r2[n:] - r2[:n]
+    return ComparisonReport(float(m1[0]), float(m2[0])) if single else ComparisonReport(m1, m2)
 
-    def ratios(target: Site) -> tuple[float, float]:
-        d = target - x
-        window = Window(x, d.u + 1, d.v + 1)
-        t = p2p_table(field, target, window, beta, "to_anchor")
-        base = t.logz_at(x)
-        return t.logz_at(x + E1) - base, t.logz_at(x + E2) - base
 
-    r1u, r2u = ratios(u)
-    r1v, r2v = ratios(v)
-    return ComparisonReport(margin_e1=r1u - r1v, margin_e2=r2v - r2u)
+def _to_anchor_ratios(wb: np.ndarray, x: np.ndarray, t: np.ndarray, beta: float):
+    """log Z_{x+e_i, t} - log Z_{x, t} (i = 1, 2) of the to_anchor table on
+    [x, t] for each row of x, t (indices into the scaled weights wb), as
+    `p2p_table` computes them.  Tables whose rectangle is wider than tall
+    run transposed, as there; each group of one orientation is padded to its
+    largest rectangle and swept as a leading axis of `_fill`.  An entry of a
+    row reads only the entries before it in its row and in the row above
+    (prefix sums and accumulates are sequential), so the entries read here,
+    at x, x+e1 and x+e2, never see the padding."""
+    zero_temp = math.isinf(beta)
+    d = t - x
+    r1, r2 = np.empty(len(t)), np.empty(len(t))
+    for wide in (False, True):
+        # rows across the shorter side: (across, along) offsets back from t
+        idx = np.flatnonzero((d[:, 0] > d[:, 1]) == wide)
+        a = d[idx, ::-1] if wide else d[idx]
+        per_block = max(1, _COMPARISON_BLOCK_BYTES // (8 * int((a.max(axis=0, initial=0) + 1).prod())))
+        for s in range(0, len(idx), per_block):
+            k, ak = idx[s : s + per_block], a[s : s + per_block]
+            A, B = ak.max(axis=0) + 1
+            # weight indices across and along the rows; padding that runs
+            # below the rectangle reads any weight there
+            across = np.maximum(t[k, int(wide)][:, None] - np.arange(A), 0)
+            along = np.maximum(t[k, int(not wide)][:, None] - np.arange(B), 0)
+            rows = (wb[along, c[:, None]] if wide else wb[c[:, None], along] for c in across.T)
+            L = _fill(np.empty((len(k), A, B)), ((w, w[:, 1:]) for w in rows), zero_temp)
+            n = np.arange(len(k))
+            base = L[n, ak[:, 0], ak[:, 1]]
+            back_across = L[n, ak[:, 0] - 1, ak[:, 1]] - base  # one row back
+            back_along = L[n, ak[:, 0], ak[:, 1] - 1] - base
+            r1[k], r2[k] = (back_along, back_across) if wide else (back_across, back_along)
+    return r1, r2

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polymerlab import cocycle
+from polymerlab import cocycle, gibbs
 from polymerlab.cli import (
     KINDS,
     Check,
@@ -426,3 +427,40 @@ def test_negative_replica_and_sampler_seeds_wrap(tmp_path, text, seed_field):
     assert csvs
     for name in csvs:
         assert (tmp_path / "neg" / name).read_bytes() == (tmp_path / "wrapped" / name).read_bytes()
+
+
+def _failed(report, name):
+    (check,) = [c for c in report.checks if c.name == name]
+    return math.isnan(check.value) and not check.passed
+
+
+def test_a_nan_staircase_gap_fails_the_busemann_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(cocycle.BusemannField, "staircase_sum", lambda self, sites: math.nan)
+    cfg = parse_config("kind = busemann\nwidth = 6\nheight = 5\nhorizon = 20\nstaircases = 4\n")
+    assert _failed(run(cfg, out_dir=str(tmp_path)), "staircase_independence")
+
+
+def test_a_nan_dlr_discrepancy_fails_the_dlr_run(tmp_path, monkeypatch):
+    # the second random window reports NaN, after a finite first one
+    real, calls = gibbs.dlr_consistency_check, []
+
+    def second_is_nan(*args):
+        rep = real(*args)
+        calls.append(rep)
+        return dataclasses.replace(rep, max_discrepancy=math.nan) if len(calls) == 2 else rep
+
+    monkeypatch.setattr(gibbs, "dlr_consistency_check", second_is_nan)
+    cfg = parse_config("kind = dlr\nwindows = 3\nlevels = 4\nseed_weights = 5\n")
+    assert _failed(run(cfg, out_dir=str(tmp_path)), "dlr_max_discrepancy")
+
+
+def test_a_nan_hit_mass_fails_the_binomial_match(tmp_path, monkeypatch):
+    real = gibbs.rooted_mass_decay
+
+    def second_is_nan(*args):
+        prof = real(*args)
+        return dataclasses.replace(prof, max_hit=(prof.max_hit[0], math.nan, *prof.max_hit[2:]))
+
+    monkeypatch.setattr(gibbs, "rooted_mass_decay", second_is_nan)
+    cfg = parse_config("kind = decay\nrule = half\nlevels = 4 8 16\n")
+    assert _failed(run(cfg, out_dir=str(tmp_path)), "binomial_match")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -357,3 +358,63 @@ def test_tilt_batch_equals_single_tilt_sweeps(beta, monkeypatch):
         next(busemann_fields_from_p2l(fields[1], beta, np.empty((0, 2)), n, win))
     with pytest.raises(ParameterError):
         p2l_rows(fields[1], beta, (0.1, 0.2, 0.3), n, base, 6)
+
+
+def _running_total(bf, sites):
+    # BusemannField.staircase_sum as a running total, one b_at per step
+    total = 0.0
+    for a, b in zip(sites[:-1], sites[1:]):
+        total += bf.b_at(a, 1 if b - a == E1 else 2)
+    return total
+
+
+def test_staircase_sum_of_coordinates_equals_the_running_total():
+    win = Window(Site(-3, 2), 20, 15)
+    f = generate_field(GAUSS, 12, Window(Site(0, 0), 1, 1))
+    bf = busemann_from_p2l(f, 1.3, (0.2, -0.4), 80, win)
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        start = Site(int(rng.integers(-3, 10)), int(rng.integers(2, 9)))
+        tu, tv = int(rng.integers(0, 16 - start.u)), int(rng.integers(0, 16 - start.v))
+        steps = rng.permutation(np.r_[np.ones(tu, dtype=np.int64), np.zeros(tv, dtype=np.int64)])
+        coords = np.zeros((tu + tv + 1, 2), dtype=np.int64)
+        coords[1:] = np.cumsum(np.stack([steps, 1 - steps], axis=1), axis=0)
+        coords += (start.u, start.v)
+        sites = [Site(u, v) for u, v in coords.tolist()]
+        want = np.float64(_running_total(bf, sites)).tobytes()
+        assert np.float64(bf.staircase_sum(coords)).tobytes() == want
+        assert np.float64(bf.staircase_sum(sites)).tobytes() == want
+    # -0.0 increments: the running total from 0.0 gives +0.0
+    zero = dataclasses.replace(bf, b1=np.full_like(bf.b1, -0.0), b2=np.full_like(bf.b2, -0.0))
+    stair = [Site(0, 3), Site(1, 3), Site(1, 4)]
+    assert np.float64(zero.staircase_sum(np.array([(0, 3), (1, 3), (1, 4)]))).tobytes() == np.float64(
+        _running_total(zero, stair)
+    ).tobytes()
+
+
+def test_staircase_sum_refuses_what_the_loop_refused():
+    win = Window(Site(-3, 2), 6, 5)
+    f = generate_field(GAUSS, 12, Window(Site(0, 0), 1, 1))
+    bf = busemann_from_p2l(f, 1.0, (0.0, 0.0), 30, win)
+    for one in ([Site(1, 4)], np.array([[1, 4]]), np.array([[40, -40]])):
+        assert bf.staircase_sum(one) == 0.0
+    for diagonal in ([Site(0, 3), Site(1, 4)], np.array([[0, 3], [1, 3], [2, 4]]), np.array([[0, 3], [0, 2]])):
+        with pytest.raises(ParameterError):
+            bf.staircase_sum(diagonal)
+    # the window's sites have v in 2..6: the step out of (0, 7) reads outside
+    for outside in ([Site(-4, 3), Site(-3, 3)], np.array([[0, v] for v in range(3, 9)])):
+        with pytest.raises(WindowError):
+            bf.staircase_sum(outside)
+
+
+def test_a_nan_increment_is_a_monotonicity_violation():
+    f = generate_field(GAUSS, 3, Window(Site(0, 0), 1, 1))
+    win = Window(Site(0, 0), 6, 5)
+    fa = busemann_from_p2l(f, 1.0, (0.0, 0.0), 20, win)
+    fb = busemann_from_p2l(f, 1.0, (0.5, -0.5), 20, win)
+    assert check_monotonicity(fa, fb).violations == 0
+    for name in ("b1", "b2"):
+        values = getattr(fb, name).copy()
+        values[2, 3] = math.nan
+        rep = check_monotonicity(fa, dataclasses.replace(fb, **{name: values}))
+        assert rep.violations == 1 and math.isnan(rep.worst_margin)

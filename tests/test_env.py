@@ -20,7 +20,7 @@ from polymerlab.env import (
     site_uniforms,
 )
 from polymerlab.errors import ParameterError, WindowError
-from polymerlab.partition import p2p_pair_values, p2p_table, p2p_values
+from polymerlab.partition import p2l_table, p2p_pair_values, p2p_table, p2p_values
 
 
 def test_site_arithmetic_and_order():
@@ -209,7 +209,8 @@ def test_csv_roundtrip(tmp_path):
 
 def _stream_reads():
     """Every kind of weight read that goes through env's blocked rows, with
-    the most sites one row of it hashes over all replicas."""
+    the most sites one row of it hashes over all replicas and the sites it
+    hashes in all (None where not pinned)."""
     spec = WeightSpec.inverse_log_gamma(1.5)
     f = generate_field(spec, 6, Window(Site(-4, 3), 11, 9))
     batch = FieldBatch([generate_field(spec, s, Window(Site(0, 0), 1, 1)) for s in (2, 2**63 + 5)])
@@ -218,23 +219,29 @@ def _stream_reads():
     kk = np.repeat(np.arange(61), 9)
     uu = kk // 2 - 4 + np.tile(np.arange(9), 61)
     inside = (uu >= 0) & (uu <= kk)
+    line = p2l_table(f, 0.9, (0.1, -0.2), 17, Site(-2, 7))  # depth K = 12
     return {
-        "generate_field": (lambda: generate_field(spec, 6, Window(Site(-4, 3), 11, 9)).values, 9),
-        "subfield": (lambda: f.subfield(Window(Site(-30, -2), 5, 40)).values, 40),
-        "shift_view": (lambda: shift_view(f, Site(7, -3)).values, 9),
+        "generate_field": (lambda: generate_field(spec, 6, Window(Site(-4, 3), 11, 9)).values, 9, 99),
+        "subfield": (lambda: f.subfield(Window(Site(-30, -2), 5, 40)).values, 40, 200),
+        "shift_view": (lambda: shift_view(f, Site(7, -3)).values, 9, 99),
         "band": (
             lambda: band_transition_rule(f, 1.3, (-0.7, -0.6), 60, 4).p_at(uu[inside], (kk - uu)[inside]),
             9,
+            None,
         ),
-        "interface": (lambda: cif_direction_stats(f, 0.8, 50, 40, 3, Site(-2, 5)).directions, 41),
-        "probe": (lambda: p2p_values(batch, Site(-1, 4), 1.5, a, 30 - a), 2 * 31),
-        "probe_explicit": (lambda: p2p_pair_values(explicit, Site(-4, 3), 1.5, a, 8 - a), 0),
-        "table_to": (lambda: p2p_table(f, Site(4, 10), f.window, 1.5, "to_anchor").logz, 9),
+        "interface": (lambda: cif_direction_stats(f, 0.8, 50, 40, 3, Site(-2, 5)).directions, 41, None),
+        # rows of 31, 29, 29, 27, 27, 25, 25, 23, 23 sites, two replicas
+        "probe": (lambda: p2p_values(batch, Site(-1, 4), 1.5, a, 30 - a), 2 * 31, 2 * 239),
+        "probe_explicit": (lambda: p2p_pair_values(explicit, Site(-4, 3), 1.5, a, 8 - a), 0, 0),
+        "table_to": (lambda: p2p_table(f, Site(4, 10), f.window, 1.5, "to_anchor").logz, 9, 9 * 8),
         "table_from": (
             lambda: p2p_table(f, Site(-3, 5), Window(Site(-4, 3), 6, 30), 0.5, "from_anchor").logz,
             28,
+            5 * 28,
         ),
-        "table_explicit": (lambda: p2p_table(explicit, Site(2, 8), f.window, 1.5, "to_anchor").logz, 0),
+        "table_explicit": (lambda: p2p_table(explicit, Site(2, 8), f.window, 1.5, "to_anchor").logz, 0, 0),
+        # the sites below level n only: rows of 12, 11, ..., 1
+        "p2l_residual": (lambda: np.array(line.recursion_residual()), 12, 12 * 13 // 2),
     }
 
 
@@ -244,7 +251,7 @@ def test_every_weight_read_hashes_blocks_of_whole_rows(monkeypatch, block, read)
     # the same values bit for bit under any block size, including rows
     # longer than the block, and no hash call beyond the block unless it is
     # a single row; an explicit field hashes nothing
-    fn, row = _stream_reads()[read]
+    fn, row, sites = _stream_reads()[read]
     want = fn()
     calls = []
     hash_sites = env.site_uniforms
@@ -260,3 +267,4 @@ def test_every_weight_read_hashes_blocks_of_whole_rows(monkeypatch, block, read)
     assert np.array_equal(got, want)
     assert bool(calls) == (row > 0)
     assert max(calls, default=0) <= max(block, row)
+    assert sites is None or sum(calls) == sites

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -182,6 +183,16 @@ def test_dlr_random_windows():
         rep = dlr_consistency_check(bf, f, Site(0, 0), 10)
         assert rep.paths_checked == 1024
         assert rep.max_discrepancy <= 1e-10
+
+
+def test_a_nan_discrepancy_fails_the_dlr_check():
+    # b1 NaN at (1, 0) reaches B at every endpoint with two or more e1
+    # steps; the endpoints with fewer come first and are finite
+    f, bf = busemann_window_field(side=8, horizon=40)
+    b1 = bf.b1.copy()
+    b1[1, 0] = math.nan
+    rep = dlr_consistency_check(dataclasses.replace(bf, b1=b1), f, Site(0, 0), 5)
+    assert math.isnan(rep.max_discrepancy)
 
 
 def test_forward_chain_degenerate_ray():

@@ -1,5 +1,6 @@
 """Property tests of env's blocked row streams against per-row `values_at`,
-and of the streamed point-to-point table against one array sweep."""
+of the streamed point-to-point table against one array sweep, and of the
+batched comparison check against two tables per triple."""
 
 import math
 from unittest import mock
@@ -10,8 +11,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from polymerlab import env  # noqa: E402
+from polymerlab import env, partition  # noqa: E402
 from polymerlab.env import (  # noqa: E402
+    E1,
+    E2,
     FieldBatch,
     Site,
     WeightSpec,
@@ -20,8 +23,8 @@ from polymerlab.env import (  # noqa: E402
     generate_field,
     shift_view,
 )
-from polymerlab.errors import WindowError  # noqa: E402
-from polymerlab.partition import _sweep, p2p_table  # noqa: E402
+from polymerlab.errors import OrderingError, WindowError  # noqa: E402
+from polymerlab.partition import _sweep, comparison_check, p2p_table  # noqa: E402
 
 SPECS = (
     WeightSpec.gaussian(0.5, 2.0),
@@ -131,3 +134,95 @@ def test_streamed_table_equals_the_array_sweep(
     got = p2p_table(field, anchor, window, beta, mode)
     assert np.array_equal(got.logz, _table_reference(field, anchor, window, beta, mode))
     assert got.logz_at(anchor) == 0.0
+
+
+def _comparison_reference(field, x, u, v, beta):
+    """comparison_check of one triple from two to_anchor tables."""
+
+    def ratios(t):
+        d = t - x
+        table = p2p_table(field, t, Window(x, d.u + 1, d.v + 1), beta, "to_anchor")
+        base = table.logz_at(x)
+        return table.logz_at(x + E1) - base, table.logz_at(x + E2) - base
+
+    (r1u, r2u), (r1v, r2v) = ratios(u), ratios(v)
+    return r1u - r1v, r2v - r2u
+
+
+# the [x, u] rectangle less one site: wider than tall, taller than wide,
+# square, and 2 x k or k x 2
+_spans = st.integers(1, 14)
+_rect = st.one_of(
+    st.tuples(_spans, _spans),
+    _spans.map(lambda k: (k, k)),
+    _spans.map(lambda k: (1, k)),
+    _spans.map(lambda k: (k, 1)),
+)
+
+
+@st.composite
+def _triple(draw):
+    x = Site(*draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6))))
+    du, dv = draw(_rect)
+    u = x + Site(du, dv)
+    # v at most as e1-ward and at least as e2-ward as u
+    v = x + Site(draw(st.integers(1, du)), dv + draw(st.integers(0, 6)))
+    return x, u, v
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    spec=st.sampled_from(SPECS + (WeightSpec.constant(-0.5),)),
+    seed=seeds,
+    kind=st.sampled_from(["hashed", "shifted", "explicit"]),
+    origin=st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+    triples=st.lists(_triple(), min_size=1, max_size=6),
+    beta=st.sampled_from([0.5, 1.0, 3.0, math.inf]),
+    as_array=st.booleans(),
+    block=st.sampled_from([1, 8 * 30, 8 << 20]),
+    grid_shift=st.sampled_from([(0, 0), (0, 0), (-1, 0), (0, 1), (1, -1)]),
+    bad=st.sampled_from([None, None, None, "x_not_below", "v_right_of_u"]),
+    bad_at=st.integers(0, 5),
+)
+def test_batched_comparison_equals_two_tables_per_triple(
+    spec, seed, kind, origin, triples, beta, as_array, block, grid_shift, bad, bad_at
+):
+    shift = Site(*origin)
+    triples = [tuple(s + shift for s in t) for t in triples]
+    xs, us, vs = (list(c) for c in zip(*triples))
+    lo = Site(min(x.u for x in xs), min(x.v for x in xs))
+    hi = Site(max(t.u for t in us + vs), max(t.v for t in us + vs))
+    rect = Window(lo, hi.u - lo.u + 1, hi.v - lo.v + 1)
+    field = generate_field(spec, seed, Window(Site(0, 0), 1, 1))
+    if kind == "shifted":
+        field = shift_view(field, Site(7, -11))
+    elif kind == "explicit":
+        # the bounding rectangle moved by up to one site: it exceeds the grid
+        # when the move does
+        grid = rect.shifted(Site(*grid_shift))
+        field = field_from_values(field.subfield(grid).values, grid)
+    args = [np.array([(s.u, s.v) for s in c]) if as_array else c for c in (xs, us, vs)]
+    if kind == "explicit" and not field.covers(rect):
+        with pytest.raises(WindowError):
+            comparison_check(field, *args, beta)
+        with pytest.raises(WindowError):
+            for t in triples:
+                _comparison_reference(field, *t, beta)
+        return
+    if bad is not None:
+        k = bad_at % len(triples)
+        x, u, v = triples[k]
+        if bad == "x_not_below":
+            us[k] = Site(x.u + 1, x.v)  # u does not dominate x + e1 + e2
+        else:
+            vs[k] = u + E1
+        with pytest.raises(OrderingError):
+            comparison_check(field, xs, us, vs, beta)
+        return
+    with mock.patch.object(partition, "_COMPARISON_BLOCK_BYTES", block):
+        rep = comparison_check(field, *args, beta)
+    want = np.array([_comparison_reference(field, *t, beta) for t in triples])
+    assert np.array_equal(rep.margin_e1, want[:, 0])
+    assert np.array_equal(rep.margin_e2, want[:, 1])
+    one = comparison_check(field, *triples[0], beta)  # a batch of one, as floats
+    assert type(one.margin_e1) is float and (one.margin_e1, one.margin_e2) == tuple(want[0])
