@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 from .coupling import CouplingField
-from .env import COUPLING_STREAM, E1, E2, EHAT, Site, WeightField, Window, _as_u64, _rows, site_uniforms
+from .env import COUPLING_STREAM, E1, E2, EHAT, Site, WeightField, Window, _as_u64, _key, _rows, _uniforms
 from .errors import (
     DomainError,
     ParameterError,
@@ -215,6 +215,7 @@ def cif_direction_stats(
     logaddexp(A[a - 1], A[a]), and a walker at root + (u, v) steps e1 with
     probability expit(A[u] - A[u + 1]) on the new level."""
     seeds = np.fromiter(map(_as_u64, range(theta_seed, theta_seed + replicas)), np.uint64)
+    keys = _key(seeds, COUPLING_STREAM)
     u = np.zeros(replicas, dtype=np.int64)
     v = np.zeros(replicas, dtype=np.int64)
     edge = np.full(1, NEG_INF)
@@ -226,7 +227,7 @@ def cif_direction_stats(
         A = beta * w + logz
         p = expit(A[u] - A[u + 1])
         zu, zv = u + 1, v + 1
-        theta = site_uniforms(seeds, COUPLING_STREAM, zu + root.u, zv + root.v)
+        theta = _uniforms(keys, zu + root.u, zv + root.v)
         step1 = theta < p
         u = u + step1
         v = v + (~step1)

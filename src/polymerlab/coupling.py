@@ -20,7 +20,9 @@ from .env import (
     WeightField,
     Window,
     _as_u64,
+    _key,
     _rows,
+    _uniforms,
     site_uniforms,
 )
 from .errors import OrderingError, ParameterError, WindowError
@@ -126,16 +128,20 @@ def band_transition_rule(
         F[1 : a + 1] = F[b + 1 : -1] = float("-inf")
         F[a + 1 : b + 1] = Fk
 
+    flat = p_rows.ravel()
+
+    # each bound is one max pass: as uint64 a negative level or offset
+    # wraps above any bound
     def p_fn(uu, vv):
         uu = np.asarray(uu, dtype=np.int64)
         vv = np.asarray(vv, dtype=np.int64)
         kk = uu + vv
-        if np.any((kk < 0) | (kk > horizon)):
+        if kk.size and kk.view(np.uint64).max() > horizon:
             raise WindowError("walk level outside the band horizon")
         idx = uu - (kk // 2 - half_width)
-        if np.any((idx < 0) | (idx >= width)):
+        if idx.size and idx.view(np.uint64).max() >= width:
             raise WindowError("walk left the diagonal band")
-        return p_rows[kk, idx].astype(np.float64)
+        return flat.take(kk * width + idx).astype(np.float64)
 
     return CoupledStepRule(
         p_fn,
@@ -144,10 +150,11 @@ def band_transition_rule(
     )
 
 
-def _step(rule: CoupledStepRule, seeds, u: np.ndarray, v: np.ndarray):
-    """One synchronized step of coupled walkers at (u, v) under coupling
-    seeds: e1 where the site's uniform falls below the step probability."""
-    s = site_uniforms(seeds, COUPLING_STREAM, u, v) < rule.p_at(u, v)
+def _step(rule: CoupledStepRule, keys, u: np.ndarray, v: np.ndarray):
+    """One synchronized step of coupled walkers at (u, v) under the
+    `_key`s of their coupling seeds: e1 where the site's uniform falls
+    below the step probability."""
+    s = _uniforms(keys, u, v) < rule.p_at(u, v)
     return u + s, v + ~s
 
 
@@ -159,8 +166,9 @@ def coupled_walk(
     sites[0] = (start.u, start.v)
     u = np.asarray([start.u], dtype=np.int64)
     v = np.asarray([start.v], dtype=np.int64)
+    key = _key(thetas.seed, COUPLING_STREAM)
     for k in range(steps):
-        u, v = _step(rule, thetas.seed, u, v)
+        u, v = _step(rule, key, u, v)
         sites[k + 1] = (u[0], v[0])
     return PolymerPath(sites)
 
@@ -219,11 +227,12 @@ def coalescence_experiment(
     if start_a.level() > start_b.level():
         start_a, start_b = start_b, start_a
     lag = start_b.level() - start_a.level()
+    keys = _key(seeds, COUPLING_STREAM)
     ua = np.full(S, start_a.u, dtype=np.int64)
     va = np.full(S, start_a.v, dtype=np.int64)
     # bring walker a up to walker b's level first, driven by the same thetas
     for k in range(lag):
-        ua, va = _step(rule, seeds, ua, va)
+        ua, va = _step(rule, keys, ua, va)
     # rows a, b; merged pairs keep stepping from their own sites (permanence)
     u = np.stack([ua, np.full(S, start_b.u, dtype=np.int64)])
     v = np.stack([va, np.full(S, start_b.v, dtype=np.int64)])
@@ -233,7 +242,7 @@ def coalescence_experiment(
     same = (u[0] == u[1]) & (v[0] == v[1])
     for k in range(horizon):
         met_level[(met_level < 0) & same] = level
-        u, v = _step(rule, seeds, u, v)
+        u, v = _step(rule, keys, u, v)
         level += 1
         same = (u[0] == u[1]) & (v[0] == v[1])
         # permanence: pairs that have met must still agree after stepping
@@ -263,16 +272,15 @@ def ordering_check(
     if p_low is not None and p_high is not None:
         if np.any(p_low > p_high + 1e-12):
             raise OrderingError("step laws are not pointwise ordered")
-    seeds = np.fromiter(map(_as_u64, theta_seeds), np.uint64)
-    S = seeds.size
-    ul = np.full(S, start.u, dtype=np.int64)
-    vl = np.full(S, start.v, dtype=np.int64)
+    keys = _key(np.fromiter(map(_as_u64, theta_seeds), np.uint64), COUPLING_STREAM)
+    ul = np.full(keys.size, start.u, dtype=np.int64)
+    vl = np.full(keys.size, start.v, dtype=np.int64)
     uh = ul.copy()
     vh = vl.copy()
     violations = 0
     for k in range(steps):
-        ul, vl = _step(rule_low, seeds, ul, vl)
-        uh, vh = _step(rule_high, seeds, uh, vh)
+        ul, vl = _step(rule_low, keys, ul, vl)
+        uh, vh = _step(rule_high, keys, uh, vh)
         violations += int((ul > uh).sum())
     return violations
 
@@ -321,6 +329,7 @@ def junction_statistics(
         by_level.setdefault(u + v, []).append(i)
     junctions = 0
     events = 0
+    key = _key(thetas.seed, COUPLING_STREAM)
     for level in range(0, 2 * L + 1):
         for i in by_level.get(level, ()):
             pos[i] = starts[i]
@@ -344,7 +353,7 @@ def junction_statistics(
             cs = list(new_pos)
             uu = np.asarray([new_pos[c][0] for c in cs], dtype=np.int64)
             vv = np.asarray([new_pos[c][1] for c in cs], dtype=np.int64)
-            uu2, vv2 = _step(rule, thetas.seed, uu, vv)
+            uu2, vv2 = _step(rule, key, uu, vv)
             keep = (uu2 <= L) & (vv2 <= L)
             for j, c in enumerate(cs):
                 if keep[j]:

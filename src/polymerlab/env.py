@@ -234,6 +234,16 @@ def _absorb(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _fmix64((h ^ x) + _GOLDEN)
 
 
+def _fmix64_into(h: np.ndarray, t: np.ndarray) -> None:
+    """`_fmix64` of h written back into h, with t as scratch: the per-site
+    links run in place, while a key (often one numpy scalar, where in-place
+    ufunc calls cost more than new scalars) takes `_fmix64`."""
+    for mix in (_MIX1, _MIX2):
+        h ^= np.right_shift(h, _S33, out=t)
+        h *= mix
+    h ^= np.right_shift(h, _S33, out=t)
+
+
 def _as_u64(x) -> np.ndarray | np.uint64:
     if isinstance(x, (int, np.integer)):
         return np.uint64(int(x) & 0xFFFFFFFFFFFFFFFF)
@@ -247,19 +257,44 @@ def _wrapped_seed(seed) -> int:
     return int(_as_u64(seed))
 
 
+def _key(seed, stream: int):
+    """The hash state after the seed and stream links: a uint64 scalar, or an
+    array in the shape of `seed`.  Walkers key their seeds once and finish
+    each step's chain with `_uniforms`."""
+    with np.errstate(over="ignore"):  # modular uint64 wrap is intended
+        h = _fmix64(_as_u64(seed) ^ _GOLDEN)
+        return _absorb(h, np.uint64(stream & 0xFFFFFFFFFFFFFFFF))
+
+
+def _uniforms(key, uu, vv) -> np.ndarray:
+    """The chain of `site_uniforms` from a `_key` on: absorbs u and v and
+    runs the last finalizer in place, on an owned buffer and a scratch
+    array, which the uniforms are finally written into.  The u link runs
+    over key x u only, so a column of rows against one row of v pays it once
+    per row; the v link widens the buffer to the sites' shape."""
+    u64 = np.asarray(uu, dtype=np.int64).view(np.uint64)
+    v64 = np.asarray(vv, dtype=np.int64).view(np.uint64)
+    h = np.asarray(key ^ u64)
+    t = np.empty_like(h)
+    h += _GOLDEN
+    _fmix64_into(h, t)
+    h = np.asarray(h ^ v64)
+    if h.shape != t.shape:
+        t = np.empty_like(h)
+    h += _GOLDEN
+    _fmix64_into(h, t)
+    _fmix64_into(h, t)
+    out = t.view(np.float64)
+    np.add(np.right_shift(h, 11, out=h), 0.5, out=out)
+    out *= 2.0**-53
+    return out if out.ndim else out[()]  # a scalar for 0-d sites, as ufuncs give
+
+
 def site_uniforms(seed, stream: int, uu, vv) -> np.ndarray:
     """Uniform(0,1) variates attached to sites, as a pure function of
     (seed, stream, u, v). Output is strictly inside (0, 1).  `seed` may be a
     scalar or an array broadcast against the coordinates."""
-    u64 = np.asarray(uu, dtype=np.int64).astype(np.uint64)
-    v64 = np.asarray(vv, dtype=np.int64).astype(np.uint64)
-    with np.errstate(over="ignore"):  # modular uint64 wrap is intended
-        h = _fmix64(_as_u64(seed) ^ _GOLDEN)
-        h = _absorb(h, np.uint64(stream & 0xFFFFFFFFFFFFFFFF))
-        h = _absorb(h, u64)
-        h = _absorb(h, v64)
-        h = _fmix64(h)
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return _uniforms(_key(seed, stream), uu, vv)
 
 
 # Weight reads hash whole rows of sites in blocks of at most this many sites

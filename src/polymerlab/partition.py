@@ -149,24 +149,41 @@ class PartitionTable:
         return val if self.zero_temp else val / self.beta
 
     def recursion_residual(self) -> float:
-        """Max deviation from the one-step DP recursion, in log Z units."""
-        w = self.field.subfield(self.window).values
+        """Max deviation from the one-step DP recursion, in log Z units,
+        over the sites where the table and its prediction are finite.  The
+        weights stream in blocks of whole rows from `env._blocks`, and each
+        block's deviations are reduced before the next is read."""
         L = self.logz
-        wb = w if self.zero_temp else self.beta * w
+        W, H = L.shape
         comb = np.maximum if self.zero_temp else np.logaddexp
-        pad = np.full_like(L, NEG_INF)
-        if self.mode == "to_anchor":
-            right = np.concatenate([L[1:, :], pad[:1, :]], axis=0)
-            up = np.concatenate([L[:, 1:], pad[:, :1]], axis=1)
-            pred = wb + comb(right, up)
-        else:
-            left = np.concatenate([pad[:1, :], L[:-1, :] + wb[:-1, :]], axis=0)
-            down = np.concatenate([pad[:, :1], L[:, :-1] + wb[:, :-1]], axis=1)
-            pred = comb(left, down)
-        ok = np.isfinite(L) & np.isfinite(pred)
-        if not ok.any():
-            return 0.0
-        return float(np.max(np.abs(L[ok] - pred[ok])))
+        worst = NEG_INF
+        last = None  # L + beta*w on the row before a from_anchor block
+        u = self.window.origin.u + np.arange(W)
+        for i, w in _blocks(self.field, u, self.window.origin.v, H, (0, 1)):
+            wb = w if self.zero_temp else self.beta * w
+            Lb = L[i : i + len(w)]
+            a = np.full(wb.shape, NEG_INF)
+            b = np.full(wb.shape, NEG_INF)
+            if self.mode == "to_anchor":  # wb + comb(L[u + 1, v], L[u, v + 1])
+                right = L[i + 1 : i + len(w) + 1]
+                a[: len(right)] = right
+                b[:, :-1] = Lb[:, 1:]
+                pred = comb(a, b, out=a)
+                pred += wb
+            else:  # comb(L[u - 1, v] + wb[u - 1, v], L[u, v - 1] + wb[u, v - 1])
+                s = Lb + wb
+                if last is not None:
+                    a[0] = last
+                a[1:] = s[:-1]
+                b[:, 1:] = s[:, :-1]
+                last = s[-1].copy()
+                pred = comb(a, b, out=a)
+            ok = np.isfinite(Lb)
+            ok &= np.isfinite(pred)
+            np.subtract(Lb, pred, out=pred, where=ok)
+            np.abs(pred, out=pred, where=ok)
+            worst = max(worst, float(np.max(pred, where=ok, initial=NEG_INF)))
+        return 0.0 if worst == NEG_INF else worst
 
     def to_csv(self, path) -> str:
         from .csvio import write_csv

@@ -6,7 +6,6 @@ import pytest
 from polymerlab.cocycle import busemann_from_p2l
 from polymerlab.coupling import (
     CouplingField,
-    _step,
     band_transition_rule,
     coalescence_experiment,
     constant_rule,
@@ -14,8 +13,8 @@ from polymerlab.coupling import (
     junction_statistics,
     ordering_check,
 )
-from polymerlab.env import Site, WeightSpec, Window, generate_field
-from polymerlab.errors import OrderingError, ParameterError
+from polymerlab.env import COUPLING_STREAM, Site, WeightSpec, Window, generate_field, site_uniforms
+from polymerlab.errors import OrderingError, ParameterError, WindowError
 from polymerlab.gibbs import busemann_transitions
 
 GAUSS = WeightSpec.gaussian(0, 1)
@@ -153,6 +152,13 @@ def test_walker_runs_refuse_degenerate_sizes():
         coalescence_experiment(constant_rule(0.5), Site(0, 0), Site(0, 2), 10, [])
 
 
+def _site_step(rule, seeds, u, v):
+    """Reference step: each walker's uniform hashed from its seed through
+    the public `site_uniforms`."""
+    s = site_uniforms(seeds, COUPLING_STREAM, u, v) < rule.p_at(u, v)
+    return u + s, v + ~s
+
+
 def _pairwise_coalescence(rule, start_a, start_b, horizon, theta_seeds):
     """Reference: walkers a and b stepped by separate calls at every level."""
     seeds = np.asarray(list(theta_seeds), dtype=np.uint64)
@@ -162,7 +168,7 @@ def _pairwise_coalescence(rule, start_a, start_b, horizon, theta_seeds):
     ua = np.full(S, start_a.u, dtype=np.int64)
     va = np.full(S, start_a.v, dtype=np.int64)
     for k in range(start_b.level() - start_a.level()):
-        ua, va = _step(rule, seeds, ua, va)
+        ua, va = _site_step(rule, seeds, ua, va)
     ub = np.full(S, start_b.u, dtype=np.int64)
     vb = np.full(S, start_b.v, dtype=np.int64)
     met_level = np.full(S, -1, dtype=np.int64)
@@ -172,8 +178,8 @@ def _pairwise_coalescence(rule, start_a, start_b, horizon, theta_seeds):
         merged_now = (met_level >= 0) | ((ua == ub) & (va == vb))
         just_met = (met_level < 0) & (ua == ub) & (va == vb)
         met_level[just_met] = level
-        ua, va = _step(rule, seeds, ua, va)
-        ub, vb = _step(rule, seeds, ub, vb)
+        ua, va = _site_step(rule, seeds, ua, va)
+        ub, vb = _site_step(rule, seeds, ub, vb)
         level += 1
         violations += int((merged_now & ((ua != ub) | (va != vb))).sum())
     just_met = (met_level < 0) & (ua == ub) & (va == vb)
@@ -259,3 +265,28 @@ def test_band_rule_equals_per_level_recursion(horizon, half_width):
         uu = kk // 2 - half_width + np.tile(np.arange(width), horizon + 1)
         got = rule.p_at(uu, kk - uu).reshape(horizon + 1, width)
         assert np.array_equal(got, expected.astype(np.float64), equal_nan=True)
+
+
+def test_band_rule_lookups_gather_its_rows_and_refuse_sites_off_the_band():
+    f = generate_field(GAUSS, 8, Window(Site(0, 0), 1, 1))
+    horizon, half_width = 49, 4
+    width = 2 * half_width + 1
+    rule = band_transition_rule(f, 1.3, (-0.6, -0.8), horizon, half_width)
+    p_rows = _per_level_band(f, 1.3, (-0.6, -0.8), horizon, half_width)
+    # every band offset of every level, shuffled into a (2, n / 2) block
+    kk = np.repeat(np.arange(horizon + 1), width)
+    idx = np.tile(np.arange(width), horizon + 1)
+    order = np.random.default_rng(4).permutation(kk.size).reshape(2, -1)
+    kk, idx = kk[order], idx[order]
+    uu = kk // 2 - half_width + idx
+    got = rule.p_at(uu, kk - uu)
+    assert got.dtype == np.float64 and got.shape == order.shape
+    assert np.array_equal(got, p_rows[kk, idx].astype(np.float64), equal_nan=True)
+    assert rule.p_at(np.int64(7), np.int64(6)) == p_rows[13, 7 - (6 - half_width)]
+    empty = rule.p_at(np.zeros(0, np.int64), np.zeros(0, np.int64))
+    assert empty.dtype == np.float64 and empty.shape == (0,)
+    # level 30 holds u in [11, 19]; one bad site among good ones is refused
+    for u, v in [(-1, 0), (0, -1), (25, 25), (26, 25), (horizon + 1, 0), (10, 20), (20, 10), (-3, 33)]:
+        with pytest.raises(WindowError):
+            rule.p_at(np.array([15, u]), np.array([15, v]))
+    assert np.isfinite(rule.p_at(np.array([11, 19, 24]), np.array([19, 11, 24]))).all()

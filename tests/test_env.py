@@ -220,6 +220,10 @@ def _stream_reads():
     uu = kk // 2 - 4 + np.tile(np.arange(9), 61)
     inside = (uu >= 0) & (uu <= kk)
     line = p2l_table(f, 0.9, (0.1, -0.2), 17, Site(-2, 7))  # depth K = 12
+    tables = [
+        p2p_table(f, Site(4, 10), f.window, 1.5, "to_anchor"),
+        p2p_table(f, Site(-3, 5), Window(Site(-4, 3), 6, 30), math.inf, "from_anchor"),
+    ]
     return {
         "generate_field": (lambda: generate_field(spec, 6, Window(Site(-4, 3), 11, 9)).values, 9, 99),
         "subfield": (lambda: f.subfield(Window(Site(-30, -2), 5, 40)).values, 40, 200),
@@ -242,6 +246,8 @@ def _stream_reads():
         "table_explicit": (lambda: p2p_table(explicit, Site(2, 8), f.window, 1.5, "to_anchor").logz, 0, 0),
         # the sites below level n only: rows of 12, 11, ..., 1
         "p2l_residual": (lambda: np.array(line.recursion_residual()), 12, 12 * 13 // 2),
+        # each table's window, in rows of constant u
+        "p2p_residual": (lambda: np.array([t.recursion_residual() for t in tables]), 30, 99 + 180),
     }
 
 

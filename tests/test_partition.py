@@ -8,7 +8,7 @@ import pytest
 from polymerlab import env
 from polymerlab.cif import cif_cdf_check
 from polymerlab.cocycle import direction_scan
-from polymerlab.env import E1, FieldBatch, Site, WeightSpec, Window, field_from_values, generate_field
+from polymerlab.env import E1, FieldBatch, Site, WeightSpec, Window, field_from_values, generate_field, shift_view
 from polymerlab.errors import OrderingError, ParameterError, SizeError
 from polymerlab.fixtures import hand_grid_field
 from polymerlab.partition import (
@@ -436,6 +436,73 @@ def test_p2l_recursion_residual_equals_the_antidiagonal_loop():
             for n in (n, n + 1):  # n = 0 gives depths 1 and 2
                 t = p2l_table(f, beta, h, n, base)
                 assert t.recursion_residual() == _antidiagonal_residual(t)
+
+
+def _array_residual(t):
+    # PartitionTable.recursion_residual over the whole window at once, the
+    # form the streamed blocks replaced
+    w = t.field.subfield(t.window).values
+    L = t.logz
+    wb = w if t.zero_temp else t.beta * w
+    comb = np.maximum if t.zero_temp else np.logaddexp
+    pad = np.full_like(L, -np.inf)
+    if t.mode == "to_anchor":
+        right = np.concatenate([L[1:, :], pad[:1, :]], axis=0)
+        up = np.concatenate([L[:, 1:], pad[:, :1]], axis=1)
+        pred = wb + comb(right, up)
+    else:
+        left = np.concatenate([pad[:1, :], L[:-1, :] + wb[:-1, :]], axis=0)
+        down = np.concatenate([pad[:, :1], L[:, :-1] + wb[:, :-1]], axis=1)
+        pred = comb(left, down)
+    ok = np.isfinite(L) & np.isfinite(pred)
+    if not ok.any():
+        return 0.0
+    return float(np.max(np.abs(L[ok] - pred[ok])))
+
+
+@pytest.mark.parametrize("block", [1, 40, 8192])
+def test_p2p_recursion_residual_equals_the_whole_window_expression(monkeypatch, block):
+    # blocks of one row, of a few rows and the whole window; the tables are
+    # also perturbed, so that the residuals compared are far from zero
+    monkeypatch.setattr(env, "_HASH_BLOCK_SITES", block)
+    f = generate_field(WeightSpec.inverse_log_gamma(1.3), 2**63 + 11, Window(Site(0, 0), 1, 1))
+    explicit = field_from_values(np.random.default_rng(2).normal(size=(30, 40)), Window(Site(2, -5), 30, 40))
+    cases = [
+        (f, Window(Site(-3, 2), 37, 23), Site(10, 9)),
+        (shift_view(f, Site(3, -2)), Window(Site(0, 0), 50, 3), Site(20, 1)),
+        (f, Window(Site(0, 0), 3, 60), Site(1, 30)),
+        (explicit, Window(Site(4, -3), 20, 31), Site(12, 10)),
+        (f, Window(Site(5, 5), 1, 1), Site(5, 5)),
+    ]
+    noise = np.random.default_rng(5)
+    for field, window, anchor in cases:
+        for beta in (0.7, 2.5, math.inf):
+            for mode in ("to_anchor", "from_anchor"):
+                for at in (anchor, window.origin, window.corner):
+                    t = p2p_table(field, at, window, beta, mode)
+                    assert t.recursion_residual() == _array_residual(t)
+                    t.logz[...] += noise.normal(scale=1e-3, size=t.logz.shape)
+                    assert t.recursion_residual() == _array_residual(t)
+
+
+@pytest.mark.parametrize("mode", ["to_anchor", "from_anchor"])
+@pytest.mark.parametrize("beta", [1.5, math.inf])
+def test_p2p_recursion_residual_streams_its_weights(mode, beta):
+    # the weights stream in blocks of whole rows, each reduced before the
+    # next: no hashed window, padded copies or prediction table
+    f = generate_field(GAUSS, 2**63 + 3, Window(Site(0, 0), 1, 1))
+    for window in (Window(Site(-7, 5), 3, 3), Window(Site(-7, 5), 600, 400)):  # the first warms up
+        anchor = window.corner if mode == "to_anchor" else window.origin
+        table = p2p_table(f, anchor, window, beta, mode)
+        table.recursion_residual()
+    tracemalloc.start()
+    try:
+        residual = table.recursion_residual()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 <= residual < 1e-9
+    assert peak <= 2 * table.logz.nbytes
 
 
 @pytest.mark.parametrize("mode", ["to_anchor", "from_anchor"])

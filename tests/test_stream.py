@@ -1,6 +1,7 @@
-"""Property tests of env's blocked row streams against per-row `values_at`,
-of the streamed point-to-point table against one array sweep, and of the
-batched comparison check against two tables per triple."""
+"""Property tests of env's keyed hash against `site_uniforms` and a Python
+reference of the chain, of env's blocked row streams against per-row
+`values_at`, of the streamed point-to-point table against one array sweep,
+and of the batched comparison check against two tables per triple."""
 
 import math
 from unittest import mock
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from polymerlab import env, partition  # noqa: E402
 from polymerlab.env import (  # noqa: E402
@@ -33,6 +34,76 @@ SPECS = (
 )
 seeds = st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(2**63, 2**64 - 1))
 coords = st.integers(-(10**6), 10**6)
+
+
+MASK = 2**64 - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _py_fmix64(z):
+    z ^= z >> 33
+    z = (z * 0xFF51AFD7ED558CCD) & MASK
+    z ^= z >> 33
+    z = (z * 0xC4CEB9FE1A85EC53) & MASK
+    return z ^ (z >> 33)
+
+
+def _py_uniform(seed, stream, u, v):
+    """The site uniform in Python ints: fmix64(seed ^ golden), then stream,
+    u and v absorbed by h = fmix64((h ^ x) + golden), then one fmix64."""
+    h = _py_fmix64((seed & MASK) ^ GOLDEN)
+    for x in (stream, u, v):
+        h = _py_fmix64(((h ^ (x & MASK)) + GOLDEN) & MASK)
+    return ((_py_fmix64(h) >> 11) + 0.5) * 2.0**-53
+
+
+def test_the_hash_chain_is_pinned():
+    pins = [
+        (1, env.WEIGHT_STREAM, 0, 0, 0.2944077456492707),
+        (7, env.WEIGHT_STREAM, -3, 12, 0.6530662062815897),
+        (2**63 + 5, env.COUPLING_STREAM, 40, -40, 0.8910013229927543),
+        (-2, env.COUPLING_STREAM, -5, 9, 0.5217580591311735),
+    ]
+    for seed, stream, u, v, want in pins:
+        assert _py_uniform(seed, stream, u, v) == want
+        assert env.site_uniforms(seed, stream, u, v) == want
+        assert env._uniforms(env._key(seed, stream), np.array([u]), np.array([v]))[0] == want
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(
+    layout=st.sampled_from(["scalar", "(S,) against (2, S)", "(R, 1) against (n,)", "(n, 1) u against (n,) v", "0-d"]),
+    stream=st.sampled_from([env.WEIGHT_STREAM, env.COUPLING_STREAM]),
+    seed_list=st.lists(seeds, min_size=1, max_size=6),
+    coord_list=st.lists(coords, min_size=2, max_size=12),
+)
+@example("scalar", env.COUPLING_STREAM, [2**63 + 5], [-4, 7])
+@example("0-d", env.WEIGHT_STREAM, [-(2**63)], [-1, -(10**6)])
+@example("(R, 1) against (n,)", env.COUPLING_STREAM, [-1, 2**64 - 1, 0], [3, -3, 0])
+def test_keyed_uniforms_equal_site_uniforms(layout, stream, seed_list, coord_list):
+    c = np.array(coord_list, dtype=np.int64)
+    if all(-(2**63) <= s < 2**63 for s in seed_list):
+        seed_array = np.array(seed_list, dtype=np.int64)  # negative seeds wrap
+    else:
+        seed_array = np.array([s & MASK for s in seed_list], dtype=np.uint64)
+    if layout == "scalar":
+        seed, uu, vv = seed_list[0], c, c[::-1]
+    elif layout == "(S,) against (2, S)":
+        seed = seed_array
+        uu, vv = np.resize(c, (2, seed.size)), np.resize(c[::-1], (2, seed.size))
+    elif layout == "(R, 1) against (n,)":
+        seed, uu, vv = seed_array[:, None], c, c[::-1]
+    elif layout == "(n, 1) u against (n,) v":  # the u link runs per row, then widens
+        seed, uu, vv = seed_list[0], c[:, None], c[::-1]
+    else:
+        seed, uu, vv = seed_list[0], np.asarray(coord_list[0]), coord_list[1]
+    want = env.site_uniforms(seed, stream, uu, vv)
+    got = env._uniforms(env._key(seed, stream), uu, vv)
+    assert got.shape == np.shape(want)
+    assert np.array_equal(got, want)
+    ss, us, vs = np.broadcast_arrays(np.asarray(seed, dtype=object), uu, vv)
+    ref = [_py_uniform(int(s), stream, int(u), int(v)) for s, u, v in zip(ss.flat, us.flat, vs.flat)]
+    assert np.array_equal(np.ravel(got), ref)
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
