@@ -26,7 +26,7 @@ from .errors import (
 )
 from .gibbs import PolymerPath, TransitionField, _walk, backward_transitions, path_from_steps
 from .cocycle import b1_logz
-from .partition import NEG_INF, PartitionTable
+from .partition import NEG_INF, PartitionTable, _temperature
 
 __all__ = [
     "SpanningTree",
@@ -111,12 +111,6 @@ class InterfaceResult:
     separation_checked: bool
     separation_ok: bool
 
-    @property
-    def terminal_direction(self) -> float:
-        d = self.path.end - self.path.start
-        n = d.level()
-        return d.u / n if n else math.nan
-
 
 def competition_interface(
     tree: SpanningTree, steps: int, check_separation: bool = True
@@ -170,10 +164,6 @@ class DirectionStats:
     directions: np.ndarray  # terminal e1-fraction per replica
     steps: int
 
-    @property
-    def median(self) -> float:
-        return float(np.median(self.directions))
-
     def empirical_cdf(self, grid) -> np.ndarray:
         g = np.asarray(grid, dtype=np.float64)
         return np.searchsorted(np.sort(self.directions), g, side="right") / self.directions.size
@@ -213,7 +203,12 @@ def cif_direction_stats(
     the walkers one level at a time, reading its weights from `env._rows`:
     with A = beta*w + log Z on level k, log Z on level k + 1 is
     logaddexp(A[a - 1], A[a]), and a walker at root + (u, v) steps e1 with
-    probability expit(A[u] - A[u + 1]) on the new level."""
+    probability expit(A[u] - A[u + 1]) on the new level.  beta = inf is
+    refused: its level step is the max, but a tie rule for the walker's
+    step is not defined yet."""
+    beta, scale, comb = _temperature(beta)
+    if math.isinf(beta):
+        raise ParameterError("interface directions are defined for finite beta")
     seeds = np.fromiter(map(_as_u64, range(theta_seed, theta_seed + replicas)), np.uint64)
     keys = _key(seeds, COUPLING_STREAM)
     u = np.zeros(replicas, dtype=np.int64)
@@ -221,10 +216,10 @@ def cif_direction_stats(
     edge = np.full(1, NEG_INF)
     # level k holds the sites root + (a, k - a), a = 0..k
     levels = _rows(field, root.u, root.v + np.arange(steps + 1), np.arange(1, steps + 2), (1, -1))
-    A = beta * next(levels)
+    A = scale * next(levels)
     for w in levels:
-        logz = np.logaddexp(np.concatenate((edge, A)), np.concatenate((A, edge)))
-        A = beta * w + logz
+        logz = comb(np.concatenate((edge, A)), np.concatenate((A, edge)))
+        A = scale * w + logz
         p = expit(A[u] - A[u + 1])
         zu, zv = u + 1, v + 1
         theta = _uniforms(keys, zu + root.u, zv + root.v)
@@ -289,7 +284,6 @@ def cif_cdf_check(
     steps: int,
     theta_seed: int,
     busemann_horizon: int | None = None,
-    right_shift: float | None = None,
 ) -> CdfComparison:
     """Quenched direction-law check: empirical CDF of the terminal interface
     direction against the Busemann formula exp(beta*(omega_0 - b1(0; xi+))),
@@ -305,8 +299,7 @@ def cif_cdf_check(
     N = busemann_horizon if busemann_horizon is not None else steps
     if N < 2:
         raise ParameterError(f"busemann_horizon must be at least 2, got {N}")
-    delta = float(right_shift) if right_shift is not None else 1.0 / N
-    t_eval = np.clip(t_grid + delta, 0.0, 1.0)
+    t_eval = np.clip(t_grid + 1.0 / N, 0.0, 1.0)
     # the 2N targets' down-set holds the N targets': one pass for both
     bus, bus2 = _busemann_cdf_values(field, beta, Site(0, 0), t_eval, [N, 2 * N])
     stats = cif_direction_stats(field, beta, replicas, steps, theta_seed)

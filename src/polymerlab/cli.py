@@ -129,9 +129,6 @@ _SCHEMAS: dict[str, dict] = {
         "target_u": (int, 0, None),
         "target_v": (int, 0, None),
         "staircases": (int, 100, _COUNT),
-        "recovery_tol": (float, 1e-9, None),
-        "closure_tol": (float, 1e-9, None),
-        "path_tol": (float, 1e-8, None),
     },
     "monotonicity": {
         "width": (int, 30, _COUNT),
@@ -156,7 +153,6 @@ _SCHEMAS: dict[str, dict] = {
         "windows": (int, 20, _COUNT),
         # every path of `levels` steps is enumerated; dlr_consistency_check stops at 20
         "levels": (int, 10, _In(1, 20, "between 1 and 20")),
-        "tol": (float, 1e-10, None),
     },
     "ldp": {
         "n": (int, 500, _COUNT),
@@ -165,7 +161,6 @@ _SCHEMAS: dict[str, dict] = {
         "shape_n": (int, 2000, _COUNT),
         "shape_replicas": (int, 12, _COUNT),
         "shape_step": (float, 0.05, None),
-        "identity_tol": (float, 1e-10, None),
     },
     "decay": {
         "rule": (str, "half", ("half", "busemann")),
@@ -212,6 +207,16 @@ _SCHEMAS: dict[str, dict] = {
 }
 
 
+# The tolerances of each kind's exact identities.  They are fixed, not
+# config fields, so no config can loosen an identity until it passes; a
+# config reads them as attributes like its fields.
+_EXACT_TOLS: dict[str, dict[str, float]] = {
+    "busemann": {"recovery_tol": 1e-9, "closure_tol": 1e-9, "path_tol": 1e-8},
+    "dlr": {"tol": 1e-10},
+    "ldp": {"identity_tol": 1e-10},
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -219,7 +224,7 @@ class ExperimentConfig:
 
     def __getattr__(self, name):
         try:
-            return self.values[name]
+            return self.values[name] if name in self.values else _EXACT_TOLS[self.kind][name]
         except KeyError as exc:
             raise AttributeError(name) from exc
 

@@ -29,7 +29,7 @@ from .errors import (
     ProvenanceError,
     WindowError,
 )
-from .partition import p2l_rows, p2p_pair_values, p2p_table, p2p_values
+from .partition import _temperature, p2l_rows, p2p_pair_values, p2p_table, p2p_values
 
 __all__ = [
     "Provenance",
@@ -146,7 +146,7 @@ class BusemannField:
 def _increments(rows: np.ndarray, W: int, H: int, beta: float, h) -> tuple[np.ndarray, np.ndarray]:
     """b_i(y) = F_{y,(n)} - F_{y+e_i,(n)} - h.e_i from point-to-line rows
     (the last two axes); tilts h (..., 2) broadcast with the leading axes."""
-    scale = 1.0 if math.isinf(beta) else 1.0 / float(beta)
+    scale = 1 / _temperature(beta).scale
     h = np.asarray(h, dtype=np.float64)[..., None, None]
     b1 = (rows[..., :W, :H] - rows[..., 1 : W + 1, :H]) * scale - h[..., 0, :, :]
     b2 = (rows[..., :W, :H] - rows[..., :W, 1 : H + 1]) * scale - h[..., 1, :, :]
@@ -307,7 +307,7 @@ def cesaro_busemann(
     o_b1 = b1[:, 0, 0]
     o_b2 = b2[:, 0, 0]
     F = rows[1, :, 0, 0]
-    fpl = (F if math.isinf(beta) else F / float(beta)) / (n - base.level())
+    fpl = F / _temperature(beta).scale / (n - base.level())
     b1_mean = b1.mean(axis=0)
     b2_mean = b2.mean(axis=0)
     se = lambda a: float(np.std(a, ddof=1) / math.sqrt(len(a))) if len(a) > 1 else float("nan")
@@ -371,15 +371,6 @@ class ShapeEstimate:
         d = self.samples[:, i, -1] - self.samples[:, j, -1]
         return float(np.mean(d)), float(np.std(d, ddof=1) / math.sqrt(len(d)))
 
-    def trend(self, t: float) -> list[tuple[int, float, float]]:
-        """Convergence trend of the estimate at direction t across the size
-        ladder: (n, estimate, se) per n."""
-        ti = self._t_index(t)
-        return [
-            (n, float(self.lambda_hat[ti, j]), float(self.se[ti, j]))
-            for j, n in enumerate(self.n_list)
-        ]
-
     def to_csv(self, path) -> str:
         from .csvio import write_csv
 
@@ -433,7 +424,7 @@ def estimate_shape(
     nn = np.array(n_list)
     aa = np.array([[min(max(int(round(n * t)), 0), n) for n in n_list] for t in t_grid])
     vals = p2p_values(envs, Site(0, 0), beta, aa, nn - aa)
-    samples = (vals if math.isinf(beta) else vals / beta) / nn
+    samples = vals / _temperature(beta).scale / nn
     lam, se = _mean_se(samples)
     return ShapeEstimate(spec, float(beta), seed, t_grid, n_list, samples, lam, se)
 
@@ -445,7 +436,7 @@ def point_to_line_value(
     _check_replicas(replicas, [n])
     envs = _replica_batch(spec, seed, replicas, 0xF91)
     F = p2l_rows(envs, beta, h, n, Site(0, 0), keep_rows=1)[:, 0, 0]
-    mean, se = _mean_se((F if math.isinf(beta) else F / float(beta)) / n)
+    mean, se = _mean_se(F / _temperature(beta).scale / n)
     return float(mean), float(se)
 
 
@@ -467,7 +458,7 @@ def boundary_profile(
         if a < 1:
             raise ParameterError(f"n={n} too small for s={s}")
         logz = p2p_values(envs, Site(0, 0), beta, a, n - a)
-        vals = (logz if math.isinf(beta) else logz / beta) / n
+        vals = logz / _temperature(beta).scale / n
         denom = 2.0 * math.sqrt(s * spec.variance())
         ratio, se = _mean_se((vals - mean) / denom)
         out.append((float(s), float(ratio), float(se)))
@@ -601,8 +592,8 @@ def direction_scan(
     jump between adjacent grid directions is descriptive output.
     """
     t_grid = tuple(float(t) for t in t_grid)
-    scale = 1.0 if math.isinf(beta) else 1.0 / float(beta)
-    vals = b1_logz(field, beta, x, t_grid, target_radius) * scale
+    scale = _temperature(beta).scale
+    vals = b1_logz(field, beta, x, t_grid, target_radius) * (1 / scale)
     diffs = np.diff(vals)
     violations = int(np.sum(~(diffs <= 1e-12)))
     max_jump = float(np.max(np.abs(diffs))) if diffs.size else 0.0

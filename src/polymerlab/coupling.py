@@ -27,6 +27,7 @@ from .env import (
 )
 from .errors import OrderingError, ParameterError, WindowError
 from .gibbs import PolymerPath
+from .partition import _temperature
 
 __all__ = [
     "CouplingField",
@@ -99,14 +100,15 @@ def band_transition_rule(
     exactly, walks started inside can never leave (steps that would exit get
     probability 0), and the rule is weakly elliptic in the band interior.
     """
+    beta, scale, comb = _temperature(beta)
     if math.isinf(beta):
         raise ParameterError("band rule is defined for finite beta")
     if half_width < 2:
         raise ParameterError("half_width must be at least 2")
     n = horizon + 2
     width = 2 * half_width + 1
-    bh1 = beta * h[0]
-    bh2 = beta * h[1]
+    bh1 = scale * h[0]
+    bh2 = scale * h[1]
     p_rows = np.full((n, width), np.nan, dtype=np.float32)
     # F on the level above, padded with -inf on both sides so that the
     # children of every band offset are slices of it
@@ -120,10 +122,10 @@ def band_transition_rule(
     levels = _rows(field, lo, kk - lo, hi - lo + 1, (1, -1))
     for k, a, w in zip(kk.tolist(), (lo - kk // 2 + half_width).tolist(), levels):
         b = a + w.size
-        bw = beta * w
+        bw = scale * w
         c = F[1 - k % 2 :]  # c[i]: child u of band offset i; c[i + 1]: child u + 1
         up = c[a + 1 : b + 1]
-        Fk = bw + np.logaddexp(up + bh1, c[a:b] + bh2)
+        Fk = bw + comb(up + bh1, c[a:b] + bh2)
         p_rows[k, a:b] = np.exp(bw + bh1 + up - Fk)
         F[1 : a + 1] = F[b + 1 : -1] = float("-inf")
         F[a + 1 : b + 1] = Fk
@@ -200,11 +202,11 @@ class CoalescenceStats:
     def levels(self) -> np.ndarray:
         return self.met_level[self.met_level >= 0]
 
-    def to_csv(self, path, pair_id: int = 0) -> str:
+    def to_csv(self, path) -> str:
         from .csvio import write_csv
 
         rows = [
-            (int(self.seeds[i]), pair_id, 1 if self.met_level[i] >= 0 else 0, int(self.met_level[i]))
+            (int(self.seeds[i]), 0, 1 if self.met_level[i] >= 0 else 0, int(self.met_level[i]))
             for i in range(self.pairs)
         ]
         return write_csv(path, ("seed", "pair_id", "coalesced", "level"), rows)

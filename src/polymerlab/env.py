@@ -11,6 +11,7 @@ site by site, and shifted views are exact.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,13 +322,19 @@ def _hashed(window: Window, spec: WeightSpec, seed, shift: Site = Site(0, 0)) ->
     return field
 
 
+def _replica_shape(field) -> tuple[int, ...]:
+    """The leading replica axes of a field's weights: (R,) for a FieldBatch,
+    () for one WeightField."""
+    return field.seeds.shape if isinstance(field, FieldBatch) else ()
+
+
 def _blocks(field, across, start, n: int, step):
     """Raw weights of a rectangle of rows of n sites from `start` along an
     axis step ((0, +-1) or (+-1, 0)), at the coordinates `across` of the
     other axis, in the blocks of whole rows of `_rows`: yields (i, weights
     of rows i, i+1, ... on axis -2).  A block hashes a column of the rows'
     coordinates against one row of coordinates along them."""
-    block = _HASH_BLOCK_SITES // (field.seeds.size if isinstance(field, FieldBatch) else 1)
+    block = _HASH_BLOCK_SITES // math.prod(_replica_shape(field))
     d = step[0] + step[1]
     along = start + np.arange(0, d * n, d)
     across = np.asarray(across)[:, None]
@@ -344,7 +351,7 @@ def _rows(field, u0, v0, lengths, step=(0, 1)):
     whole rows (at least one): each equals its own `values_at` bit for bit.
     `_blocks` streams a rectangle of rows without ragged coordinates."""
     u0, v0, lengths = np.broadcast_arrays(u0, v0, lengths)
-    block = _HASH_BLOCK_SITES // (field.seeds.size if isinstance(field, FieldBatch) else 1)
+    block = _HASH_BLOCK_SITES // math.prod(_replica_shape(field))
     ends = np.cumsum(lengths)
     i = done = 0
     while i < lengths.size:
@@ -472,7 +479,7 @@ class _ExplicitField(WeightField):
         return field_from_values(self.values[du0 : du0 + window.width, dv0 : dv0 + window.height], window)
 
 
-def field_from_values(values: np.ndarray, window: Window, label: str = "explicit") -> WeightField:
+def field_from_values(values: np.ndarray, window: Window) -> WeightField:
     """Wrap an explicit weight grid (hand examples, fixtures) as a field.
 
     Such fields do not support regeneration outside their window; `values_at`

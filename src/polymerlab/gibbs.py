@@ -19,12 +19,11 @@ from .cocycle import BusemannField
 from .env import FieldBatch, Site, WeightField, Window
 from .errors import (
     DomainError,
-    HorizonError,
     ParameterError,
     SizeError,
     WindowError,
 )
-from .partition import NEG_INF, PartitionTable, _p2l_sweep, _sweep, p2p_table, p2p_values
+from .partition import NEG_INF, PartitionTable, _p2l_sweep, _sweep, _temperature, p2p_table, p2p_values
 
 __all__ = [
     "PolymerPath",
@@ -429,14 +428,13 @@ def ldp_rate_profile(
     n: int,
     replicas: int,
     seed: int,
-    horizon_margin: int = 50,
     shape=None,
 ) -> LdpProfile:
     """Monte Carlo estimate of the rate curve of the Busemann-driven chain:
     mean over environments of -(1/n) log Pi_0(X_n = (a, n-a)).
 
     Each replica builds a fresh environment, the tilted cocycle increments
-    b_i = F_{y,(N)} - F_{y+e_i,(N)} - h.e_i at horizon N = 2n + margin on the
+    b_i = F_{y,(N)} - F_{y+e_i,(N)} - h.e_i at horizon N = 2n + 50 on the
     (n+1)^2 square, and the exact flow probabilities, a sweep whose edge
     terms are the cocycle measure's log step probabilities beta(omega - b_i);
     the algebraic identity rate = -(1/n)(log Z - beta B) is verified per
@@ -456,12 +454,10 @@ def ldp_rate_profile(
     from .cocycle import _check_replicas, _increments, _mean_se, _replica_batch
 
     _check_replicas(replicas, [n])
-    beta = float(beta)
+    beta, _, comb = _temperature(beta)
     if math.isinf(beta):
         raise ParameterError("the probability flow is defined for finite beta")
-    horizon = 2 * n + horizon_margin
-    if horizon <= 2 * n + 2:
-        raise HorizonError(f"window reaches level {2 * n + 2} >= horizon {horizon}")
+    horizon = 2 * n + 50
     envs = _replica_batch(spec, seed, replicas, 0x1D9).fields
     group = max(1, _LDP_BLOCK_BYTES // (5 * 8 * (n + 2) ** 2))
     a = np.arange(n + 1)
@@ -493,10 +489,10 @@ def ldp_rate_profile(
         for b in (b1, b2):
             np.subtract(w, b, out=b)
             b *= beta
-        rate_flow = -_sweep(b1[:, :-1], b2[..., :-1], False)[:, a, n - a] / n
+        rate_flow = -_sweep(b1[:, :-1], b2[..., :-1], comb)[:, a, n - a] / n
         del b1, b2
         w *= beta
-        logz = _sweep(w[:, :-1], w[..., :-1], False)[:, a, n - a]
+        logz = _sweep(w[:, :-1], w[..., :-1], comb)[:, a, n - a]
         rate_alg = -(logz - beta * bvals) / n
         lam = logz / (beta * n)
         rates[g : g + group] = rate_flow
@@ -557,6 +553,6 @@ def rooted_mass_decay(
     p1 = transitions.p1[b0u : b0u + n_max + 1, b0v : b0v + n_max + 1][::-1, ::-1]
     s2 = np.log1p(-np.minimum(p1[:, 1:], np.nextafter(1.0, 0.0)))
     with np.errstate(divide="ignore"):  # an exact p1 = 0 has an e1 edge of -inf
-        hit = np.exp(_sweep(np.log(p1[1:]), s2, False))
+        hit = np.exp(_sweep(np.log(p1[1:]), s2, np.logaddexp))
     out = [float(np.max(hit[np.arange(n + 1), n - np.arange(n + 1)])) for n in levels]
     return MassDecayProfile(levels, tuple(out))

@@ -15,10 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .env import FieldBatch, Site, Window, WeightField, _blocks, _rows, _site_array
+from .env import FieldBatch, Site, Window, WeightField, _blocks, _replica_shape, _rows, _site_array
 from .errors import (
     DomainError,
     OrderingError,
@@ -47,11 +48,23 @@ NEG_INF = float("-inf")
 ENUMERATION_STEP_LIMIT = 24
 
 
-def _check_beta(beta: float) -> float:
+class _Temperature(NamedTuple):
+    beta: float
+    scale: float  # log-weights are scale * energies
+    comb: np.ufunc  # combines the log-weights of two path families
+
+
+def _temperature(beta: float) -> _Temperature:
+    """The one temperature rule: beta > 0 or inf, else ParameterError.  At
+    finite beta log-weights are beta * energies combined by logaddexp; at
+    beta = inf they are the energies themselves (scale 1), combined by max,
+    so tables hold the last-passage time G.  Row kernels use comb.accumulate."""
     beta = float(beta)
     if not beta > 0:
         raise ParameterError(f"beta must be positive (or inf), got {beta}")
-    return beta
+    if math.isinf(beta):
+        return _Temperature(beta, 1.0, np.maximum)
+    return _Temperature(beta, beta, np.logaddexp)
 
 
 def lse2(a: float, b: float) -> float:
@@ -70,9 +83,9 @@ def lse2(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _row(a: np.ndarray, s: np.ndarray, acc) -> np.ndarray:
-    """y[0] = a[0], y[j] = op(y[j-1] + s[j-1], a[j]) along the last axis,
-    evaluated as acc(a - S) + S with S the exclusive prefix sum of the edge
+def _row(a: np.ndarray, s: np.ndarray, comb: np.ufunc) -> np.ndarray:
+    """y[0] = a[0], y[j] = comb(y[j-1] + s[j-1], a[j]) along the last axis,
+    evaluated as comb.accumulate(a - S) + S with S the exclusive prefix sum of the edge
     terms s.  Leading axes are independent rows (replicas); prefix sums and
     accumulates run sequentially along the last axis, so each row equals
     its own one-row call bit for bit.  s may have fewer leading axes than a:
@@ -80,12 +93,13 @@ def _row(a: np.ndarray, s: np.ndarray, acc) -> np.ndarray:
     S = np.empty(s.shape[:-1] + (s.shape[-1] + 1,))
     S[..., 0] = 0.0
     np.cumsum(s, axis=-1, out=S[..., 1:])
-    return acc(a - S, axis=-1) + S
+    return comb.accumulate(a - S, axis=-1) + S
 
 
-def _sweep(s1: np.ndarray, s2: np.ndarray, zero_temp: bool) -> np.ndarray:
-    """L[0, 0] = 0, L[i, j] = op(L[i-1, j] + s1[i-1, j], L[i, j-1] + s2[i, j-1])
-    on a W x H rectangle, with op = logaddexp (max when zero_temp).
+def _sweep(s1: np.ndarray, s2: np.ndarray, comb: np.ufunc) -> np.ndarray:
+    """L[0, 0] = 0, L[i, j] = comb(L[i-1, j] + s1[i-1, j], L[i, j-1] + s2[i, j-1])
+    on a W x H rectangle (comb from `_temperature`, or logaddexp for sums of
+    probabilities).
 
     s1 (..., W-1, H) and s2 (..., W, H-1) are the log-weights of the e1 and
     e2 edges into each site; the caller chooses them (site weights, cocycle
@@ -93,20 +107,19 @@ def _sweep(s1: np.ndarray, s2: np.ndarray, zero_temp: bool) -> np.ndarray:
     equal to its own call bit for bit.  Rows run along the longer side."""
     W, H = s2.shape[-2], s1.shape[-1]
     if W > H:
-        return _sweep(s2.swapaxes(-1, -2), s1.swapaxes(-1, -2), zero_temp).swapaxes(-1, -2)
+        return _sweep(s2.swapaxes(-1, -2), s1.swapaxes(-1, -2), comb).swapaxes(-1, -2)
     L = np.empty(s1.shape[:-2] + (W, H), dtype=np.float64)
     rows = zip(itertools.chain((None,), np.moveaxis(s1, -2, 0)), np.moveaxis(s2, -2, 0))
-    return _fill(L, rows, zero_temp)
+    return _fill(L, rows, comb)
 
 
-def _fill(L: np.ndarray, edges, zero_temp: bool) -> np.ndarray:
+def _fill(L: np.ndarray, edges, comb: np.ufunc) -> np.ndarray:
     """The rows of `_sweep` written into L (..., W, H), which may be a view:
     `edges` yields (s1[i-1], s2[i]) for i < W (s1 unread at i = 0), so the
     caller may stream them row by row."""
-    acc = np.maximum.accumulate if zero_temp else np.logaddexp.accumulate
     for i, (e1, e2) in enumerate(edges):
         if i:
-            L[..., i, :] = _row(L[..., i - 1, :] + e1, e2, acc)
+            L[..., i, :] = _row(L[..., i - 1, :] + e1, e2, comb)
         else:
             L[..., 0, 0] = 0.0
             np.cumsum(e2, axis=-1, out=L[..., 0, 1:])
@@ -145,8 +158,7 @@ class PartitionTable:
 
     def free_energy_at(self, site: Site) -> float:
         """F = log Z / beta (G itself at beta = inf)."""
-        val = self.logz_at(site)
-        return val if self.zero_temp else val / self.beta
+        return self.logz_at(site) / _temperature(self.beta).scale
 
     def recursion_residual(self) -> float:
         """Max deviation from the one-step DP recursion, in log Z units,
@@ -155,12 +167,12 @@ class PartitionTable:
         block's deviations are reduced before the next is read."""
         L = self.logz
         W, H = L.shape
-        comb = np.maximum if self.zero_temp else np.logaddexp
+        _, scale, comb = _temperature(self.beta)
         worst = NEG_INF
         last = None  # L + beta*w on the row before a from_anchor block
         u = self.window.origin.u + np.arange(W)
         for i, w in _blocks(self.field, u, self.window.origin.v, H, (0, 1)):
-            wb = w if self.zero_temp else self.beta * w
+            wb = scale * w
             Lb = L[i : i + len(w)]
             a = np.full(wb.shape, NEG_INF)
             b = np.full(wb.shape, NEG_INF)
@@ -205,15 +217,13 @@ def p2p_table(
 ) -> PartitionTable:
     """Fill log Z_{x,anchor} (to_anchor) or log Z_{anchor,y} (from_anchor)
     for every site of the window ordered with the anchor."""
-    beta = _check_beta(beta)
+    beta, scale, comb = _temperature(beta)
     if mode not in ("to_anchor", "from_anchor"):
         raise ParameterError(f"unknown mode {mode!r}")
     if not window.contains(anchor):
         raise WindowError("anchor must lie inside the table window")
     if not field.covers(window):
         raise WindowError("explicit field cannot extend beyond its window")
-    zero_temp = math.isinf(beta)
-    scale = 1.0 if zero_temp else beta
     au, av = window.index(anchor)
     logz = np.full((window.width, window.height), NEG_INF)
     # the sweep from the anchor fills its view of logz (reversed for
@@ -234,7 +244,7 @@ def p2p_table(
         edges = ((w, w[1:]) for w in rows)
     else:
         edges = ((prev, w[:-1]) for prev, w in itertools.pairwise(itertools.chain((None,), rows)))
-    _fill(L, edges, zero_temp)
+    _fill(L, edges, comb)
     return PartitionTable(field, anchor, beta, mode, window, logz)
 
 
@@ -261,14 +271,11 @@ def _probe(field, anchor: Site, beta: float, du, dv, anchors: int) -> np.ndarray
     anchors > 1: they cover the same sites row by row, so they advance as one
     block on shared weights.  Each is -inf before its row k and starts there
     as the row recursion of [0, -inf, ...], its prefix sum bit for bit."""
-    beta = _check_beta(beta)
+    _, scale, comb = _temperature(beta)
     du, dv = np.broadcast_arrays(np.asarray(du, dtype=np.int64), np.asarray(dv, dtype=np.int64))
     if np.any(du < 0) or np.any(dv < 0):
         raise OrderingError("targets must dominate the anchor")
-    zero_temp = math.isinf(beta)
-    scale = 1.0 if zero_temp else beta
-    acc = np.maximum.accumulate if zero_temp else np.logaddexp.accumulate
-    lead = (anchors,) * (anchors > 1) + (field.seeds.shape if isinstance(field, FieldBatch) else ())
+    lead = (anchors,) * (anchors > 1) + _replica_shape(field)
     # targets first while filling: a boolean index on leading axes is fast
     out = np.empty(du.shape + lead)
     targets_first = (len(lead),) + tuple(range(len(lead)))
@@ -281,7 +288,7 @@ def _probe(field, anchor: Site, beta: float, du, dv, anchors: int) -> np.ndarray
             a = row[..., : w.shape[-1]] + w_prev[..., : w.shape[-1]]
         if i < anchors:  # the sweep from anchor + (i, 0) starts on this row
             a[(i,) * (anchors > 1) + (..., 0)] = 0.0
-        row = _row(a, w[..., :-1], acc)
+        row = _row(a, w[..., :-1], comb)
         w_prev = w
         hit = du == i
         out[hit] = row[..., dv[hit]].transpose(targets_first)
@@ -318,8 +325,7 @@ class TiltedLineTable:
         return float(self.logz[du, dv])
 
     def free_energy_at(self, site: Site) -> float:
-        val = self.logz_at(site)
-        return val if self.zero_temp else val / self.beta
+        return self.logz_at(site) / _temperature(self.beta).scale
 
     def recursion_residual(self) -> float:
         K = self.depth
@@ -330,13 +336,10 @@ class TiltedLineTable:
         uu = np.arange(K)
         for u, row in zip(uu.tolist(), _rows(self.field, self.base.u + uu, self.base.v, K - uu)):
             w[u, : K - u] = row
-        wb = w if self.zero_temp else self.beta * w
-        bh1 = self.h[0] if self.zero_temp else self.beta * self.h[0]
-        bh2 = self.h[1] if self.zero_temp else self.beta * self.h[1]
-        comb = np.maximum if self.zero_temp else np.logaddexp
+        _, scale, comb = _temperature(self.beta)
         L = self.logz
         below = np.add.outer(np.arange(K), np.arange(K)) < K  # levels under n
-        pred = wb + comb(L[1:, :-1] + bh1, L[:-1, 1:] + bh2)
+        pred = scale * w + comb(L[1:, :-1] + scale * self.h[0], L[:-1, 1:] + scale * self.h[1])
         with np.errstate(invalid="ignore"):  # -inf - -inf above the horizon
             return float(np.max(np.abs(pred - L[:-1, :-1])[below]))
 
@@ -353,7 +356,7 @@ def p2l_table(
 
     Values satisfy the downward recursion from the flat boundary at level n
     (0 there, -inf above)."""
-    beta = _check_beta(beta)
+    beta = _temperature(beta).beta
     if base is None:
         base = field.window.origin
     K = n - base.level()
@@ -401,19 +404,16 @@ def _p2l_sweep(field, beta: float, h, n: int, base: Site, horizons=None):
     (u, w, row) for u = K, ..., 0, where row holds the values at sites
     base + (u, 0..K-u) and w the raw weights hashed for it, at
     base + (u, 0..K-u-1) (None at the apex, where nothing is hashed)."""
-    beta = _check_beta(beta)
-    zero_temp = math.isinf(beta)
+    _, scale, comb = _temperature(beta)
     K = n - base.level()
     if K < 0:
         raise ParameterError("target level n is below the base site")
     h = np.asarray(h, dtype=np.float64)
     if h.ndim < 1 or h.shape[-1] != 2:
         raise ParameterError(f"tilts must have shape (..., 2), got {h.shape}")
-    bh = h if zero_temp else beta * h
+    bh = scale * h
     bh1, bh2 = bh[..., :1], bh[..., 1:]  # broadcast along the row
-    scale = 1.0 if zero_temp else beta
-    acc = np.maximum.accumulate if zero_temp else np.logaddexp.accumulate
-    lead = np.broadcast_shapes(h.shape[:-1], field.seeds.shape if isinstance(field, FieldBatch) else ())
+    lead = np.broadcast_shapes(h.shape[:-1], _replica_shape(field))
     pad = None
     if horizons is not None:
         horizons = np.asarray(horizons, dtype=np.int64)
@@ -438,7 +438,7 @@ def _p2l_sweep(field, beta: float, h, n: int, base: Site, horizons=None):
             k = np.arange(m + 1)
             a = np.where(k < pad, NEG_INF, np.where(k == pad, 0.0, a))
             s = np.where(k[:-1] < pad, 0.0, s)
-        row = _row(a, s, acc)[..., ::-1]
+        row = _row(a, s, comb)[..., ::-1]
         yield u, raw, row
 
 
@@ -452,13 +452,12 @@ def _path_log_weights(
     x: Site,
     steps: int,
     n_e1: int,
-    beta: float,
+    scale: float,
     through: Site | None,
 ) -> np.ndarray:
-    """Beta-scaled energies of every admissible path with `steps` steps and
-    `n_e1` e1-steps out of x (weights summed over visited sites except the
-    endpoint), optionally restricted to paths through a site."""
-    zero_temp = math.isinf(beta)
+    """Scaled energies (`_temperature` scale) of every admissible path with
+    `steps` steps and `n_e1` e1-steps out of x (weights summed over visited
+    sites except the endpoint), optionally restricted to paths through a site."""
     combos = np.asarray(
         list(itertools.combinations(range(steps), n_e1)), dtype=np.int64
     )
@@ -485,8 +484,7 @@ def _path_log_weights(
         if uu.shape[0] == 0:
             return np.empty(0)
     w = field.values_at(uu, vv)
-    tot = w.sum(axis=1)
-    return tot if zero_temp else beta * tot
+    return scale * w.sum(axis=1)
 
 
 def enumerate_oracle(
@@ -503,10 +501,12 @@ def enumerate_oracle(
 
     Point-to-point with target `y`, or tilted point-to-line with target
     `level` and tilt `h`.  Returns log Z (beta-scaled) for finite beta and
-    the last-passage value for beta = inf.
+    the last-passage value for beta = inf.  Only the weight scale comes from
+    `_temperature`: the reductions are the oracle's own literal ones.
     """
-    beta = _check_beta(beta)
+    beta, scale, _ = _temperature(beta)
     zero_temp = math.isinf(beta)
+    reduce = np.max if zero_temp else _reduce_lse
     if (y is None) == (level is None):
         raise ParameterError("provide exactly one of y= or level=")
     if y is not None:
@@ -517,10 +517,10 @@ def enumerate_oracle(
             raise SizeError(f"instance needs {steps} steps > {ENUMERATION_STEP_LIMIT}")
         if steps == 0:
             return 0.0
-        lw = _path_log_weights(field, x, steps, y.u - x.u, beta, through)
+        lw = _path_log_weights(field, x, steps, y.u - x.u, scale, through)
         if lw.size == 0:
             return NEG_INF
-        return float(np.max(lw)) if zero_temp else float(_reduce_lse(lw))
+        return float(reduce(lw))
     steps = level - x.level()
     if steps < 0:
         return NEG_INF
@@ -530,12 +530,10 @@ def enumerate_oracle(
         return 0.0
     best = NEG_INF
     for a in range(steps + 1):
-        lw = _path_log_weights(field, x, steps, a, beta, through)
+        lw = _path_log_weights(field, x, steps, a, scale, through)
         if lw.size == 0:
             continue
-        tilt = h[0] * a + h[1] * (steps - a)
-        tilt = tilt if zero_temp else beta * tilt
-        part = (np.max(lw) if zero_temp else _reduce_lse(lw)) + tilt
+        part = reduce(lw) + scale * (h[0] * a + h[1] * (steps - a))
         best = max(best, part) if zero_temp else lse2(best, float(part))
     return float(best)
 
@@ -574,7 +572,7 @@ def beta_limit_check(field: WeightField, x: Site, y: Site, betas) -> BetaLimitRe
     n_paths = math.comb(d.level(), d.u)
     gaps, bounds = [], []
     for beta in betas:
-        beta = _check_beta(beta)
+        beta = _temperature(beta).beta
         if math.isinf(beta):
             raise ParameterError("beta_limit_check expects finite betas")
         F = p2p_table(field, x, window, beta, "from_anchor").logz_at(y) / beta
@@ -618,7 +616,7 @@ def comparison_check(field: WeightField, x, u, v, beta: float) -> ComparisonRepo
     all triples is hashed once, and the tables of one orientation run as a
     leading axis of `_fill`, each padded to the largest of its group (see
     `_to_anchor_ratios`)."""
-    beta = _check_beta(beta)
+    _, scale, comb = _temperature(beta)
     single = all(isinstance(s, Site) for s in (x, u, v))
     x, u, v = np.broadcast_arrays(_site_array(x), _site_array(u), _site_array(v))
     if not (np.all(u >= x + 1) and np.all(v >= x + 1)):
@@ -630,14 +628,13 @@ def comparison_check(field: WeightField, x, u, v, beta: float) -> ComparisonRepo
     lo, hi = x.min(axis=0), np.maximum(u, v).max(axis=0)
     rect = Window(Site(int(lo[0]), int(lo[1])), int(hi[0] - lo[0]) + 1, int(hi[1] - lo[1]) + 1)
     w = field.subfield(rect).values
-    wb = w if math.isinf(beta) else beta * w
-    r1, r2 = _to_anchor_ratios(wb, np.concatenate([x, x]) - lo, np.concatenate([u, v]) - lo, beta)
+    r1, r2 = _to_anchor_ratios(scale * w, np.concatenate([x, x]) - lo, np.concatenate([u, v]) - lo, comb)
     n = len(x)
     m1, m2 = r1[:n] - r1[n:], r2[n:] - r2[:n]
     return ComparisonReport(float(m1[0]), float(m2[0])) if single else ComparisonReport(m1, m2)
 
 
-def _to_anchor_ratios(wb: np.ndarray, x: np.ndarray, t: np.ndarray, beta: float):
+def _to_anchor_ratios(wb: np.ndarray, x: np.ndarray, t: np.ndarray, comb: np.ufunc):
     """log Z_{x+e_i, t} - log Z_{x, t} (i = 1, 2) of the to_anchor table on
     [x, t] for each row of x, t (indices into the scaled weights wb), as
     `p2p_table` computes them.  Tables whose rectangle is wider than tall
@@ -646,7 +643,6 @@ def _to_anchor_ratios(wb: np.ndarray, x: np.ndarray, t: np.ndarray, beta: float)
     row reads only the entries before it in its row and in the row above
     (prefix sums and accumulates are sequential), so the entries read here,
     at x, x+e1 and x+e2, never see the padding."""
-    zero_temp = math.isinf(beta)
     d = t - x
     r1, r2 = np.empty(len(t)), np.empty(len(t))
     for wide in (False, True):
@@ -662,7 +658,7 @@ def _to_anchor_ratios(wb: np.ndarray, x: np.ndarray, t: np.ndarray, beta: float)
             across = np.maximum(t[k, int(wide)][:, None] - np.arange(A), 0)
             along = np.maximum(t[k, int(not wide)][:, None] - np.arange(B), 0)
             rows = (wb[along, c[:, None]] if wide else wb[c[:, None], along] for c in across.T)
-            L = _fill(np.empty((len(k), A, B)), ((w, w[:, 1:]) for w in rows), zero_temp)
+            L = _fill(np.empty((len(k), A, B)), ((w, w[:, 1:]) for w in rows), comb)
             n = np.arange(len(k))
             base = L[n, ak[:, 0], ak[:, 1]]
             back_across = L[n, ak[:, 0] - 1, ak[:, 1]] - base  # one row back

@@ -253,6 +253,30 @@ def test_typos_are_refused_before_any_work(tmp_path, capsys, typo, field):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind,field,tol",
+    [
+        ("busemann", "recovery_tol", 1e-9),
+        ("busemann", "closure_tol", 1e-9),
+        ("busemann", "path_tol", 1e-8),
+        ("dlr", "tol", 1e-10),
+        ("ldp", "identity_tol", 1e-10),
+    ],
+)
+def test_exact_identity_tolerances_are_not_config_fields(tmp_path, capsys, kind, field, tol):
+    """A config cannot loosen an exact identity until it passes: setting its
+    tolerance is refused with exit 2 naming the field, and the run reads the
+    fixed value."""
+    loose = tmp_path / "loose.cfg"
+    loose.write_text(f"kind = {kind}\n{field} = 1\n")
+    out = tmp_path / "o"
+    assert main(["run", str(loose), "--out", str(out)]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = parse_config(f"kind = {kind}")
+    assert getattr(cfg, field) == tol and field not in cfg.values
+
+
 def test_reproducibility_byte_identical(tmp_path):
     cfg = parse_config(SCAN_CFG)
     run(cfg, out_dir=str(tmp_path / "a"))

@@ -287,7 +287,7 @@ def _ref_ldp_samples(spec, beta, h, n, replicas, seed, margin=50):
         logflow = _sweep(
             (beta * (w - bf.b1[: n + 1, : n + 1]))[:-1],
             (beta * (w - bf.b2[: n + 1, : n + 1]))[:, :-1],
-            False,
+            np.logaddexp,
         )
         rates[k] = -logflow[a, n - a] / n
         logz = p2p_values(fld, Site(0, 0), beta, a, n - a)

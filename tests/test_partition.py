@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from polymerlab import env
-from polymerlab.cif import cif_cdf_check
-from polymerlab.cocycle import direction_scan
+from polymerlab.cif import cif_cdf_check, cif_direction_stats
+from polymerlab.cocycle import direction_scan, estimate_shape
+from polymerlab.coupling import band_transition_rule
 from polymerlab.env import E1, FieldBatch, Site, WeightSpec, Window, field_from_values, generate_field, shift_view
 from polymerlab.errors import OrderingError, ParameterError, SizeError
 from polymerlab.fixtures import hand_grid_field
+from polymerlab.gibbs import ldp_rate_profile
 from polymerlab.partition import (
+    _temperature,
     beta_limit_check,
     comparison_check,
     enumerate_oracle,
@@ -53,6 +56,40 @@ def test_anchor_value_and_unordered_sites():
     assert t.logz_at(Site(3, 3)) == 0.0
     assert t.logz_at(Site(4, 1)) == -math.inf  # not ordered with the anchor
     assert t.free_energy_at(Site(0, 0)) == t.logz_at(Site(0, 0))
+
+
+def test_the_temperature_rule():
+    assert _temperature(2) == (2.0, 2.0, np.logaddexp)
+    assert _temperature(math.inf) == (math.inf, 1.0, np.maximum)
+
+
+_O = Site(0, 0)
+# every public entry point that takes beta, called with valid other arguments
+_BETA_ENTRIES = {
+    "p2p_table": lambda f, b: p2p_table(f, _O, Window(_O, 4, 4), b),
+    "p2p_values": lambda f, b: p2p_values(f, _O, b, [2], [3]),
+    "p2l_rows": lambda f, b: p2l_rows(f, b, (0.1, 0.2), 4, _O, keep_rows=2),
+    "comparison_check": lambda f, b: comparison_check(f, _O, Site(3, 1), Site(1, 3), b),
+    "enumerate_oracle": lambda f, b: enumerate_oracle(f, _O, b, y=Site(2, 2)),
+    "estimate_shape": lambda f, b: estimate_shape(GAUSS, b, (0.5,), (4,), 2, 1),
+    "direction_scan": lambda f, b: direction_scan(f, b, (0.3, 0.7), 10),
+    "band_transition_rule": lambda f, b: band_transition_rule(f, b, (-0.7, -0.7), 20, 3),
+    "cif_direction_stats": lambda f, b: cif_direction_stats(f, b, 3, 5, 1),
+    "ldp_rate_profile": lambda f, b: ldp_rate_profile(GAUSS, b, (-0.7, -0.7), 4, 2, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "entry,beta",
+    [(e, b) for e in _BETA_ENTRIES for b in (0.0, -1.0, math.nan)] + [("cif_direction_stats", math.inf)],
+)
+def test_entry_points_refuse_unsupported_beta(entry, beta):
+    """beta must be positive or inf (`partition._temperature`); the
+    interface walker has no tie rule at beta = inf yet."""
+    f = grid_field(3)
+    _BETA_ENTRIES[entry](f, 1.0)  # the other arguments are valid
+    with pytest.raises(ParameterError, match="beta"):
+        _BETA_ENTRIES[entry](f, beta)
 
 
 def assert_matches_oracle(got, want):

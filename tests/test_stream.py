@@ -160,14 +160,15 @@ def _table_reference(field, anchor, window, beta, mode):
     zero_temp = math.isinf(beta)
     w = field.subfield(window).values
     wb = w if zero_temp else beta * w
+    comb = np.maximum if zero_temp else np.logaddexp
     au, av = window.index(anchor)
     logz = np.full((window.width, window.height), -np.inf)
     if mode == "to_anchor":
         r = wb[au::-1, av::-1]
-        logz[au::-1, av::-1] = _sweep(r[1:], r[:, 1:], zero_temp)
+        logz[au::-1, av::-1] = _sweep(r[1:], r[:, 1:], comb)
     else:
         b = wb[au:, av:]
-        logz[au:, av:] = _sweep(b[:-1], b[:, :-1], zero_temp)
+        logz[au:, av:] = _sweep(b[:-1], b[:, :-1], comb)
     return logz
 
 
