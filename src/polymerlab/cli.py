@@ -223,6 +223,10 @@ class ExperimentConfig:
     values: dict
 
     def __getattr__(self, name):
+        # copy and pickle look up dunders on an instance made without
+        # `values`; reading self.values there would recurse
+        if name.startswith("__") or "values" not in vars(self):
+            raise AttributeError(name)
         try:
             return self.values[name] if name in self.values else _EXACT_TOLS[self.kind][name]
         except KeyError as exc:

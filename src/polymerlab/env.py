@@ -128,6 +128,27 @@ class Window:
 
 _DISTRIBUTIONS = ("gaussian", "inverse_log_gamma", "uniform", "constant")
 
+# The smallest uniform `site_uniforms` can produce: (0 + 0.5) * 2^-53.
+_Q_MIN = 2.0**-54
+
+
+def _quantile(distribution: str, params: tuple[float, ...], q):
+    """Inverse CDF of a distribution at uniforms q, vectorized."""
+    if distribution == "gaussian":
+        mean, sd = params
+        return mean + sd * _sp.ndtri(q)
+    if distribution == "inverse_log_gamma":
+        (shape,) = params
+        # -log X is decreasing in X, so feed the uniform straight in:
+        # the result is still uniform-distribution-correct by symmetry.
+        if shape == 1.0:  # Gamma(1) is Exp(1): gammaincinv(1, q) = -log1p(-q)
+            return -np.log(-np.log1p(-q))
+        return -np.log(_sp.gammaincinv(shape, q))
+    if distribution == "uniform":
+        a, b = params
+        return a + (b - a) * q
+    return np.full_like(q, params[0], dtype=np.float64)
+
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -159,6 +180,15 @@ class WeightSpec:
         elif self.distribution == "constant":
             if len(p) != 1:
                 raise ParameterError("constant requires a single value")
+        # The quantile is monotone, so the smallest hashed uniform decides
+        # whether any site's weight is infinite (an inverse_log_gamma shape
+        # below about 0.0503 sends it to +inf).  This reads no site, so it
+        # bypasses `quantile`, whose calls count as weight reads.
+        with np.errstate(divide="ignore", over="ignore"):
+            if not np.isfinite(_quantile(self.distribution, p, _Q_MIN)):
+                raise ParameterError(
+                    f"{self.distribution} parameters {p} give an infinite weight at the smallest site uniform 2^-54"
+                )
 
     @staticmethod
     def gaussian(mean: float, sd: float) -> "WeightSpec":
@@ -196,18 +226,7 @@ class WeightSpec:
 
     def quantile(self, q: np.ndarray) -> np.ndarray:
         """Inverse CDF, vectorized; maps per-site uniforms to weights."""
-        if self.distribution == "gaussian":
-            mean, sd = self.params
-            return mean + sd * _sp.ndtri(q)
-        if self.distribution == "inverse_log_gamma":
-            (shape,) = self.params
-            # -log X is decreasing in X, so feed the uniform straight in:
-            # the result is still uniform-distribution-correct by symmetry.
-            return -np.log(_sp.gammaincinv(shape, q))
-        if self.distribution == "uniform":
-            a, b = self.params
-            return a + (b - a) * q
-        return np.full_like(q, self.params[0], dtype=np.float64)
+        return _quantile(self.distribution, self.params, q)
 
 
 # Counter-based per-site hashing. Chained murmur3 finalizers keyed by
@@ -293,8 +312,11 @@ def _uniforms(key, uu, vv) -> np.ndarray:
 
 def site_uniforms(seed, stream: int, uu, vv) -> np.ndarray:
     """Uniform(0,1) variates attached to sites, as a pure function of
-    (seed, stream, u, v). Output is strictly inside (0, 1).  `seed` may be a
-    scalar or an array broadcast against the coordinates."""
+    (seed, stream, u, v): (k + 0.5) * 2^-53 for the top 53 hash bits k.
+    Output lies in [2^-54, 1]: it is exactly 1.0 where k = 2^53 - 1, because
+    that sum rounds up (probability 2^-53 per site), and strictly below 1
+    elsewhere.  `seed` may be a scalar or an array broadcast against the
+    coordinates."""
     return _uniforms(_key(seed, stream), uu, vv)
 
 

@@ -1,13 +1,15 @@
+import copy
 import dataclasses
 import json
 import math
 import os
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polymerlab import cocycle, gibbs
+from polymerlab import cocycle, env, gibbs
 from polymerlab.cli import (
     KINDS,
     Check,
@@ -275,6 +277,27 @@ def test_exact_identity_tolerances_are_not_config_fields(tmp_path, capsys, kind,
     assert not out.exists()
     cfg = parse_config(f"kind = {kind}")
     assert getattr(cfg, field) == tol and field not in cfg.values
+
+
+def test_a_log_gamma_shape_with_infinite_weights_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "tiny_shape.cfg"
+    cfg.write_text("kind = busemann\nweights = inverse_log_gamma\nshape_param = 0.01\n")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "'shape_param'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))])
+def test_configs_copy_and_pickle(clone):
+    cfg = parse_config("kind = busemann\nweights = inverse_log_gamma\nshape_param = 2.5\n")
+    got = clone(cfg)
+    assert got is not cfg and got.kind == cfg.kind and got.values == cfg.values
+    assert got.weight_spec() == cfg.weight_spec() == env.WeightSpec.inverse_log_gamma(2.5)
+    for field in ("recovery_tol", "closure_tol", "path_tol"):
+        assert getattr(got, field) == getattr(cfg, field)
+    with pytest.raises(AttributeError):
+        got.not_a_field
 
 
 def test_reproducibility_byte_identical(tmp_path):

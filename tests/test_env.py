@@ -160,6 +160,62 @@ def test_invalid_parameters_rejected():
             bad()
 
 
+def test_log_gamma_shapes_with_infinite_weights_are_refused():
+    # gammaincinv(0.01, 2^-54) underflows to 0, so the weight would be +inf
+    with pytest.raises(ParameterError, match="infinite weight"):
+        WeightSpec.inverse_log_gamma(0.01)
+    spec = WeightSpec.inverse_log_gamma(0.051)
+    assert np.isfinite(spec.quantile(2.0**-54))
+
+
+def _hash_map_extremes(n: int = 50) -> np.ndarray:
+    """The n lowest and n highest uniforms (k + 0.5) * 2^-53 that
+    `site_uniforms` can return, k the top 53 hash bits."""
+    k = np.concatenate([np.arange(n, dtype=np.uint64), np.uint64(2**53) - np.arange(n, 0, -1, dtype=np.uint64)])
+    return (k + 0.5) * 2.0**-53
+
+
+def _ilg_uniforms() -> np.ndarray:
+    q = site_uniforms(5, WEIGHT_STREAM, np.arange(200)[:, None], np.arange(100))
+    return np.concatenate([q.ravel(), _hash_map_extremes()])
+
+
+def test_log_gamma_shape_one_is_the_closed_form():
+    q = _ilg_uniforms()
+    assert q.max() == 1.0  # the top hash value rounds up to 1
+    with np.errstate(divide="ignore"):
+        got = WeightSpec.inverse_log_gamma(1.0).quantile(q)
+        want = -np.log(special.gammaincinv(1.0, q))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    inside = q < 1.0
+    ref = np.array([-math.log(-math.log1p(-x)) for x in q[inside].tolist()])
+    np.testing.assert_allclose(got[inside], ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [0.7, 1.5, 2.5])
+def test_other_log_gamma_shapes_keep_gammaincinv(shape):
+    q = _ilg_uniforms()
+    with np.errstate(divide="ignore"):
+        got = WeightSpec.inverse_log_gamma(shape).quantile(q)
+        want = -np.log(special.gammaincinv(shape, q))
+    assert np.array_equal(got, want)
+
+
+def test_log_gamma_shape_one_reads_never_call_gammaincinv(monkeypatch):
+    def boom(*args):
+        raise AssertionError("gammaincinv called")
+
+    monkeypatch.setattr(env._sp, "gammaincinv", boom)
+    spec = WeightSpec.inverse_log_gamma(1.0)
+    f = generate_field(spec, 2**63 + 1, Window(Site(-2, 3), 40, 30))
+    batch = FieldBatch([f, generate_field(spec, 8, Window(Site(0, 0), 1, 1))])
+    uu, vv = np.arange(-3, 9)[:, None], np.arange(7)
+    for got in (f.values_at(uu, vv), batch.values_at(uu, vv), shift_view(f, Site(1, 1)).values):
+        assert np.all(np.isfinite(got))
+    with pytest.raises(AssertionError, match="gammaincinv called"):
+        WeightSpec.inverse_log_gamma(1.5)  # the patch is the one quantile reads
+
+
 def test_inverse_log_gamma_mean_against_quadrature():
     # independent oracle: E[-log X] for X ~ Gamma(mu) by numeric integration
     mu = 1.0
