@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 from .coupling import CouplingField
+from .csvio import write_columns
 from .env import COUPLING_STREAM, E1, E2, EHAT, Site, WeightField, Window, _as_u64, _key, _rows, _uniforms
 from .errors import (
     DomainError,
@@ -179,13 +180,8 @@ class DirectionStats:
         return float(np.mean((d >= eps) & (d <= 1 - eps)))
 
     def to_csv(self, path) -> str:
-        from .csvio import write_csv
-
-        return write_csv(
-            path,
-            ("replica", "direction"),
-            ((i, float(d)) for i, d in enumerate(self.directions)),
-        )
+        replica = np.arange(self.directions.size)
+        return write_columns(path, {"replica": replica, "direction": self.directions})
 
 
 def cif_direction_stats(
@@ -250,18 +246,15 @@ class CdfComparison:
         return bool(np.all(np.diff(self.empirical) >= -1e-15))
 
     def to_csv(self, path) -> str:
-        from .csvio import write_csv
-
-        return write_csv(
+        return write_columns(
             path,
-            ("xi", "empirical_cdf", "busemann_cdf", "ci_lo", "ci_hi"),
-            zip(
-                self.t_grid.tolist(),
-                self.empirical.tolist(),
-                self.busemann.tolist(),
-                self.ci_lo.tolist(),
-                self.ci_hi.tolist(),
-            ),
+            {
+                "xi": self.t_grid,
+                "empirical_cdf": self.empirical,
+                "busemann_cdf": self.busemann,
+                "ci_lo": self.ci_lo,
+                "ci_hi": self.ci_hi,
+            },
         )
 
 

@@ -28,7 +28,7 @@ from . import cif as cif_mod
 from . import cocycle as coc
 from . import coupling as cpl
 from . import gibbs as gb
-from .csvio import format_value, write_csv
+from .csvio import format_value, write_columns, write_csv
 from .env import Site, WeightSpec, Window, _wrapped_seed, generate_field
 from .errors import ConfigError, ParameterError, PolymerlabError
 from .fixtures import hand_grid_field
@@ -405,7 +405,8 @@ def _flag(name: str, ok: bool, note: str = "") -> Check:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: config -> (checks, {artifact name: writer})
+# experiment bodies: (cfg, outdir, checks, artifacts) -> None; each appends
+# its Checks to `checks` and the paths of its CSVs to `artifacts`
 # ---------------------------------------------------------------------------
 
 
@@ -513,14 +514,8 @@ def _run_monotonicity(cfg: ExperimentConfig, outdir: str, checks: list, artifact
         triples.append((x, u, v))
     rep = comparison_check(field, *map(list, zip(*triples)), cfg.beta)
     comp_bad = int(np.sum(~rep.ok))
-    margin_rows = zip(range(cfg.triples), rep.margin_e1.tolist(), rep.margin_e2.tolist())
-    artifacts.append(
-        write_csv(
-            os.path.join(outdir, "comparison.csv"),
-            ("triple", "margin_e1", "margin_e2"),
-            margin_rows,
-        )
-    )
+    margins = {"triple": np.arange(cfg.triples), "margin_e1": rep.margin_e1, "margin_e2": rep.margin_e2}
+    artifacts.append(write_columns(os.path.join(outdir, "comparison.csv"), margins))
     checks.append(_eq0("comparison_violations", comp_bad))
 
 

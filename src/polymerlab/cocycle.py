@@ -22,6 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .csvio import write_columns
 from .env import FieldBatch, Site, WeightField, WeightSpec, Window, _site_array, _wrapped_seed, generate_field
 from .errors import (
     HorizonError,
@@ -128,19 +129,8 @@ class BusemannField:
         return float(np.cumsum(b)[-1]) if len(sites) else 0.0
 
     def to_csv(self, path) -> str:
-        from .csvio import write_csv
-
         uu, vv = self.window.coord_grids()
-        return write_csv(
-            path,
-            ("u", "v", "b1", "b2"),
-            zip(
-                uu.ravel().tolist(),
-                vv.ravel().tolist(),
-                self.b1.ravel().tolist(),
-                self.b2.ravel().tolist(),
-            ),
-        )
+        return write_columns(path, {"u": uu, "v": vv, "b1": self.b1, "b2": self.b2})
 
 
 def _increments(rows: np.ndarray, W: int, H: int, beta: float, h) -> tuple[np.ndarray, np.ndarray]:
@@ -372,13 +362,10 @@ class ShapeEstimate:
         return float(np.mean(d)), float(np.std(d, ddof=1) / math.sqrt(len(d)))
 
     def to_csv(self, path) -> str:
-        from .csvio import write_csv
-
-        rows = []
-        for i, t in enumerate(self.t_grid):
-            for j, n in enumerate(self.n_list):
-                rows.append((t, n, float(self.lambda_hat[i, j]), float(self.se[i, j])))
-        return write_csv(path, ("t", "n", "lambda_hat", "se"), rows)
+        t = np.array(self.t_grid)[:, None]
+        return write_columns(
+            path, {"t": t, "n": self.n_list, "lambda_hat": self.lambda_hat, "se": self.se}
+        )
 
 
 def _replica_batch(spec: WeightSpec, seed: int, count: int, salt: int) -> FieldBatch:
@@ -556,14 +543,8 @@ class ScanProfile:
     max_jump: float
 
     def to_csv(self, path) -> str:
-        from .csvio import write_csv
-
         jumps = np.abs(np.diff(self.b1, prepend=self.b1[0]))
-        return write_csv(
-            path,
-            ("t", "b1", "jump"),
-            zip(self.t_grid, self.b1.tolist(), jumps.tolist()),
-        )
+        return write_columns(path, {"t": self.t_grid, "b1": self.b1, "jump": jumps})
 
 
 def b1_logz(field: WeightField, beta: float, x: Site, t, horizons) -> np.ndarray:

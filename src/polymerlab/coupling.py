@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .csvio import write_columns
 from .env import (
     COUPLING_STREAM,
     Site,
@@ -65,7 +66,6 @@ class CoupledStepRule:
     coalescence claims are downgraded to descriptive when it is unset."""
 
     p_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    description: str = ""
     weakly_elliptic: bool = True
 
     def p_at(self, uu, vv) -> np.ndarray:
@@ -82,7 +82,7 @@ def constant_rule(p: float) -> CoupledStepRule:
     def p_fn(uu, vv):
         return np.full(np.shape(uu), p)
 
-    return CoupledStepRule(p_fn, description=f"constant p={p}", weakly_elliptic=elliptic)
+    return CoupledStepRule(p_fn, weakly_elliptic=elliptic)
 
 
 def band_transition_rule(
@@ -145,11 +145,7 @@ def band_transition_rule(
             raise WindowError("walk left the diagonal band")
         return flat.take(kk * width + idx).astype(np.float64)
 
-    return CoupledStepRule(
-        p_fn,
-        description=f"banded busemann h={h} horizon={horizon} hw={half_width}",
-        weakly_elliptic=True,
-    )
+    return CoupledStepRule(p_fn, weakly_elliptic=True)
 
 
 def _step(rule: CoupledStepRule, keys, u: np.ndarray, v: np.ndarray):
@@ -203,13 +199,10 @@ class CoalescenceStats:
         return self.met_level[self.met_level >= 0]
 
     def to_csv(self, path) -> str:
-        from .csvio import write_csv
-
-        rows = [
-            (int(self.seeds[i]), 0, 1 if self.met_level[i] >= 0 else 0, int(self.met_level[i]))
-            for i in range(self.pairs)
-        ]
-        return write_csv(path, ("seed", "pair_id", "coalesced", "level"), rows)
+        met = self.met_level
+        return write_columns(
+            path, {"seed": self.seeds, "pair_id": 0, "coalesced": met >= 0, "level": met}
+        )
 
 
 def coalescence_experiment(

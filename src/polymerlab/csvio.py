@@ -3,42 +3,36 @@
 All artifacts use 17 significant digits so that reparsing reproduces the
 exact double, and reruns of the same config are byte-identical.
 
-`format_value` is the formatting rule for one cell.  `write_csv` formats
-each row with one `%` template, built by the first row of its tuple of cell
-types and reused by later rows of the same types: `%d` for exact bool and
-int, `%.17g` for float and its subclasses (np.float64), `%s` for every
-other type (np.float32, np.int64, str, ...).  These give `format_value`'s
-bytes, including nan, +-inf, -0.0 and ints of any size.  The file is
-written in one call.
+One rule decides a cell's bytes, by the cell's type (`_cell_format`): `%d`
+for exact bool and int, `%.17g` for float and its subclasses (np.float64),
+`%s` for every other type (np.float32, np.int64, str, tuple, ...).  This
+gives nan, +-inf, -0 and ints of any size.  `format_value` applies it to
+one cell.  `write_csv` applies it row by row, with one `%` template built
+by the first row of a tuple of cell types and reused by later rows of the
+same types, and writes the file in one call.  `write_columns` writes named
+arrays: the names are the header, the columns are broadcast together and
+raveled in C order, and `tolist()` turns their cells into Python ints,
+bools and floats.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-__all__ = ["format_value", "write_csv"]
+import numpy as np
 
-
-def format_value(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int,)):
-        return str(x)
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".17g")
-    return str(x)
+__all__ = ["format_value", "write_columns", "write_csv"]
 
 
 def _cell_format(kind: type) -> str:
     if kind is bool or kind is int:
         return "%d"
     return "%.17g" if issubclass(kind, float) else "%s"
+
+
+def format_value(x) -> str:
+    return _cell_format(type(x)) % (x,)
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -59,3 +53,8 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> str:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))
     return path
+
+
+def write_columns(path, columns: Mapping[str, object]) -> str:
+    arrays = np.broadcast_arrays(*columns.values())
+    return write_csv(path, tuple(columns), zip(*(a.ravel().tolist() for a in arrays)))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
+from .csvio import write_columns
 from .errors import ParameterError, WindowError
 
 __all__ = [
@@ -422,15 +423,9 @@ class WeightField:
         """The same environment materialized over another window."""
         return _hashed(window, self.spec, self.seed, self.shift)
 
-    def to_csv(self, path) -> None:
-        from .csvio import write_csv
-
+    def to_csv(self, path) -> str:
         uu, vv = self.window.coord_grids()
-        write_csv(
-            path,
-            ("u", "v", "omega"),
-            zip(uu.ravel().tolist(), vv.ravel().tolist(), self.values.ravel().tolist()),
-        )
+        return write_columns(path, {"u": uu, "v": vv, "omega": self.values})
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import BusemannField
+from .csvio import write_columns
 from .env import FieldBatch, Site, WeightField, Window
 from .errors import (
     DomainError,
@@ -82,16 +83,8 @@ class PolymerPath:
         return np.diff(self.sites[:, 0])
 
     def to_csv(self, path) -> str:
-        from .csvio import write_csv
-
-        return write_csv(
-            path,
-            ("k", "u", "v"),
-            (
-                (k, int(self.sites[k, 0]), int(self.sites[k, 1]))
-                for k in range(self.sites.shape[0])
-            ),
-        )
+        k = np.arange(self.sites.shape[0])
+        return write_columns(path, {"k": k, "u": self.sites[:, 0], "v": self.sites[:, 1]})
 
 
 def path_from_steps(start: Site, steps_e1) -> PolymerPath:
@@ -138,7 +131,7 @@ class TransitionField:
                 raise WindowError("walk left the transition window")
             return arr[du, dv]
 
-        return CoupledStepRule(p_fn, description=f"{self.provenance} transitions")
+        return CoupledStepRule(p_fn)
 
 
 def backward_transitions(table: PartitionTable) -> TransitionField:
@@ -392,26 +385,17 @@ class LdpProfile:
     reference_se: np.ndarray | None = None
 
     def to_csv(self, path) -> str:
-        from .csvio import write_csv
-
-        ref = self.reference if self.reference is not None else np.full_like(self.rate, np.nan)
-        rse = (
-            self.reference_se
-            if self.reference_se is not None
-            else np.full_like(self.rate, np.nan)
-        )
-        return write_csv(
+        return write_columns(
             path,
-            ("zeta1", "rate", "rate_se", "gap", "gap_se", "reference", "reference_se"),
-            zip(
-                self.zeta1.tolist(),
-                self.rate.tolist(),
-                self.rate_se.tolist(),
-                self.gap.tolist(),
-                self.gap_se.tolist(),
-                ref.tolist(),
-                rse.tolist(),
-            ),
+            {
+                "zeta1": self.zeta1,
+                "rate": self.rate,
+                "rate_se": self.rate_se,
+                "gap": self.gap,
+                "gap_se": self.gap_se,
+                "reference": np.nan if self.reference is None else self.reference,
+                "reference_se": np.nan if self.reference_se is None else self.reference_se,
+            },
         )
 
 
@@ -527,9 +511,7 @@ class MassDecayProfile:
         )
 
     def to_csv(self, path) -> str:
-        from .csvio import write_csv
-
-        return write_csv(path, ("n", "max_hit"), zip(self.levels, self.max_hit))
+        return write_columns(path, {"n": self.levels, "max_hit": self.max_hit})
 
 
 def rooted_mass_decay(

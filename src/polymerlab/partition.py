@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .csvio import write_columns
 from .env import FieldBatch, Site, Window, WeightField, _blocks, _replica_shape, _rows, _site_array
 from .errors import (
     DomainError,
@@ -198,14 +199,8 @@ class PartitionTable:
         return 0.0 if worst == NEG_INF else worst
 
     def to_csv(self, path) -> str:
-        from .csvio import write_csv
-
         uu, vv = self.window.coord_grids()
-        return write_csv(
-            path,
-            ("u", "v", "logF"),
-            zip(uu.ravel().tolist(), vv.ravel().tolist(), self.logz.ravel().tolist()),
-        )
+        return write_columns(path, {"u": uu, "v": vv, "logF": self.logz})
 
 
 def p2p_table(

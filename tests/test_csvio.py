@@ -6,6 +6,7 @@ time, with each cell converted the way a row-built writer converts it
 (`int(seed)`, `1 if met >= 0 else 0`, `(t, n)` in C order, ...)."""
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,13 @@ def test_to_csv_golden_bytes(tmp_path, build):
     path = tmp_path / "out" / "a.csv"
     obj.to_csv(path)
     assert path.read_text() == _lines(header, rows)
+
+
+@pytest.mark.parametrize("build", BUILDERS, ids=[b.__name__.strip("_") for b in BUILDERS])
+def test_to_csv_returns_the_written_path(tmp_path, build):
+    obj, _, _ = build()
+    path = tmp_path / "a.csv"
+    assert obj.to_csv(path) == os.fspath(path)
 
 
 def test_golden_rows_hold_the_edge_cells():
