@@ -1,0 +1,8 @@
+"""`python -m polymerlab`: the command line of `polymerlab.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .gibbs import PolymerPath, TransitionField, _walk, backward_transitions, path_from_steps
 from .cocycle import b1_logz
-from .partition import NEG_INF, PartitionTable, _temperature
+from .partition import PartitionTable, _level, _temperature
 
 __all__ = [
     "SpanningTree",
@@ -196,10 +196,12 @@ def cif_direction_stats(
     environment.  Trees are sampled lazily: only the parent choices on the
     interface's own diagonal are ever drawn, which is distributionally
     identical to building the full tree.  The from-root DP advances with
-    the walkers one level at a time, reading its weights from `env._rows`:
-    with A = beta*w + log Z on level k, log Z on level k + 1 is
-    logaddexp(A[a - 1], A[a]), and a walker at root + (u, v) steps e1 with
-    probability expit(A[u] - A[u + 1]) on the new level.  beta = inf is
+    the walkers one level at a time (`partition._level`), reading its
+    weights from `env._rows`: with A = beta*w + log Z on level k, log Z on
+    level k + 1 is logaddexp(A[a - 1], A[a]), and a walker at root + (u, v)
+    steps e1 with probability expit(A[u] - A[u + 1]) on the new level.  The
+    from-root table runs the same level step, so A equals
+    beta*w + `p2p_table(...)`.logz bit for bit.  beta = inf is
     refused: its level step is the max, but a tie rule for the walker's
     step is not defined yet."""
     beta, scale, comb = _temperature(beta)
@@ -209,13 +211,14 @@ def cif_direction_stats(
     keys = _key(seeds, COUPLING_STREAM)
     u = np.zeros(replicas, dtype=np.int64)
     v = np.zeros(replicas, dtype=np.int64)
-    edge = np.full(1, NEG_INF)
     # level k holds the sites root + (a, k - a), a = 0..k
     levels = _rows(field, root.u, root.v + np.arange(steps + 1), np.arange(1, steps + 2), (1, -1))
-    A = scale * next(levels)
+    wb = scale * next(levels)
+    logz = np.zeros(1)
     for w in levels:
-        logz = comb(np.concatenate((edge, A)), np.concatenate((A, edge)))
-        A = scale * w + logz
+        logz = _level(logz, wb, None, comb, True, True)
+        wb = scale * w
+        A = wb + logz
         p = expit(A[u] - A[u + 1])
         zu, zv = u + 1, v + 1
         theta = _uniforms(keys, zu + root.u, zv + root.v)

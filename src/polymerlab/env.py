@@ -370,7 +370,7 @@ def _blocks(field, across, start, n: int, step):
 def _rows(field, u0, v0, lengths, step=(0, 1)):
     """Raw weights of a WeightField or FieldBatch (replica axis in front) on
     rows (u0[r], v0[r]) + j * step, j < lengths[r] (step (0, 1) along u =
-    const, (1, -1) along a level), one row at a time, hashed in blocks of
+    const, (1, -1) or (-1, 1) along a level), one row at a time, hashed in blocks of
     whole rows (at least one): each equals its own `values_at` bit for bit.
     `_blocks` streams a rectangle of rows without ragged coordinates."""
     u0, v0, lengths = np.broadcast_arrays(u0, v0, lengths)

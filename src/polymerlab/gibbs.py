@@ -24,7 +24,7 @@ from .errors import (
     SizeError,
     WindowError,
 )
-from .partition import NEG_INF, PartitionTable, _p2l_sweep, _sweep, _temperature, p2p_table, p2p_values
+from .partition import NEG_INF, PartitionTable, _p2l_sweep, _sweep, _temperature, p2p_values
 
 __all__ = [
     "PolymerPath",
@@ -316,26 +316,23 @@ def dlr_consistency_check(
         raise ParameterError("DLR consistency is defined for finite beta")
     B = busemann.integrated()
     bx = B[win.index(x)]
+    # the endpoints inside the window; all paths x -> end live in the rect
+    # [x, end], inside the window, and one probe gives every log Z_{x, end}
+    aa = [a for a in range(steps + 1) if win.contains(Site(x.u + a, x.v + steps - a))]
+    if not aa:
+        raise WindowError("no admissible endpoints inside the window")
+    logz = p2p_values(field, x, beta, aa, [steps - a for a in aa]).tolist()
     worst = 0.0
     count = 0
-    found = False
-    for a in range(steps + 1):
+    for a, logz_end in zip(aa, logz):
         end = Site(x.u + a, x.v + steps - a)
-        if not win.contains(end):
-            continue
-        found = True
-        # all paths x -> end live in the rect [x, end], inside the window
         blw = _path_log_weights(field, x, steps, a, beta, None)
         bend = B[win.index(end)]
         lhs = np.exp(blw - beta * (bend - bx))
         mass = float(np.sum(lhs))
-        rect = Window(x, a + 1, steps - a + 1)
-        logz = p2p_table(field, x, rect, beta, "from_anchor").logz_at(end)
-        rhs = mass * np.exp(blw - logz)
+        rhs = mass * np.exp(blw - logz_end)
         worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))  # keeps a NaN
         count += lhs.size
-    if not found:
-        raise WindowError("no admissible endpoints inside the window")
     return DlrReport(count, float(worst))
 
 
@@ -530,11 +527,10 @@ def rooted_mass_decay(
         raise WindowError("window too small for the requested distances")
     b0u, b0v = win.index(base)
     # reversed, hit(target - (i, j)) is the sweep from the target with edge
-    # terms log p1 and log(1 - p1).  An exact p1 = 1 would leave -inf in the
-    # in-row prefix sums, so its e2 edge gets weight 2^-53 instead of 0.
+    # terms log p1 and log(1 - p1); an exact p1 = 0 or 1 makes an edge of
+    # -inf, which the level step's combine passes through exactly
     p1 = transitions.p1[b0u : b0u + n_max + 1, b0v : b0v + n_max + 1][::-1, ::-1]
-    s2 = np.log1p(-np.minimum(p1[:, 1:], np.nextafter(1.0, 0.0)))
-    with np.errstate(divide="ignore"):  # an exact p1 = 0 has an e1 edge of -inf
-        hit = np.exp(_sweep(np.log(p1[1:]), s2, np.logaddexp))
+    with np.errstate(divide="ignore"):
+        hit = np.exp(_sweep(np.log(p1[1:]), np.log1p(-p1[:, 1:]), np.logaddexp))
     out = [float(np.max(hit[np.arange(n + 1), n - np.arange(n + 1)])) for n in levels]
     return MassDecayProfile(levels, tuple(out))

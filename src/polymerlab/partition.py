@@ -79,9 +79,67 @@ def lse2(a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The sweep kernel.  Arrays are indexed [du, dv]; each row recursion is
-# collapsed to a single ufunc accumulate by factoring out in-row prefix sums.
+# The sweep kernels.  Arrays are indexed [du, dv].  The triangle and
+# rectangle sweeps advance one level (anti-diagonal) at a time: the sites of
+# a level are independent, so a level is a handful of elementwise ufuncs.
+# `_row`, a row recursion collapsed to one ufunc accumulate, is left to the
+# tilted point-to-line sweep.
 # ---------------------------------------------------------------------------
+
+
+def _lae(a, b, out=None) -> np.ndarray:
+    """np.logaddexp(a, b) as max + log1p(exp(min - max)), from ufuncs that
+    numpy vectorizes (logaddexp itself runs one scalar call per element).
+    Two equal infinities make min - max NaN; the last fmax then keeps the
+    max, which the sum never undercuts.  A NaN operand is NaN in both."""
+    d = np.minimum(a, b)
+    m = np.maximum(a, b, out=out)
+    with np.errstate(invalid="ignore"):
+        np.subtract(d, m, out=d)
+    np.exp(d, out=d)
+    np.log1p(d, out=d)
+    np.add(m, d, out=d)
+    return np.fmax(d, m, out=m)
+
+
+def _level(prev: np.ndarray, s1: np.ndarray, s2, comb: np.ufunc, lo: bool, hi: bool) -> np.ndarray:
+    """The level after `prev` of the sweep L[i, j] = comb(L[i-1, j] + e1
+    term, L[i, j-1] + e2 term); a level runs along the last axis in
+    increasing i.  A site entered from prev[j] along e1 and from prev[j + 1]
+    along e2 gets comb(prev[j] + s1[j], prev[j + 1] + s2[j + lo]), each sum
+    formed before the combine.  With `lo` the level starts with the site on
+    the i = 0 edge, entered from prev[0] along e2 only; with `hi` it ends
+    with the site on the j = 0 edge, entered from prev[-1] along e1 only.
+
+    s1 holds the e1 terms of the edges out of prev[: len(prev) - 1 + hi] and
+    s2 the e2 terms of those out of prev[1 - lo :], the edges that stay in
+    the domain.  s2 = None makes s1 one term per site of prev, carried by
+    both of its edges (the weight of the site left) and added once.  The
+    terms broadcast against prev, whose leading axes (replicas, anchors,
+    tables) the level keeps.  comb is np.maximum, or np.logaddexp evaluated
+    as `_lae`."""
+    m = prev.shape[-1] - 1  # sites with two predecessors
+    if s2 is None:
+        a = prev + s1
+        b = a[..., 1 - lo :]
+        a = a[..., : m + hi]
+    else:
+        a = prev[..., : m + hi] + s1
+        b = prev[..., 1 - lo :] + s2
+    new = np.empty(a.shape[:-1] + (m + lo + hi,))
+    (_lae if comb is np.logaddexp else comb)(a[..., :m], b[..., lo:], out=new[..., lo : lo + m])
+    if lo:
+        new[..., 0] = b[..., 0]
+    if hi:
+        new[..., -1] = a[..., -1]
+    return new
+
+
+def _strided(flat: np.ndarray, start: int, n: int, step: int) -> np.ndarray:
+    """The n entries flat[..., start + j * step] as a view: a level of a
+    C-ordered [du, dv] array of height H is flat with step +-(H - 1)."""
+    stop = start + step * n
+    return flat[..., start : stop if stop >= 0 else None : step]
 
 
 def _row(a: np.ndarray, s: np.ndarray, comb: np.ufunc) -> np.ndarray:
@@ -105,25 +163,20 @@ def _sweep(s1: np.ndarray, s2: np.ndarray, comb: np.ufunc) -> np.ndarray:
     s1 (..., W-1, H) and s2 (..., W, H-1) are the log-weights of the e1 and
     e2 edges into each site; the caller chooses them (site weights, cocycle
     log-probabilities, ...).  Leading axes are independent rectangles, each
-    equal to its own call bit for bit.  Rows run along the longer side."""
+    equal to its own call bit for bit.  Level k reads the edges out of level
+    k - 1, the anti-diagonals of s1 and s2 (diagonals of their mirror views)."""
     W, H = s2.shape[-2], s1.shape[-1]
-    if W > H:
-        return _sweep(s2.swapaxes(-1, -2), s1.swapaxes(-1, -2), comb).swapaxes(-1, -2)
-    L = np.empty(s1.shape[:-2] + (W, H), dtype=np.float64)
-    rows = zip(itertools.chain((None,), np.moveaxis(s1, -2, 0)), np.moveaxis(s2, -2, 0))
-    return _fill(L, rows, comb)
-
-
-def _fill(L: np.ndarray, edges, comb: np.ufunc) -> np.ndarray:
-    """The rows of `_sweep` written into L (..., W, H), which may be a view:
-    `edges` yields (s1[i-1], s2[i]) for i < W (s1 unread at i = 0), so the
-    caller may stream them row by row."""
-    for i, (e1, e2) in enumerate(edges):
-        if i:
-            L[..., i, :] = _row(L[..., i - 1, :] + e1, e2, comb)
-        else:
-            L[..., 0, 0] = 0.0
-            np.cumsum(e2, axis=-1, out=L[..., 0, 1:])
+    L = np.empty(np.broadcast_shapes(s1.shape[:-2], s2.shape[:-2]) + (W, H))
+    flat = L.reshape(L.shape[:-2] + (-1,))
+    flat[..., 0] = 0.0
+    row = flat[..., :1]
+    f1, f2 = s1[..., ::-1], s2[..., ::-1]
+    for k in range(1, W + H - 1):
+        lo, hi = max(0, k - H + 1), min(k, W - 1)
+        e1 = np.diagonal(f1, H - k, -2, -1)
+        e2 = np.diagonal(f2, H - 1 - k, -2, -1)
+        row = _level(row, e1, e2, comb, lo == 0, hi == k)
+        _strided(flat, k + lo * (H - 1), hi - lo + 1, max(H - 1, 1))[...] = row
     return L
 
 
@@ -221,25 +274,32 @@ def p2p_table(
         raise WindowError("explicit field cannot extend beyond its window")
     au, av = window.index(anchor)
     logz = np.full((window.width, window.height), NEG_INF)
-    # the sweep from the anchor fills its view of logz (reversed for
-    # to_anchor) row by row as the weight rows stream in; rows run along the
-    # longer side.  An edge carries the weight of the site it leaves
-    # (from_anchor: e1 the previous row, e2 the row without its last site)
-    # or, reversed, of the site it enters (to_anchor: e1 the current row,
-    # e2 the row without its first site)
+    # the sweep from the anchor (reversed for to_anchor) on its W x H corner
+    # of the window, one level at a time: level k holds the sites
+    # anchor + d * (i, k - i), lo <= i <= hi, written through a strided view
+    # of the flat logz.  An edge carries the weight of the site it leaves
+    # (from_anchor: the sites of level k - 1, hashed for levels 0..K-1) or,
+    # reversed, of the site it enters (to_anchor: the sites of level k,
+    # hashed for levels 1..K)
     d = -1 if mode == "to_anchor" else 1
-    L = logz[au::d, av::d]
-    W, H = L.shape
-    if W > H:
-        L, blocks = L.T, _blocks(field, anchor.v + d * np.arange(H), anchor.u, W, (d, 0))
-    else:
-        blocks = _blocks(field, anchor.u + d * np.arange(W), anchor.v, H, (0, d))
-    rows = (w for _, raw in blocks for w in scale * raw)
-    if d < 0:
-        edges = ((w, w[1:]) for w in rows)
-    else:
-        edges = ((prev, w[:-1]) for prev, w in itertools.pairwise(itertools.chain((None,), rows)))
-    _fill(L, edges, comb)
+    W, H = (au + 1, av + 1) if d < 0 else (window.width - au, window.height - av)
+    kk = np.arange(W + H - 1)
+    lo, hi = np.maximum(kk - (H - 1), 0), np.minimum(kk, W - 1)
+    read = kk[1:] if d < 0 else kk[:-1]
+    raws = _rows(field, anchor.u + d * lo[read], anchor.v + d * (read - lo[read]), hi[read] - lo[read] + 1, (d, -d))
+    flat = logz.reshape(-1)
+    step = d * max(window.height - 1, 1)
+    origin = au * window.height + av
+    flat[origin] = 0.0
+    row = np.zeros(1)
+    for k, i0, i1, raw in zip(kk[1:].tolist(), lo[1:].tolist(), hi[1:].tolist(), raws):
+        w = scale * raw
+        grow_lo, grow_hi = i0 == 0, i1 == k
+        if d > 0:
+            row = _level(row, w, None, comb, grow_lo, grow_hi)
+        else:
+            row = _level(row, w[grow_lo:], w[: len(w) - grow_hi], comb, grow_lo, grow_hi)
+        _strided(flat, origin + d * (k + i0 * (window.height - 1)), len(row), step)[...] = row
     return PartitionTable(field, anchor, beta, mode, window, logz)
 
 
@@ -247,46 +307,52 @@ def p2p_values(field: WeightField | FieldBatch, anchor: Site, beta: float, du, d
     """log Z_{anchor, anchor + (du, dv)} elementwise (G at beta = inf); a
     FieldBatch puts its replica axis in front.
 
-    Sweeps only the down-set of the targets: row i runs to the largest dv of
-    a target with du >= i, and weights are streamed one row at a time, so
-    memory is O(row).  Each row is a prefix of the row of the from_anchor
-    table on the square window, so the values equal its entries bit for bit."""
+    Sweeps only the levels up to the farthest target, clipped to the
+    targets' bounding box, and streams the weights one level at a time, so
+    memory is O(level).  Every site sees the same predecessors and edge
+    terms as in the from_anchor table on the square window, so the values
+    equal its entries bit for bit."""
     return _probe(field, anchor, beta, du, dv, 1)
 
 
 def p2p_pair_values(field: WeightField | FieldBatch, x: Site, beta: float, du, dv) -> np.ndarray:
     """log Z_{x, y} and log Z_{x+e1, y} at y = x + (du, dv) on a leading axis
-    of two, -inf where du = 0, from one pass: each row is hashed once, and
+    of two, -inf where du = 0, from one pass: each level is hashed once, and
     each value equals its own p2p_values call bit for bit."""
     return _probe(field, x, beta, du, dv, 2)
 
 
 def _probe(field, anchor: Site, beta: float, du, dv, anchors: int) -> np.ndarray:
     """The sweeps from anchor + (k, 0), k < anchors, on a leading axis when
-    anchors > 1: they cover the same sites row by row, so they advance as one
-    block on shared weights.  Each is -inf before its row k and starts there
-    as the row recursion of [0, -inf, ...], its prefix sum bit for bit."""
+    anchors > 1: they cover the same sites level by level, so they advance as
+    one (anchors, replicas, level) block on shared weights.  Each is -inf
+    before its level k and starts there with 0 at its anchor.  Its -inf at
+    i < k then enters the combine of each site at i = k as exp(-inf) = 0, so
+    that site takes its e2 term bit for bit, as on its own sweep's edge."""
     _, scale, comb = _temperature(beta)
     du, dv = np.broadcast_arrays(np.asarray(du, dtype=np.int64), np.asarray(dv, dtype=np.int64))
     if np.any(du < 0) or np.any(dv < 0):
         raise OrderingError("targets must dominate the anchor")
     lead = (anchors,) * (anchors > 1) + _replica_shape(field)
-    # targets first while filling: a boolean index on leading axes is fast
-    out = np.empty(du.shape + lead)
-    targets_first = (len(lead),) + tuple(range(len(lead)))
-    lengths = [int(dv[du >= i].max()) + 1 for i in range(int(du.max(initial=-1)) + 1)]
-    for i, raw in enumerate(_rows(field, anchor.u + np.arange(len(lengths)), anchor.v, lengths)):
-        w = scale * raw
-        if i == 0:
-            a = np.full(lead + (w.shape[-1],), NEG_INF)
-        else:
-            a = row[..., : w.shape[-1]] + w_prev[..., : w.shape[-1]]
-        if i < anchors:  # the sweep from anchor + (i, 0) starts on this row
-            a[(i,) * (anchors > 1) + (..., 0)] = 0.0
-        row = _row(a, w[..., :-1], comb)
-        w_prev = w
-        hit = du == i
-        out[hit] = row[..., dv[hit]].transpose(targets_first)
+    levels = (du + dv).ravel()
+    order = np.argsort(levels, kind="stable")
+    kk = np.arange(int(levels.max(initial=-1)) + 1)
+    ends = np.searchsorted(levels[order], kk, "right")
+    # level k of the triangle clipped to the targets' bounding box holds
+    # the sites anchor + (i, k - i), lo <= i <= hi
+    lo, hi = np.maximum(kk - dv.max(initial=0), 0), np.minimum(kk, du.max(initial=0))
+    raws = _rows(field, anchor.u + lo[:-1], anchor.v + kk[:-1] - lo[:-1], hi[:-1] - lo[:-1] + 1, (1, -1))
+    out = np.empty((du.size,) + lead)
+    row = np.full(lead + (1,), NEG_INF)
+    for k, i0, i1, raw in zip(kk.tolist(), lo.tolist(), hi.tolist(), itertools.chain((None,), raws)):
+        if k:
+            row = _level(row, scale * raw, None, comb, i0 == 0, i1 == k)
+        if k < anchors and k <= i1:  # the sweep from anchor + (k, 0) starts here
+            row[(k,) * (anchors > 1) + (..., k - i0)] = 0.0
+        hit = order[ends[k - 1] if k else 0 : ends[k]]
+        if hit.size:
+            out[hit] = np.moveaxis(row[..., du.ravel()[hit] - i0], -1, 0)
+    out = out.reshape(du.shape + lead)
     return np.ascontiguousarray(np.moveaxis(out, range(du.ndim), range(-du.ndim, 0)))
 
 
@@ -594,8 +660,8 @@ class ComparisonReport:
         return (self.margin_e1 >= -1e-12) & (self.margin_e2 >= -1e-12)
 
 
-# The to_anchor tables of a comparison batch are swept in groups whose
-# padded rectangles fit in this many bytes.
+# The to_anchor sweeps of a comparison batch run in groups whose padded
+# rectangles fit in this many bytes.
 _COMPARISON_BLOCK_BYTES = 8 << 20
 
 
@@ -608,8 +674,8 @@ def comparison_check(field: WeightField, x, u, v, beta: float) -> ComparisonRepo
     each an (n, 2) int array or a sequence of Sites, broadcast along n
     (array margins).  Every margin equals that of the to_anchor
     `p2p_table`s on [x, u] and [x, v] bit for bit: the bounding rectangle of
-    all triples is hashed once, and the tables of one orientation run as a
-    leading axis of `_fill`, each padded to the largest of its group (see
+    all triples is hashed once, and the rectangles of one orientation run as
+    a leading axis of `_sweep`, each padded to the largest of its group (see
     `_to_anchor_ratios`)."""
     _, scale, comb = _temperature(beta)
     single = all(isinstance(s, Site) for s in (x, u, v))
@@ -632,31 +698,27 @@ def comparison_check(field: WeightField, x, u, v, beta: float) -> ComparisonRepo
 def _to_anchor_ratios(wb: np.ndarray, x: np.ndarray, t: np.ndarray, comb: np.ufunc):
     """log Z_{x+e_i, t} - log Z_{x, t} (i = 1, 2) of the to_anchor table on
     [x, t] for each row of x, t (indices into the scaled weights wb), as
-    `p2p_table` computes them.  Tables whose rectangle is wider than tall
-    run transposed, as there; each group of one orientation is padded to its
-    largest rectangle and swept as a leading axis of `_fill`.  An entry of a
-    row reads only the entries before it in its row and in the row above
-    (prefix sums and accumulates are sequential), so the entries read here,
-    at x, x+e1 and x+e2, never see the padding."""
+    `p2p_table` computes them: `_sweep` of the rectangle reversed from t,
+    each edge carrying the weight of the site it enters.  The rectangles of
+    one orientation (wider than tall or not) run in groups as a leading axis,
+    each padded to its group's largest.  A value reads only the sites between
+    it and t, so the entries read here, at x, x+e1 and x+e2, never see the
+    padding."""
     d = t - x
     r1, r2 = np.empty(len(t)), np.empty(len(t))
     for wide in (False, True):
-        # rows across the shorter side: (across, along) offsets back from t
         idx = np.flatnonzero((d[:, 0] > d[:, 1]) == wide)
-        a = d[idx, ::-1] if wide else d[idx]
-        per_block = max(1, _COMPARISON_BLOCK_BYTES // (8 * int((a.max(axis=0, initial=0) + 1).prod())))
+        per_block = max(1, _COMPARISON_BLOCK_BYTES // (8 * int((d[idx].max(axis=0, initial=0) + 1).prod())))
         for s in range(0, len(idx), per_block):
-            k, ak = idx[s : s + per_block], a[s : s + per_block]
-            A, B = ak.max(axis=0) + 1
-            # weight indices across and along the rows; padding that runs
-            # below the rectangle reads any weight there
-            across = np.maximum(t[k, int(wide)][:, None] - np.arange(A), 0)
-            along = np.maximum(t[k, int(not wide)][:, None] - np.arange(B), 0)
-            rows = (wb[along, c[:, None]] if wide else wb[c[:, None], along] for c in across.T)
-            L = _fill(np.empty((len(k), A, B)), ((w, w[:, 1:]) for w in rows), comb)
+            k = idx[s : s + per_block]
+            A, B = d[k].max(axis=0) + 1
+            # the weights at t - (i, j); padding that runs below the
+            # rectangle reads any weight there
+            i = np.maximum(t[k, 0, None, None] - np.arange(A)[:, None], 0)
+            r = wb[i, np.maximum(t[k, 1, None, None] - np.arange(B), 0)]
+            L = _sweep(r[:, 1:], r[:, :, 1:], comb)
             n = np.arange(len(k))
-            base = L[n, ak[:, 0], ak[:, 1]]
-            back_across = L[n, ak[:, 0] - 1, ak[:, 1]] - base  # one row back
-            back_along = L[n, ak[:, 0], ak[:, 1] - 1] - base
-            r1[k], r2[k] = (back_along, back_across) if wide else (back_across, back_along)
+            base = L[n, d[k, 0], d[k, 1]]
+            r1[k] = L[n, d[k, 0] - 1, d[k, 1]] - base
+            r2[k] = L[n, d[k, 0], d[k, 1] - 1] - base
     return r1, r2

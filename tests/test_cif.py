@@ -6,6 +6,7 @@ import pytest
 import scipy.stats as st
 from scipy.special import expit
 
+from polymerlab import cif as cif_module
 from polymerlab.cif import (
     build_tree,
     cif_cdf_check,
@@ -165,6 +166,30 @@ def test_lockstep_interface_equals_table_walk(spec):
             for root in (Site(0, 0), Site(-6, 4)):
                 got = cif_direction_stats(f, beta, 120, steps, 400, root).directions
                 assert np.array_equal(got, _table_walk(f, beta, 120, steps, 400, root))
+
+
+@pytest.mark.parametrize("root", [Site(0, 0), Site(-6, 4)])
+def test_interface_levels_are_the_table_bit_for_bit(monkeypatch, root):
+    # the interface DP and the from-root table run the same level step, so
+    # each level's A = beta * w + log Z equals the table's, bit for bit
+    f = generate_field(GAUSS, 61, Window(Site(0, 0), 1, 1))
+    beta, steps = 1.3, 40
+    levels = []
+    level = cif_module._level
+
+    def recorded(*args):
+        levels.append(level(*args))
+        return levels[-1]
+
+    monkeypatch.setattr(cif_module, "_level", recorded)
+    cif_direction_stats(f, beta, 30, steps, 9, root)
+    table = p2p_table(f, root, Window(root, steps + 3, steps + 3), beta, "from_anchor")
+    A = beta * f.subfield(table.window).values + table.logz
+    assert len(levels) == steps
+    for k, logz in enumerate(levels, start=1):
+        i = np.arange(k + 1)
+        w = f.values_at(root.u + i, root.v + k - i)
+        assert np.array_equal(beta * w + logz, A[i, k - i])
 
 
 def test_busemann_probes_refuse_horizons_below_two():

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from polymerlab.errors import ConfigError
 from polymerlab.partition import comparison_check
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 DLR_CFG = """
 # bundled dlr check
@@ -193,6 +196,24 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("kind = dlr\nwhat = 1\n")
     assert main(["run", str(bad)]) == 2
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # `python -m polymerlab` is the installed `polymerlab` command
+    env_vars = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+    def polymerlab(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "polymerlab", *args], env=env_vars, capture_output=True, text=True, timeout=120
+        )
+
+    shown = polymerlab("--help")
+    assert shown.returncode == 0 and "run" in shown.stdout and "suite" in shown.stdout
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("kind = scan\nweights = gausian\n")
+    refused = polymerlab("run", str(bad), "--out", str(tmp_path / "o"))
+    assert refused.returncode == 2 and "'weights'" in refused.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_beta_inf_flag(tmp_path):

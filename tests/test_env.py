@@ -290,14 +290,18 @@ def _stream_reads():
             None,
         ),
         "interface": (lambda: cif_direction_stats(f, 0.8, 50, 40, 3, Site(-2, 5)).directions, 41, None),
-        # rows of 31, 29, 29, 27, 27, 25, 25, 23, 23 sites, two replicas
-        "probe": (lambda: p2p_values(batch, Site(-1, 4), 1.5, a, 30 - a), 2 * 31, 2 * 239),
+        # levels 0..29 clipped to du <= 8: 1, 2, ..., 9, then 9 sites for
+        # 21 levels, two replicas
+        "probe": (lambda: p2p_values(batch, Site(-1, 4), 1.5, a, 30 - a), 2 * 9, 2 * 234),
         "probe_explicit": (lambda: p2p_pair_values(explicit, Site(-4, 3), 1.5, a, 8 - a), 0, 0),
-        "table_to": (lambda: p2p_table(f, Site(4, 10), f.window, 1.5, "to_anchor").logz, 9, 9 * 8),
+        # a table hashes the levels of its corner of the window, less the
+        # one whose weight no edge carries: the anchor (to_anchor) or the
+        # far corner (from_anchor)
+        "table_to": (lambda: p2p_table(f, Site(4, 10), f.window, 1.5, "to_anchor").logz, 8, 9 * 8 - 1),
         "table_from": (
             lambda: p2p_table(f, Site(-3, 5), Window(Site(-4, 3), 6, 30), 0.5, "from_anchor").logz,
-            28,
-            5 * 28,
+            5,
+            5 * 28 - 1,
         ),
         "table_explicit": (lambda: p2p_table(explicit, Site(2, 8), f.window, 1.5, "to_anchor").logz, 0, 0),
         # the sites below level n only: rows of 12, 11, ..., 1

@@ -1,6 +1,7 @@
 import collections
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from polymerlab.errors import OrderingError, ParameterError, SizeError
 from polymerlab.fixtures import hand_grid_field
 from polymerlab.gibbs import ldp_rate_profile
 from polymerlab.partition import (
+    _lae,
+    _level,
     _temperature,
     beta_limit_check,
     comparison_check,
@@ -545,7 +548,7 @@ def test_p2p_recursion_residual_streams_its_weights(mode, beta):
 @pytest.mark.parametrize("mode", ["to_anchor", "from_anchor"])
 @pytest.mark.parametrize("size", [(600, 400), (400, 600)])
 def test_p2p_table_holds_only_its_table(mode, size):
-    # the weights stream in blocks of whole rows into the table's view: no
+    # the weights stream in blocks of whole levels into the table's view: no
     # hashed window, scaled copy or second table on top of logz
     f = generate_field(GAUSS, 2**63 + 3, Window(Site(0, 0), 1, 1))
     for window in (Window(Site(-7, 5), 3, 3), Window(Site(-7, 5), *size)):  # the first warms up
@@ -559,3 +562,70 @@ def test_p2p_table_holds_only_its_table(mode, size):
         tracemalloc.stop()
     assert np.isfinite(table.logz).all()
     assert peak <= 1.5 * table.logz.nbytes
+
+
+def test_lae_literal_cases():
+    inf, nan = math.inf, math.nan
+    a = np.array([-inf, -inf, 3.5, -2.0, nan, 1.0, nan, inf, inf, 0.0, 900.0, -1e3])
+    b = np.array([-inf, 3.5, -inf, -2.0, 1.0, nan, nan, inf, -inf, 801.0, 0.0, 1e3])
+    want = [-inf, 3.5, 3.5, -2.0 + math.log(2), nan, nan, nan, inf, inf, 801.0, 900.0, 1e3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # same-sign infinities warn nowhere
+        got = _lae(a, b)
+        out = np.empty(len(a))
+        assert _lae(a, b, out=out) is out
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(out, want, equal_nan=True)
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(np.logaddexp(a, b), want, equal_nan=True)
+
+
+def test_lae_is_logaddexp_within_four_ulp():
+    # a million pairs whose magnitudes and gaps span 1e-3 .. 1e5
+    rng = np.random.default_rng(2024)
+    n = 10**6
+    a = rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-3, 5, n)
+    b = a + rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-3, 5, n)
+    b[::7] = rng.choice([-1.0, 1.0], len(b[::7])) * 10 ** rng.uniform(-3, 5, len(b[::7]))
+    ulp = np.spacing(np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0))
+    assert np.all(np.abs(_lae(a, b) - np.logaddexp(a, b)) <= 4 * ulp)
+
+
+@pytest.mark.parametrize("lo,hi", [(True, True), (True, False), (False, True), (False, False)])
+def test_the_zero_temperature_level_is_the_max(lo, hi):
+    rng = np.random.default_rng(5)
+    prev = rng.normal(size=(3, 9))
+    s1, s2 = rng.normal(size=(3, 8 + hi)), rng.normal(size=(3, 8 + lo))
+    a, b = prev[:, : 8 + hi] + s1, prev[:, 1 - lo :] + s2
+    want = np.concatenate([b[:, :lo], np.maximum(a[:, :8], b[:, lo:]), a[:, 8:]], axis=1)
+    assert np.array_equal(_level(prev, s1, s2, np.maximum, lo, hi), want)
+    w = rng.normal(size=9)  # one term per site, carried by both edges
+    t = prev + w
+    want = np.concatenate([t[:, :lo], np.maximum(t[:, :-1], t[:, 1:]), t[:, 9 - hi :]], axis=1)
+    assert np.array_equal(_level(prev, w, None, np.maximum, lo, hi), want)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-17, reason="needs an extended long double")
+@pytest.mark.parametrize(
+    "spec,beta",
+    [
+        (GAUSS, 1.0),
+        (WeightSpec.gaussian(5, 1), 4.0),
+        (WeightSpec.gaussian(5, 1), 16.0),
+        (WeightSpec.inverse_log_gamma(1.0), 1.0),
+    ],
+)
+def test_level_line_precision_against_long_double(spec, beta):
+    # the precision budget of the level step: the probe of a whole level
+    # line at level 600 against the same sweep in 80-bit arithmetic
+    n = 600
+    f = generate_field(spec, 91, Window(Site(0, 0), 1, 1))
+    a = np.arange(n + 1)
+    got = p2p_values(f, Site(0, 0), beta, a, n - a)
+    row = np.zeros(1, dtype=np.longdouble)
+    for k in range(n):
+        i = np.arange(k + 1)
+        t = row + np.longdouble(beta) * f.values_at(i, k - i).astype(np.longdouble)
+        row = np.concatenate([t[:1], np.logaddexp(t[:-1], t[1:]), t[-1:]])
+    want = row.astype(np.float64)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
