@@ -143,8 +143,11 @@ def _increments(rows: np.ndarray, W: int, H: int, beta: float, h) -> tuple[np.nd
     return b1, b2
 
 
-# Tilts of one environment are swept together in groups whose kept rows,
-# plus about five rows of sweep temporaries per tilt, fit in this budget.
+# Tilts of one environment are swept together in groups of about this many
+# bytes.  The group size counts W + 6 rows of K + 1 values per tilt: its
+# W + 1 kept rows and five for the sweep.  The level sweep's temporaries
+# measure about seven such rows per tilt (tracemalloc, K = 1000), so a group
+# can exceed the budget by two rows per tilt.
 _TILT_BLOCK_BYTES = 8 << 20
 
 
@@ -166,9 +169,9 @@ def busemann_fields_from_p2l(
 ) -> Iterator[BusemannField]:
     """`busemann_from_p2l` at every tilt of `tilts` (T, 2), in order.  The
     tilts are swept in groups under `_TILT_BLOCK_BYTES`, one group at a time
-    as the fields are consumed; within a group each weight row is hashed once
-    and all tilts advance as one block, so each field equals its own
-    single-tilt build bit for bit."""
+    as the fields are consumed; within a group each level's weights are
+    hashed once and all tilts advance as one block, so each field equals
+    its own single-tilt build bit for bit."""
     tilts = np.asarray(tilts, dtype=np.float64)
     if tilts.ndim != 2 or tilts.shape[1] != 2 or len(tilts) == 0:
         raise ParameterError(f"need a nonempty (T, 2) array of tilts, got shape {tilts.shape}")

@@ -28,7 +28,7 @@ from .env import (
 )
 from .errors import OrderingError, ParameterError, WindowError
 from .gibbs import PolymerPath
-from .partition import _temperature
+from .partition import _level, _temperature
 
 __all__ = [
     "CouplingField",
@@ -124,9 +124,8 @@ def band_transition_rule(
         b = a + w.size
         bw = scale * w
         c = F[1 - k % 2 :]  # c[i]: child u of band offset i; c[i + 1]: child u + 1
-        up = c[a + 1 : b + 1]
-        Fk = bw + comb(up + bh1, c[a:b] + bh2)
-        p_rows[k, a:b] = np.exp(bw + bh1 + up - Fk)
+        Fk = _level(c[a : b + 1], bw + bh2, bw + bh1, comb, False, False)
+        p_rows[k, a:b] = np.exp(bw + bh1 + c[a + 1 : b + 1] - Fk)
         F[1 : a + 1] = F[b + 1 : -1] = float("-inf")
         F[a + 1 : b + 1] = Fk
 

@@ -24,7 +24,7 @@ from .errors import (
     SizeError,
     WindowError,
 )
-from .partition import NEG_INF, PartitionTable, _p2l_sweep, _sweep, _temperature, p2p_values
+from .partition import NEG_INF, PartitionTable, _p2l_sweep, _strided, _sweep, _temperature, p2p_values
 
 __all__ = [
     "PolymerPath",
@@ -398,7 +398,10 @@ class LdpProfile:
 
 # Replicas of `ldp_rate_profile` are swept together in groups whose five
 # (n+2)^2 squares per replica fit in this budget: the kept rows and weights,
-# and the two increments with one temporary while they are formed.
+# and the two increments with one temporary while they are formed.  The
+# peak measures 5.04-5.17 squares per replica (tracemalloc, n = 100 and
+# 200); the level sweep's temporaries, about seven levels of at most
+# 2n + 51 values per replica, are a small part of it.
 _LDP_BLOCK_BYTES = 4 << 20
 
 
@@ -425,12 +428,12 @@ def ldp_rate_profile(
     feeds the descriptive `reference` columns.
 
     Replicas are swept in groups under `_LDP_BLOCK_BYTES`.  One
-    point-to-line sweep per group hashes each site once and keeps the
-    (n+2)^2 corner of its rows and the raw weights of the (n+1)^2 square;
-    the flow and the free-energy curve (the from_anchor table of the
-    square, whose entries equal `p2p_values` bit for bit) sweep those
-    weights, so each replica equals its own busemann_from_p2l, subfield and
-    p2p_values route bit for bit.
+    point-to-line sweep per group hashes each level once and keeps, through
+    strided views, the (n+2)^2 corner of its values and the raw weights of
+    the (n+1)^2 square; the flow and the free-energy curve (the from_anchor
+    table of the square, whose entries equal `p2p_values` bit for bit)
+    sweep those weights, so each replica equals its own busemann_from_p2l,
+    subfield and p2p_values route bit for bit.
     """
     from .cocycle import _check_replicas, _increments, _mean_se, _replica_batch
 
@@ -452,11 +455,14 @@ def ldp_rate_profile(
         batch = FieldBatch(envs[g : g + group])
         rows = np.empty((len(batch.fields), n + 2, n + 2))
         w = np.empty((len(batch.fields), n + 1, n + 1))
-        for u, raw, row in _p2l_sweep(batch, beta, h_hat, horizon, Site(0, 0)):
-            if u <= n + 1:
-                rows[:, u] = row[:, : n + 2]
-            if u <= n:
-                w[:, u] = raw[:, : n + 1]
+        for k, raw, level in _p2l_sweep(batch, beta, h_hat, horizon, Site(0, 0)):
+            # the sites (i, k - i) of level k inside each square
+            for sq, line in ((rows, level), (w, raw)):
+                m = sq.shape[-1]
+                lo, hi = max(0, k - m + 1), min(k, m - 1)
+                if lo <= hi:
+                    flat = sq.reshape(len(sq), -1)
+                    _strided(flat, k + lo * (m - 1), hi - lo + 1, m - 1)[...] = line[:, lo : hi + 1]
         b1, b2 = _increments(rows, n + 1, n + 1, beta, h_hat)
         del rows
         # B(0, (a, n-a)) along the staircase e1 first, then e2

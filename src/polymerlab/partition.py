@@ -2,8 +2,9 @@
 
 All thermodynamics are carried in log space: tables store log Z (beta times
 the free energy) for finite beta, and the last-passage time G itself at
-beta = inf.  -inf encodes "no admissible path".  The two-term log-sum-exp is
-evaluated as max + log1p(exp(-|delta|)) (np.logaddexp), so raw partition
+beta = inf.  -inf encodes "no admissible path".  Every sweep advances one
+level (anti-diagonal) at a time through `_level`, whose two-term
+log-sum-exp is max + log1p(exp(min - max)) (`_lae`), so raw partition
 values are never materialized.
 
 Path-weight convention: the energy of a path from x to y sums the weights at
@@ -59,7 +60,8 @@ def _temperature(beta: float) -> _Temperature:
     """The one temperature rule: beta > 0 or inf, else ParameterError.  At
     finite beta log-weights are beta * energies combined by logaddexp; at
     beta = inf they are the energies themselves (scale 1), combined by max,
-    so tables hold the last-passage time G.  Row kernels use comb.accumulate."""
+    so tables hold the last-passage time G.  The level step runs comb
+    elementwise, as `_lae` in place of np.logaddexp."""
     beta = float(beta)
     if not beta > 0:
         raise ParameterError(f"beta must be positive (or inf), got {beta}")
@@ -79,11 +81,10 @@ def lse2(a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The sweep kernels.  Arrays are indexed [du, dv].  The triangle and
-# rectangle sweeps advance one level (anti-diagonal) at a time: the sites of
-# a level are independent, so a level is a handful of elementwise ufuncs.
-# `_row`, a row recursion collapsed to one ufunc accumulate, is left to the
-# tilted point-to-line sweep.
+# The sweep kernel.  Arrays are indexed [du, dv].  The tables, the probes,
+# the rectangles, the tilted point-to-line triangle and the band rule all
+# advance one level (anti-diagonal) at a time: the sites of a level are
+# independent, so a level is a handful of elementwise ufuncs.
 # ---------------------------------------------------------------------------
 
 
@@ -140,19 +141,6 @@ def _strided(flat: np.ndarray, start: int, n: int, step: int) -> np.ndarray:
     C-ordered [du, dv] array of height H is flat with step +-(H - 1)."""
     stop = start + step * n
     return flat[..., start : stop if stop >= 0 else None : step]
-
-
-def _row(a: np.ndarray, s: np.ndarray, comb: np.ufunc) -> np.ndarray:
-    """y[0] = a[0], y[j] = comb(y[j-1] + s[j-1], a[j]) along the last axis,
-    evaluated as comb.accumulate(a - S) + S with S the exclusive prefix sum of the edge
-    terms s.  Leading axes are independent rows (replicas); prefix sums and
-    accumulates run sequentially along the last axis, so each row equals
-    its own one-row call bit for bit.  s may have fewer leading axes than a:
-    rows that share their edge terms share one prefix sum."""
-    S = np.empty(s.shape[:-1] + (s.shape[-1] + 1,))
-    S[..., 0] = 0.0
-    np.cumsum(s, axis=-1, out=S[..., 1:])
-    return comb.accumulate(a - S, axis=-1) + S
 
 
 def _sweep(s1: np.ndarray, s2: np.ndarray, comb: np.ufunc) -> np.ndarray:
@@ -420,11 +408,8 @@ def p2l_table(
     beta = _temperature(beta).beta
     if base is None:
         base = field.window.origin
-    K = n - base.level()
-    if K < 0:
-        raise ParameterError("target level n is below the window origin")
     h = (float(h[0]), float(h[1]))
-    logz = p2l_rows(field, beta, h, n, base, keep_rows=K + 1)
+    logz = p2l_rows(field, beta, h, n, base, keep_rows=n - base.level() + 1)
     return TiltedLineTable(field, beta, h, n, base, logz)
 
 
@@ -443,28 +428,30 @@ def p2l_rows(
     replica axis in front.
 
     `h` is one tilt (2,) or tilts (..., 2) whose leading axes broadcast with
-    the replica axis: each weight row is hashed once and every tilt advances
-    with it, each equal to its own single-tilt sweep bit for bit.
+    the replica axis: each level's weights are hashed once and every tilt
+    advances with them, each equal to its own single-tilt sweep bit for bit.
 
     `horizons` (<= n, broadcast with the replica and tilt axes) gives each
-    sweep its own flat boundary: -inf above level N, 0 on it and edge terms
-    of exactly 0.0 before it in each row, so the values below equal those of
-    a sweep of horizon N bit for bit.  The sweeps of one environment share
-    its weights."""
+    sweep its own flat boundary: -inf above level N and 0 written onto it,
+    so the values below equal those of a sweep of horizon N bit for bit.
+    The sweeps of one environment share its weights."""
+    K = n - base.level()
     out = None
-    for u, _, row in _p2l_sweep(field, beta, h, n, base, horizons):
-        if out is None:  # the apex row, u = K, fixes the leading axes
-            out = np.full(row.shape[:-1] + (min(keep_rows, u + 1), u + 1), NEG_INF)
-        if u < out.shape[-2]:
-            out[..., u, : row.shape[-1]] = row
+    for k, _, level in _p2l_sweep(field, beta, h, n, base, horizons):
+        if out is None:  # the boundary level, k = K, fixes the leading axes
+            out = np.full(level.shape[:-1] + (min(keep_rows, K + 1), K + 1), NEG_INF)
+            flat = out.reshape(out.shape[:-2] + (-1,))
+        # the sites (i, k - i) of rows i < keep_rows
+        m = min(k + 1, out.shape[-2])
+        _strided(flat, k, m, max(K, 1))[...] = level[..., :m]
     return out
 
 
 def _p2l_sweep(field, beta: float, h, n: int, base: Site, horizons=None):
-    """The sweep of `p2l_rows`, one row at a time from the apex down: yields
-    (u, w, row) for u = K, ..., 0, where row holds the values at sites
-    base + (u, 0..K-u) and w the raw weights hashed for it, at
-    base + (u, 0..K-u-1) (None at the apex, where nothing is hashed)."""
+    """The sweep of `p2l_rows`, one level at a time from the boundary down:
+    yields (k, raw, level) for k = K, ..., 0, where level holds the values
+    at sites base + (i, k - i), i = 0..k, and raw the weights hashed for it
+    at the same sites (None at k = K, where nothing is hashed)."""
     _, scale, comb = _temperature(beta)
     K = n - base.level()
     if K < 0:
@@ -473,34 +460,27 @@ def _p2l_sweep(field, beta: float, h, n: int, base: Site, horizons=None):
     if h.ndim < 1 or h.shape[-1] != 2:
         raise ParameterError(f"tilts must have shape (..., 2), got {h.shape}")
     bh = scale * h
-    bh1, bh2 = bh[..., :1], bh[..., 1:]  # broadcast along the row
+    bh1, bh2 = bh[..., :1], bh[..., 1:]  # broadcast along the level
     lead = np.broadcast_shapes(h.shape[:-1], _replica_shape(field))
-    pad = None
+    top = K  # the boundary level of each sweep
     if horizons is not None:
         horizons = np.asarray(horizons, dtype=np.int64)
         if np.any(horizons > n):
             raise ParameterError("horizons must not exceed n")
         lead = np.broadcast_shapes(horizons.shape, lead)
-        pad = (n - horizons)[..., None]  # reversed index of each boundary
-    # sweep from the flat boundary (0 at level K, -inf above) down to row 0;
-    # reversed, row u is a row recursion whose edge terms are w + bh2 and
-    # whose entries from the row above are above + bh1 + w
-    row = np.zeros(lead + (1,))
-    if pad is not None:
-        row = np.where(pad > 0, NEG_INF, row)
-    yield K, None, row
-    uu = np.arange(K - 1, -1, -1)
-    for u, raw in zip(uu.tolist(), _rows(field, base.u + uu, base.v, K - uu)):
-        m = K - u
-        w = scale * raw[..., ::-1]
-        a = np.concatenate((np.zeros(lead + (1,)), row[..., ::-1] + (w + bh1)), axis=-1)
-        s = w + bh2
-        if pad is not None:
-            k = np.arange(m + 1)
-            a = np.where(k < pad, NEG_INF, np.where(k == pad, 0.0, a))
-            s = np.where(k[:-1] < pad, 0.0, s)
-        row = _row(a, s, comb)[..., ::-1]
-        yield u, raw, row
+        top = (horizons - base.level())[..., None]
+    # 0 on the boundary level and -inf above it.  Site i of level k is
+    # entered from site i of level k + 1 along e2 and from site i + 1 along
+    # e1, so the first edge terms of `_level` carry the e2 tilt
+    level = np.full(lead + (K + 1,), NEG_INF)
+    np.copyto(level, 0.0, where=top == K)
+    yield K, None, level
+    kk = np.arange(K - 1, -1, -1)
+    for k, raw in zip(kk.tolist(), _rows(field, base.u, base.v + kk, kk + 1, (1, -1))):
+        w = scale * raw
+        level = _level(level, w + bh2, w + bh1, comb, False, False)
+        np.copyto(level, 0.0, where=top == k)
+        yield k, raw, level
 
 
 # ---------------------------------------------------------------------------

@@ -235,9 +235,9 @@ def test_pair_probe_equals_two_probes(beta):
 
 @pytest.mark.parametrize("block", [1, 2, 40, 100])
 def test_p2l_rows_hash_blocks_of_rows_once(monkeypatch, block):
-    # with a block of one site each row is its own hash call, as before the
-    # sweep hashed blocks of rows; blocks of any size give the same rows bit
-    # for bit, and each site of the triangle is hashed once
+    # with a block of one site each level is its own hash call; blocks of
+    # any size give the same rows bit for bit, and each site of the
+    # triangle is hashed once
     spec = WeightSpec.inverse_log_gamma(1.5)
     batch = FieldBatch([generate_field(spec, s, Window(Site(0, 0), 1, 1)) for s in (3, 4)])
     base, n = Site(-3, 5), 40
@@ -305,6 +305,17 @@ def test_p2l_conventions_and_flat_tilt():
     for k in range(7):
         assert t.logz_at(Site(0, 6 - k)) == pytest.approx(k * math.log(2), abs=1e-12)
     assert t.logz_at(Site(6, 0)) == 0.0  # level n boundary
+
+
+def test_a_horizon_below_the_base_is_refused():
+    # one refusal, in the sweep, for the table and the kept rows alike
+    f = generate_field(GAUSS, 8, Window(Site(2, 3), 4, 4))
+    for n in (4, -1):
+        with pytest.raises(ParameterError):
+            p2l_table(f, 1.0, (0.1, 0.2), n)
+        with pytest.raises(ParameterError):
+            p2l_rows(f, 1.0, (0.1, 0.2), n, Site(2, 3), keep_rows=2)
+    assert p2l_table(f, 1.0, (0.1, 0.2), 5).logz.shape == (1, 1)
 
 
 def test_p2l_tilt_lipschitz():
@@ -617,8 +628,9 @@ def test_the_zero_temperature_level_is_the_max(lo, hi):
 )
 def test_level_line_precision_against_long_double(spec, beta):
     # the precision budget of the level step: the probe of a whole level
-    # line at level 600 against the same sweep in 80-bit arithmetic
-    n = 600
+    # line at level 600, and the tilted point-to-line value from level 600,
+    # against the same sweeps in 80-bit arithmetic
+    n, h = 600, (0.2, -0.3)
     f = generate_field(spec, 91, Window(Site(0, 0), 1, 1))
     a = np.arange(n + 1)
     got = p2p_values(f, Site(0, 0), beta, a, n - a)
@@ -629,3 +641,12 @@ def test_level_line_precision_against_long_double(spec, beta):
         row = np.concatenate([t[:1], np.logaddexp(t[:-1], t[1:]), t[-1:]])
     want = row.astype(np.float64)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+    bh1, bh2 = (np.longdouble(beta) * np.longdouble(x) for x in h)
+    level = np.zeros(n + 1, dtype=np.longdouble)
+    for k in range(n - 1, -1, -1):
+        i = np.arange(k + 1)
+        w = np.longdouble(beta) * f.values_at(i, k - i).astype(np.longdouble)
+        level = w + np.logaddexp(level[1:] + bh1, level[:-1] + bh2)
+    want = float(level[0])
+    got = p2l_rows(f, beta, h, n, Site(0, 0), keep_rows=1)[0, 0]
+    assert abs(got - want) / abs(want) <= 1e-14
