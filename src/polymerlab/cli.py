@@ -672,7 +672,13 @@ def _run_coalescence(cfg: ExperimentConfig, outdir: str, checks: list, artifacts
             note=f"censored={stats.censored}/{stats.pairs}",
         )
     )
-    checks.append(_eq0("post_merge_violations", stats.post_merge_violations))
+    checks.append(
+        _eq0(
+            "post_merge_violations",
+            stats.post_merge_violations,
+            note="pairs split on the step out of their meeting site",
+        )
+    )
 
 
 def _run_junctions(cfg: ExperimentConfig, outdir: str, checks: list, artifacts: list):

@@ -174,6 +174,8 @@ def coupled_walk(
 class CoalescenceStats:
     seeds: np.ndarray
     met_level: np.ndarray  # first-meeting level per seed, -1 when censored
+    # pairs whose walks split on the step out of their meeting site; a rule
+    # that reads one p per site cannot split them later
     post_merge_violations: int
     elliptic: bool
 
@@ -212,8 +214,9 @@ def coalescence_experiment(
     theta_seeds,
 ) -> CoalescenceStats:
     """Level-synchronized coupled walks from two starts under many coupling
-    seeds: detects the first common site, asserts the walks agree from then
-    on, and reports the censored (never-met within horizon) fraction."""
+    seeds: detects the first common site, counts the pairs that split on the
+    step out of it, and reports the censored (never-met within horizon)
+    fraction.  The loop ends once every pair has met."""
     seeds = np.fromiter(map(_as_u64, theta_seeds), np.uint64)
     S = seeds.size
     if S == 0:
@@ -227,21 +230,33 @@ def coalescence_experiment(
     # bring walker a up to walker b's level first, driven by the same thetas
     for k in range(lag):
         ua, va = _step(rule, keys, ua, va)
-    # rows a, b; merged pairs keep stepping from their own sites (permanence)
+    # rows a, b of the pairs idx that have not met.  A pair that meets takes
+    # one more step and then leaves: a split on that step is a permanence
+    # violation, and none can follow, since one key at one site reads one
+    # uniform and one p.  idx, keys, u and v are compacted together, and
+    # only on levels where some pair meets.
     u = np.stack([ua, np.full(S, start_b.u, dtype=np.int64)])
     v = np.stack([va, np.full(S, start_b.v, dtype=np.int64)])
+    idx = np.arange(S)
     met_level = np.full(S, -1, dtype=np.int64)
     post_merge_violations = 0
     level = start_b.level()
     same = (u[0] == u[1]) & (v[0] == v[1])
     for k in range(horizon):
-        met_level[(met_level < 0) & same] = level
+        met = same.any()
+        if met:
+            met_level[idx[same]] = level
         u, v = _step(rule, keys, u, v)
         level += 1
-        same = (u[0] == u[1]) & (v[0] == v[1])
-        # permanence: pairs that have met must still agree after stepping
-        post_merge_violations += int(((met_level >= 0) & ~same).sum())
-    met_level[(met_level < 0) & same] = level
+        after = (u[0] == u[1]) & (v[0] == v[1])
+        if met:
+            post_merge_violations += int((same & ~after).sum())
+            live = ~same
+            idx, keys, u, v, after = idx[live], keys[live], u[:, live], v[:, live], after[live]
+        same = after
+        if not idx.size:
+            break
+    met_level[idx[same]] = level
     return CoalescenceStats(
         seeds=seeds,
         met_level=met_level,

@@ -5,6 +5,7 @@ import pytest
 
 from polymerlab.cocycle import busemann_from_p2l
 from polymerlab.coupling import (
+    CoupledStepRule,
     CouplingField,
     band_transition_rule,
     coalescence_experiment,
@@ -59,6 +60,75 @@ def test_half_rule_coalescence_and_permanence():
     assert stats.fraction >= 0.95
     assert stats.post_merge_violations == 0
     assert stats.elliptic
+
+
+def test_the_loop_ends_once_every_pair_has_met():
+    calls = []
+
+    def p_fn(uu, vv):
+        calls.append(np.shape(uu))
+        return np.full(np.shape(uu), 0.5)
+
+    stats = coalescence_experiment(CoupledStepRule(p_fn), Site(1, 1), Site(1, 1), 10**9, range(50))
+    assert np.all(stats.met_level == 2) and stats.post_merge_violations == 0
+    assert calls == [(2, 50)]  # the one step out of the meeting site
+
+
+def _by_row(uu, vv):
+    """A step law that reads the walker's row, not only its site: p = 0 on
+    row a and 1 on row b of a (2, n) block, 1/2 elsewhere.  Merged pairs
+    split on their next step."""
+    if np.ndim(uu) == 2:
+        return np.stack([np.zeros(uu.shape[1]), np.ones(uu.shape[1])])
+    return np.full(np.shape(uu), 0.5)
+
+
+def test_a_split_on_the_step_out_of_the_meeting_site_is_counted():
+    S = 64
+    stats = coalescence_experiment(CoupledStepRule(_by_row), Site(3, 2), Site(3, 2), 40, range(S))
+    assert np.all(stats.met_level == 5)
+    assert stats.post_merge_violations == S
+    # walker a climbs e2 and b steps e1 from 2, 3 or 4 sites behind it: each
+    # pair meets at its own level and splits once
+    stats = coalescence_experiment(CoupledStepRule(_by_row), Site(0, 0), Site(-2, 4), 40, range(S))
+    assert set(stats.met_level.tolist()) == {4, 5, 6}
+    assert stats.post_merge_violations == S
+
+
+def _half_rule_met_cdf(gaps, horizon):
+    """Exact P(met_level <= b's level + t), t = 0..horizon, under the half
+    rule: the e1-gap is a lazy walk (+-1 with probability 1/4 each) absorbed
+    at 0, started from the law `gaps` on 0, 1, 2, ..."""
+    q = np.zeros(len(gaps) + horizon + 1)
+    q[: len(gaps)] = gaps
+    cdf = np.empty(horizon + 1)
+    for t in range(horizon + 1):
+        cdf[t] = q[0]
+        new = 0.5 * q
+        new[0] = q[0] + 0.25 * q[1]
+        new[1:-1] += 0.25 * q[2:]
+        new[2:] += 0.25 * q[1:-1]
+        q = new
+    return cdf
+
+
+def test_half_rule_met_levels_follow_the_exact_gap_walk():
+    # walker a climbs two levels to b's: the gap starts from Bin(2, 1/2).  The
+    # empirical CDF of met_level (censored pairs at +inf) lies in the DKW
+    # band at alpha = 1e-3 around the exact law; with b two sites further
+    # back (gap + 2) it leaves the band
+    S, horizon, alpha = 4000, 500, 1e-3
+    seeds = range(7_000_000, 7_000_000 + S)
+    cdf = _half_rule_met_cdf([0.25, 0.5, 0.25], horizon)
+    band = math.sqrt(math.log(2 / alpha) / (2 * S))
+
+    def sup_distance(start_b):
+        met = coalescence_experiment(constant_rule(0.5), Site(0, 0), start_b, horizon, seeds).met_level
+        t = met[met >= 0] - start_b.level()
+        return np.max(np.abs(np.cumsum(np.bincount(t, minlength=horizon + 1)) / S - cdf))
+
+    assert sup_distance(Site(0, 2)) <= band
+    assert sup_distance(Site(-2, 4)) > band
 
 
 def test_coalescence_csv(tmp_path):

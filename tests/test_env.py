@@ -137,6 +137,34 @@ def test_constant_weights_are_not_hashed(monkeypatch, shape):
     assert np.array_equal(generate_field(spec, 3, Window(Site(0, 0), 2, 5)).values, np.full((2, 5), -0.75))
 
 
+@pytest.mark.parametrize("block", [1, 8192])
+def test_rows_of_constant_fields_build_no_coordinates(monkeypatch, block):
+    # a hashed constant field or batch yields its rows without a values_at
+    # call; an explicit grid carries a constant spec only as a placeholder,
+    # so its rows still come from the grid
+    spec = WeightSpec.constant(-0.75)
+    f = generate_field(spec, 2**63 + 1, Window(Site(-2, 3), 4, 3))
+    batch = FieldBatch([f, generate_field(spec, 8, Window(Site(0, 0), 1, 1))])
+    explicit = field_from_values(np.arange(81.0).reshape(9, 9) - 40.0, Window(Site(-3, 2), 9, 9))
+    u0, v0, lengths = np.array([-3, 0, -3, 2, -3]), np.array([10, 6, 8, 5, 10]), np.array([1, 5, 7, 2, 9])
+    j = np.arange(9)
+    want = {
+        field: [field.values_at(u + j[:n], v - j[:n]) for u, v, n in zip(u0, v0, lengths)]
+        for field in (f, batch, explicit)
+    }
+    monkeypatch.setattr(env, "_HASH_BLOCK_SITES", block)
+    got = {explicit: list(env._rows(explicit, u0, v0, lengths, (1, -1)))}
+    monkeypatch.setattr(env.WeightField, "values_at", None)  # any coordinates would fail
+    monkeypatch.setattr(env.FieldBatch, "values_at", None)
+    got |= {field: list(env._rows(field, u0, v0, lengths, (1, -1))) for field in (f, batch)}
+    for field, rows in want.items():
+        assert len(got[field]) == len(rows)
+        for w, r in zip(got[field], rows):
+            assert w.shape == r.shape and w.dtype == r.dtype and np.array_equal(w, r)
+    assert got[batch][2].shape == (2, 7)
+    assert not np.all(got[explicit][4] == -0.75)
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ParameterError):
         WeightSpec.gaussian(0, 0.0)
