@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .coupling import CouplingField
 from .csvio import write_columns
-from .env import COUPLING_STREAM, E1, E2, EHAT, Site, WeightField, Window, _as_u64, _key, _rows, _uniforms
+from .env import COUPLING_STREAM, E1, E2, EHAT, Site, WeightField, Window, _as_u64, _key, _rows, _special, _uniforms
 from .errors import (
     DomainError,
     ParameterError,
@@ -152,7 +151,7 @@ def interface_direct_sample(
     win = table.window
     A = table.beta * field.subfield(win).values + table.logz
     with np.errstate(invalid="ignore"):  # -inf - -inf outside the anchor's cone
-        p1 = expit(A[:-1, 1:] - A[1:, :-1])
+        p1 = _special().expit(A[:-1, 1:] - A[1:, :-1])
     chain = TransitionField(Window(win.origin, win.width - 1, win.height - 1), p1, "cif", 1, table.beta)
     steps_e1, taken, _ = _walk(chain, table.anchor, steps, 1, rng)
     if taken[0] < steps:
@@ -219,7 +218,7 @@ def cif_direction_stats(
         logz = _level(logz, wb, None, comb, True, True)
         wb = scale * w
         A = wb + logz
-        p = expit(A[u] - A[u + 1])
+        p = _special().expit(A[u] - A[u + 1])
         zu, zv = u + 1, v + 1
         theta = _uniforms(keys, zu + root.u, zv + root.v)
         step1 = theta < p

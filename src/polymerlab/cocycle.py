@@ -23,7 +23,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .csvio import write_columns
-from .env import FieldBatch, Site, WeightField, WeightSpec, Window, _site_array, _wrapped_seed, generate_field
+from .env import (
+    _HASH_BLOCK_BYTES, FieldBatch, Site, WeightField, WeightSpec, Window, _site_array, _wrapped_seed, generate_field
+)
 from .errors import (
     HorizonError,
     ParameterError,
@@ -143,11 +145,12 @@ def _increments(rows: np.ndarray, W: int, H: int, beta: float, h) -> tuple[np.nd
     return b1, b2
 
 
-# Tilts of one environment are swept together in groups of about this many
-# bytes.  The group size counts W + 6 rows of K + 1 values per tilt: its
-# W + 1 kept rows and five for the sweep.  The level sweep's temporaries
-# measure about seven such rows per tilt (tracemalloc, K = 1000), so a group
-# can exceed the budget by two rows per tilt.
+# Tilts of one environment are swept together in groups under this many
+# bytes.  A tilt counts W + 8 rows of K + 1 values, its W + 1 kept rows and
+# the level sweep's temporaries, which measure about seven such rows
+# (tracemalloc, K = 1000), and three W x H arrays, its increments b1 and b2
+# and one temporary while they are formed.  One hash block
+# (`env._HASH_BLOCK_BYTES`) is set aside for the whole group.
 _TILT_BLOCK_BYTES = 8 << 20
 
 
@@ -182,7 +185,8 @@ def busemann_fields_from_p2l(
             f"window reaches level {window.corner.level()} >= horizon {n}"
         )
     W, H = window.width, window.height
-    group = max(1, _TILT_BLOCK_BYTES // (8 * (n - window.origin.level() + 1) * (W + 6)))
+    per_tilt = 8 * ((n - window.origin.level() + 1) * (W + 8) + 3 * W * H)
+    group = max(1, (_TILT_BLOCK_BYTES - _HASH_BLOCK_BYTES) // per_tilt)
     for i in range(0, len(tilts), group):
         hs = tilts[i : i + group]
         rows = p2l_rows(field, beta, hs, n, window.origin, keep_rows=W + 1)

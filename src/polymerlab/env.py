@@ -11,11 +11,11 @@ site by site, and shifted views are exact.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .csvio import write_columns
 from .errors import ParameterError, WindowError
@@ -131,20 +131,32 @@ _DISTRIBUTIONS = ("gaussian", "inverse_log_gamma", "uniform", "constant")
 
 # The smallest uniform `site_uniforms` can produce: (0 + 0.5) * 2^-53.
 _Q_MIN = 2.0**-54
+# scipy.special.ndtri(_Q_MIN), pinned so that checking a gaussian spec needs
+# no scipy.
+_NDTRI_Q_MIN = -8.292361075813597
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported on first use, so that the closed-form
+    quantiles and the gaussian spec check load no scipy."""
+    from scipy import special
+
+    return special
 
 
 def _quantile(distribution: str, params: tuple[float, ...], q):
     """Inverse CDF of a distribution at uniforms q, vectorized."""
     if distribution == "gaussian":
         mean, sd = params
-        return mean + sd * _sp.ndtri(q)
+        return mean + sd * _special().ndtri(q)
     if distribution == "inverse_log_gamma":
         (shape,) = params
         # -log X is decreasing in X, so feed the uniform straight in:
         # the result is still uniform-distribution-correct by symmetry.
         if shape == 1.0:  # Gamma(1) is Exp(1): gammaincinv(1, q) = -log1p(-q)
             return -np.log(-np.log1p(-q))
-        return -np.log(_sp.gammaincinv(shape, q))
+        return -np.log(_special().gammaincinv(shape, q))
     if distribution == "uniform":
         a, b = params
         return a + (b - a) * q
@@ -186,7 +198,11 @@ class WeightSpec:
         # below about 0.0503 sends it to +inf).  This reads no site, so it
         # bypasses `quantile`, whose calls count as weight reads.
         with np.errstate(divide="ignore", over="ignore"):
-            if not np.isfinite(_quantile(self.distribution, p, _Q_MIN)):
+            if self.distribution == "gaussian":
+                edge = p[0] + p[1] * _NDTRI_Q_MIN
+            else:
+                edge = _quantile(self.distribution, p, _Q_MIN)
+            if not np.isfinite(edge):
                 raise ParameterError(
                     f"{self.distribution} parameters {p} give an infinite weight at the smallest site uniform 2^-54"
                 )
@@ -211,7 +227,7 @@ class WeightSpec:
         if self.distribution == "gaussian":
             return self.params[0]
         if self.distribution == "inverse_log_gamma":
-            return -float(_sp.digamma(self.params[0]))
+            return -float(_special().digamma(self.params[0]))
         if self.distribution == "uniform":
             return 0.5 * (self.params[0] + self.params[1])
         return self.params[0]
@@ -220,7 +236,7 @@ class WeightSpec:
         if self.distribution == "gaussian":
             return self.params[1] ** 2
         if self.distribution == "inverse_log_gamma":
-            return float(_sp.polygamma(1, self.params[0]))
+            return float(_special().polygamma(1, self.params[0]))
         if self.distribution == "uniform":
             return (self.params[1] - self.params[0]) ** 2 / 12.0
         return 0.0
@@ -324,6 +340,10 @@ def site_uniforms(seed, stream: int, uu, vv) -> np.ndarray:
 # Weight reads hash whole rows of sites in blocks of at most this many sites
 # over all replicas, so the fixed cost of a hash call is shared.
 _HASH_BLOCK_SITES = 8192
+# The peak bytes of hashing one block: its coordinates, the hash state and
+# scratch, and the quantile's temporaries measure up to about 70 bytes per
+# site (tracemalloc).  The sweeps' memory budgets set this much aside.
+_HASH_BLOCK_BYTES = 80 * _HASH_BLOCK_SITES
 
 
 def _weights(spec: WeightSpec, seed, uu, vv) -> np.ndarray:

@@ -17,14 +17,14 @@ import numpy as np
 
 from .cocycle import BusemannField
 from .csvio import write_columns
-from .env import FieldBatch, Site, WeightField, Window
+from .env import _HASH_BLOCK_BYTES, FieldBatch, Site, WeightField, Window
 from .errors import (
     DomainError,
     ParameterError,
     SizeError,
     WindowError,
 )
-from .partition import NEG_INF, PartitionTable, _p2l_sweep, _strided, _sweep, _temperature, p2p_values
+from .partition import NEG_INF, PartitionTable, _levels, _p2l_sweep, _strided, _temperature, p2p_values
 
 __all__ = [
     "PolymerPath",
@@ -396,13 +396,14 @@ class LdpProfile:
         )
 
 
-# Replicas of `ldp_rate_profile` are swept together in groups whose five
-# (n+2)^2 squares per replica fit in this budget: the kept rows and weights,
-# and the two increments with one temporary while they are formed.  The
-# peak measures 5.04-5.17 squares per replica (tracemalloc, n = 100 and
-# 200); the level sweep's temporaries, about seven levels of at most
-# 2n + 51 values per replica, are a small part of it.
-_LDP_BLOCK_BYTES = 4 << 20
+# Replicas of `ldp_rate_profile` are swept together in groups under this
+# many bytes.  A replica counts three (n+1)^2 squares, the increments b1 and
+# b2 and the weights, which become the edge terms of the flow and of the
+# free-energy curve in place, and ten levels of 2n + 51 values, the
+# point-to-line sweep's temporaries with their hashing once a level of all
+# replicas outgrows a hash block.  One hash block (`env._HASH_BLOCK_BYTES`)
+# is set aside for the whole group.  At n = 200 a group holds 4 replicas.
+_LDP_BLOCK_BYTES = 5 << 20
 
 
 def ldp_rate_profile(
@@ -418,34 +419,39 @@ def ldp_rate_profile(
     mean over environments of -(1/n) log Pi_0(X_n = (a, n-a)).
 
     Each replica builds a fresh environment, the tilted cocycle increments
-    b_i = F_{y,(N)} - F_{y+e_i,(N)} - h.e_i at horizon N = 2n + 50 on the
-    (n+1)^2 square, and the exact flow probabilities, a sweep whose edge
-    terms are the cocycle measure's log step probabilities beta(omega - b_i);
-    the algebraic identity rate = -(1/n)(log Z - beta B) is verified per
+    b_i = F_{y,(N)} - F_{y+e_i,(N)} - h.e_i at horizon N = 2n + 50 below
+    level n, and the exact flow probabilities, a sweep whose edge terms are
+    the cocycle measure's log step probabilities beta(omega - b_i); the
+    algebraic identity rate = -(1/n)(log Z - beta B) is verified per
     replica.  The `gap` columns compare the rate against -h.zeta - F_r/n
     with the free-energy curve taken from the same replica, so the common
     finite-n deficit of both sides cancels; an external ShapeEstimate only
     feeds the descriptive `reference` columns.
 
-    Replicas are swept in groups under `_LDP_BLOCK_BYTES`.  One
-    point-to-line sweep per group hashes each level once and keeps, through
-    strided views, the (n+2)^2 corner of its values and the raw weights of
-    the (n+1)^2 square; the flow and the free-energy curve (the from_anchor
-    table of the square, whose entries equal `p2p_values` bit for bit)
-    sweep those weights, so each replica equals its own busemann_from_p2l,
-    subfield and p2p_values route bit for bit.
+    Replicas are swept in groups under `_LDP_BLOCK_BYTES`, one pass per
+    group.  One point-to-line sweep hashes each level once; on the levels
+    k < n it forms b1 and b2 from levels k and k + 1, with the arithmetic of
+    `cocycle._increments`, and keeps them with the raw weights in one
+    (3, R, n+1, n+1) buffer, written through strided views.  The flow and
+    the free-energy curve (the from_anchor table of the square, whose
+    entries equal `p2p_values` bit for bit) then sweep, as one stacked
+    block of views of that buffer, to level n only, the level they report.
+    So each replica equals its own busemann_from_p2l, subfield and
+    p2p_values route bit for bit.
     """
-    from .cocycle import _check_replicas, _increments, _mean_se, _replica_batch
+    from .cocycle import _check_replicas, _mean_se, _replica_batch
 
     _check_replicas(replicas, [n])
-    beta, _, comb = _temperature(beta)
+    beta, scale, comb = _temperature(beta)
     if math.isinf(beta):
         raise ParameterError("the probability flow is defined for finite beta")
     horizon = 2 * n + 50
     envs = _replica_batch(spec, seed, replicas, 0x1D9).fields
-    group = max(1, _LDP_BLOCK_BYTES // (5 * 8 * (n + 2) ** 2))
-    a = np.arange(n + 1)
-    zeta1 = a / n
+    per_replica = 8 * (3 * (n + 1) ** 2 + 10 * (2 * n + 51))
+    group = max(1, (_LDP_BLOCK_BYTES - _HASH_BLOCK_BYTES) // per_replica)
+    inv = 1 / scale
+    h = np.asarray(h_hat, dtype=np.float64)[:, None, None]
+    zeta1 = np.arange(n + 1) / n
     drift = -(h_hat[0] * zeta1 + h_hat[1] * (1 - zeta1))
     # C-contiguous sample arrays: their means over replicas add row by row
     rates = np.empty((replicas, n + 1))
@@ -453,33 +459,41 @@ def ldp_rate_profile(
     ident = np.empty(replicas)
     for g in range(0, replicas, group):
         batch = FieldBatch(envs[g : g + group])
-        rows = np.empty((len(batch.fields), n + 2, n + 2))
-        w = np.empty((len(batch.fields), n + 1, n + 1))
+        R = len(batch.fields)
+        # b1, b2 and the weights on the levels below n; zeros above, which
+        # the in-place arithmetic runs over and no sweep reads
+        block = np.zeros((3, R, n + 1, n + 1))
+        b1, b2, w = block
+        flat = block.reshape(3, R, -1)
         for k, raw, level in _p2l_sweep(batch, beta, h_hat, horizon, Site(0, 0)):
-            # the sites (i, k - i) of level k inside each square
-            for sq, line in ((rows, level), (w, raw)):
-                m = sq.shape[-1]
-                lo, hi = max(0, k - m + 1), min(k, m - 1)
-                if lo <= hi:
-                    flat = sq.reshape(len(sq), -1)
-                    _strided(flat, k + lo * (m - 1), hi - lo + 1, m - 1)[...] = line[:, lo : hi + 1]
-        b1, b2 = _increments(rows, n + 1, n + 1, beta, h_hat)
-        del rows
-        # B(0, (a, n-a)) along the staircase e1 first, then e2
-        col0 = np.zeros((len(b1), n + 1))
-        np.cumsum(b1[:, :-1, 0], axis=-1, out=col0[:, 1:])
-        body = np.zeros_like(b2)
-        np.cumsum(b2[..., :-1], axis=-1, out=body[..., 1:])
-        bvals = col0 + body[:, a, n - a]
-        del body
-        # in place: the flow's edge terms beta * (omega - b_i), then beta * omega
-        for b in (b1, b2):
-            np.subtract(w, b, out=b)
-            b *= beta
-        rate_flow = -_sweep(b1[:, :-1], b2[..., :-1], comb)[:, a, n - a] / n
-        del b1, b2
-        w *= beta
-        logz = _sweep(w[:, :-1], w[..., :-1], comb)[:, a, n - a]
+            if k < n:
+                # b1, b2 and the weights at the sites (i, k - i), whose e1
+                # and e2 neighbours are the sites i + 1 and i of the level above
+                lb = _strided(flat, k, k + 1, n)
+                np.subtract(level, above[..., 1:], out=lb[0])
+                np.subtract(level, above[..., :-1], out=lb[1])
+                lb[:2] *= inv
+                lb[:2] -= h
+                lb[2] = raw
+            above = level
+        # B(0, (a, n-a)) along the staircase e1 first, then e2, each sum
+        # accumulated in the order of np.cumsum
+        bvals = np.zeros((R, n + 1))
+        np.cumsum(b1[:, :-1, 0], axis=-1, out=bvals[:, 1:])
+        tail = np.zeros((R, n + 1))  # tail[:, a] = b2[:, a, 0] + ... + b2[:, a, n - a - 1]
+        tail[:, :n] = b2[:, :n, 0]
+        for j in range(1, n):
+            tail[:, : n - j] += b2[:, : n - j, j]
+        bvals += tail
+        # in place: the flow's edge terms beta * (omega - b_i) and beta * omega
+        np.subtract(w, block[:2], out=block[:2])
+        block *= beta
+        # flow and free energy as one block: its e1 terms are b1 and w, its
+        # e2 terms b2 and w
+        for level in _levels(block[::2, :, :-1], block[1:, :, :, :-1], comb, n):
+            pass
+        rate_flow = -level[0] / n
+        logz = level[1]
         rate_alg = -(logz - beta * bvals) / n
         lam = logz / (beta * n)
         rates[g : g + group] = rate_flow
@@ -533,10 +547,15 @@ def rooted_mass_decay(
         raise WindowError("window too small for the requested distances")
     b0u, b0v = win.index(base)
     # reversed, hit(target - (i, j)) is the sweep from the target with edge
-    # terms log p1 and log(1 - p1); an exact p1 = 0 or 1 makes an edge of
-    # -inf, which the level step's combine passes through exactly
+    # terms log p1 and log(1 - p1), run to the last requested level; an
+    # exact p1 = 0 or 1 makes an edge of -inf, which the level step's
+    # combine passes through exactly
     p1 = transitions.p1[b0u : b0u + n_max + 1, b0v : b0v + n_max + 1][::-1, ::-1]
     with np.errstate(divide="ignore"):
-        hit = np.exp(_sweep(np.log(p1[1:]), np.log1p(-p1[:, 1:]), np.logaddexp))
-    out = [float(np.max(hit[np.arange(n + 1), n - np.arange(n + 1)])) for n in levels]
+        s1, s2 = np.log(p1[1:]), np.log1p(-p1[:, 1:])
+    hit = {}
+    for n, level in enumerate(_levels(s1, s2, np.logaddexp, n_max)):
+        if n in levels:
+            hit[n] = float(np.max(np.exp(level)))
+    out = [hit[n] for n in levels]
     return MassDecayProfile(levels, tuple(out))

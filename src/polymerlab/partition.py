@@ -143,28 +143,41 @@ def _strided(flat: np.ndarray, start: int, n: int, step: int) -> np.ndarray:
     return flat[..., start : stop if stop >= 0 else None : step]
 
 
-def _sweep(s1: np.ndarray, s2: np.ndarray, comb: np.ufunc) -> np.ndarray:
-    """L[0, 0] = 0, L[i, j] = comb(L[i-1, j] + s1[i-1, j], L[i, j-1] + s2[i, j-1])
-    on a W x H rectangle (comb from `_temperature`, or logaddexp for sums of
-    probabilities).
+def _levels(s1: np.ndarray, s2: np.ndarray, comb: np.ufunc, last: int | None = None):
+    """The levels 0, 1, ..., last (default W + H - 2, the far corner) of the
+    sweep L[0, 0] = 0, L[i, j] = comb(L[i-1, j] + s1[i-1, j], L[i, j-1] +
+    s2[i, j-1]) on a W x H rectangle (comb from `_temperature`, or logaddexp
+    for sums of probabilities), one at a time: level k holds L[i, k - i] for
+    max(0, k - H + 1) <= i <= min(k, W - 1), in increasing i.
 
     s1 (..., W-1, H) and s2 (..., W, H-1) are the log-weights of the e1 and
     e2 edges into each site; the caller chooses them (site weights, cocycle
     log-probabilities, ...).  Leading axes are independent rectangles, each
     equal to its own call bit for bit.  Level k reads the edges out of level
-    k - 1, the anti-diagonals of s1 and s2 (diagonals of their mirror views)."""
+    k - 1, the anti-diagonals of s1 and s2 (diagonals of their mirror views),
+    so the sweep to level `last` reads no edge out of a higher level."""
     W, H = s2.shape[-2], s1.shape[-1]
-    L = np.empty(np.broadcast_shapes(s1.shape[:-2], s2.shape[:-2]) + (W, H))
-    flat = L.reshape(L.shape[:-2] + (-1,))
-    flat[..., 0] = 0.0
-    row = flat[..., :1]
+    last = W + H - 2 if last is None else min(last, W + H - 2)
+    row = np.zeros(np.broadcast_shapes(s1.shape[:-2], s2.shape[:-2]) + (1,))
+    yield row
     f1, f2 = s1[..., ::-1], s2[..., ::-1]
-    for k in range(1, W + H - 1):
+    for k in range(1, last + 1):
         lo, hi = max(0, k - H + 1), min(k, W - 1)
         e1 = np.diagonal(f1, H - k, -2, -1)
         e2 = np.diagonal(f2, H - 1 - k, -2, -1)
         row = _level(row, e1, e2, comb, lo == 0, hi == k)
-        _strided(flat, k + lo * (H - 1), hi - lo + 1, max(H - 1, 1))[...] = row
+        yield row
+
+
+def _sweep(s1: np.ndarray, s2: np.ndarray, comb: np.ufunc) -> np.ndarray:
+    """The whole W x H table L of `_levels`, each level written through a
+    strided view of the flat table."""
+    W, H = s2.shape[-2], s1.shape[-1]
+    L = np.empty(np.broadcast_shapes(s1.shape[:-2], s2.shape[:-2]) + (W, H))
+    flat = L.reshape(L.shape[:-2] + (-1,))
+    for k, row in enumerate(_levels(s1, s2, comb)):
+        lo = max(0, k - H + 1)
+        _strided(flat, k + lo * (H - 1), row.shape[-1], max(H - 1, 1))[...] = row
     return L
 
 

@@ -198,6 +198,21 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", str(bad)]) == 2
 
 
+def test_the_cli_and_a_gaussian_parse_load_no_scipy():
+    # scipy.special is imported on the first quantile that needs it
+    code = (
+        "import sys\n"
+        "import polymerlab.cli as cli\n"
+        "cli.parse_config('kind = ldp\\nweights = gaussian\\nsd = 2.0\\n')\n"
+        "cli.parse_config('kind = ldp\\nweights = inverse_log_gamma\\nshape_param = 1.0\\n')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env_vars = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env_vars, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     # `python -m polymerlab` is the installed `polymerlab` command
     env_vars = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
@@ -425,7 +440,8 @@ def test_batched_monotonicity_run_equals_the_per_pair_loop(tmp_path, monkeypatch
         f"kind = monotonicity\nbeta = {beta}\nwidth = 6\nheight = 5\nhorizon = 10\npairs = 7\n"
         "tilt_scale = 0.8\ntriples = 12\ntriple_size = 9\nseed_weights = 21\nseed_sampler = 4\n"
     )
-    monkeypatch.setattr(cocycle, "_TILT_BLOCK_BYTES", 3 * 8 * (cfg.horizon + 1) * (cfg.width + 6))
+    per_tilt = 8 * ((cfg.horizon + 1) * (cfg.width + 8) + 3 * cfg.width * cfg.height)
+    monkeypatch.setattr(cocycle, "_TILT_BLOCK_BYTES", env._HASH_BLOCK_BYTES + 3 * per_tilt)
     report = run(cfg, out_dir=str(tmp_path))
     assert report.passed
     for name, want in _per_pair_monotonicity_csvs(cfg).items():

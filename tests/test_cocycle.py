@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from polymerlab import cocycle
+from polymerlab import cocycle, env
 from polymerlab.cocycle import (
     _increments,
     _replica_batch,
@@ -337,7 +338,8 @@ def test_tilt_batch_equals_single_tilt_sweeps(beta, monkeypatch):
     # the field builder sweeps two tilts per group here, so three groups
     win = Window(Site(1, -2), 4, 3)
     K = n - win.origin.level()
-    monkeypatch.setattr(cocycle, "_TILT_BLOCK_BYTES", 2 * 8 * (K + 1) * (win.width + 6))
+    per_tilt = 8 * ((K + 1) * (win.width + 8) + 3 * win.width * win.height)
+    monkeypatch.setattr(cocycle, "_TILT_BLOCK_BYTES", env._HASH_BLOCK_BYTES + 2 * per_tilt)
     calls = []
 
     def counted(field, beta, hs, *args, **kw):
@@ -358,6 +360,25 @@ def test_tilt_batch_equals_single_tilt_sweeps(beta, monkeypatch):
         next(busemann_fields_from_p2l(fields[1], beta, np.empty((0, 2)), n, win))
     with pytest.raises(ParameterError):
         p2l_rows(fields[1], beta, (0.1, 0.2, 0.3), n, base, 6)
+
+
+@pytest.mark.parametrize("K,W,H", [(300, 6, 5), (2000, 3, 3), (39, 20, 20), (10, 6, 5)])
+def test_a_tilt_group_stays_within_its_budget(K, W, H):
+    # a full group: W + 8 rows of K + 1 values and three W x H arrays per
+    # tilt, beside one hash block, under the default budget
+    f = generate_field(WeightSpec.gaussian(0, 1), 3, Window(Site(0, 0), 1, 1))
+    per_tilt = 8 * ((K + 1) * (W + 8) + 3 * W * H)
+    group = (cocycle._TILT_BLOCK_BYTES - env._HASH_BLOCK_BYTES) // per_tilt
+    tilts = np.random.default_rng(K).uniform(-1.0, 0.0, size=(group + 1, 2))
+    fields = busemann_fields_from_p2l(f, 1.0, tilts, K, Window(Site(0, 0), W, H))
+    tracemalloc.start()
+    try:
+        first = next(fields)  # sweeps the first group, all but one tilt
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.b1.base.shape[0] == group
+    assert peak <= cocycle._TILT_BLOCK_BYTES
 
 
 def _running_total(bf, sites):

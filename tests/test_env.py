@@ -196,6 +196,15 @@ def test_log_gamma_shapes_with_infinite_weights_are_refused():
     assert np.isfinite(spec.quantile(2.0**-54))
 
 
+def test_the_pinned_gaussian_edge_is_ndtri_of_the_smallest_uniform():
+    # the gaussian spec check reads the literal, so it needs no scipy
+    assert env._Q_MIN == 2.0**-54
+    assert np.float64(env._NDTRI_Q_MIN).tobytes() == special.ndtri(env._Q_MIN).tobytes()
+    with pytest.raises(ParameterError, match="infinite weight"):
+        WeightSpec.gaussian(0.0, 1e308)  # sd * ndtri(2^-54) overflows
+    assert WeightSpec.gaussian(0.0, 1e307).params == (0.0, 1e307)
+
+
 def _hash_map_extremes(n: int = 50) -> np.ndarray:
     """The n lowest and n highest uniforms (k + 0.5) * 2^-53 that
     `site_uniforms` can return, k the top 53 hash bits."""
@@ -233,7 +242,7 @@ def test_log_gamma_shape_one_reads_never_call_gammaincinv(monkeypatch):
     def boom(*args):
         raise AssertionError("gammaincinv called")
 
-    monkeypatch.setattr(env._sp, "gammaincinv", boom)
+    monkeypatch.setattr(env._special(), "gammaincinv", boom)
     spec = WeightSpec.inverse_log_gamma(1.0)
     f = generate_field(spec, 2**63 + 1, Window(Site(-2, 3), 40, 30))
     batch = FieldBatch([f, generate_field(spec, 8, Window(Site(0, 0), 1, 1))])

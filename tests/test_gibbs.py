@@ -1,13 +1,14 @@
 import collections
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats as st
 from scipy.special import expit
 
-from polymerlab import env, gibbs
+from polymerlab import env, gibbs, partition
 from polymerlab.cif import interface_direct_sample
 from polymerlab.cocycle import _mean_se, _replica_batch, busemann_from_p2l, busemann_from_p2p
 from polymerlab.env import Site, WeightSpec, Window, generate_field
@@ -305,11 +306,13 @@ def _ref_ldp_samples(spec, beta, h, n, replicas, seed, margin=50):
         (GAUSS, 2.5, (-0.9, -1.3), 9, 10, 4),  # groups of 4, 4 and 2
         (WeightSpec.inverse_log_gamma(1.0), 1.0, (-1.9, -1.9), 15, 9, 2),
         (WeightSpec.constant(0.0), 1.0, (-LOG2, -LOG2), 8, 3, 1),
+        (GAUSS, 1.0, (-1.07, -1.07), 40, 3, 2),  # long enough sums to pin their order
     ],
 )
 def test_ldp_replica_groups_equal_the_per_replica_loop(monkeypatch, spec, beta, h, n, replicas, group):
     if group is not None:
-        monkeypatch.setattr(gibbs, "_LDP_BLOCK_BYTES", group * 5 * 8 * (n + 2) ** 2)
+        per_replica = 8 * (3 * (n + 1) ** 2 + 10 * (2 * n + 51))
+        monkeypatch.setattr(gibbs, "_LDP_BLOCK_BYTES", env._HASH_BLOCK_BYTES + group * per_replica)
     rates, gaps, ident = _ref_ldp_samples(spec, beta, h, n, replicas, 31)
     seeds = [f.seed for f in _replica_batch(spec, 31, replicas, 0x1D9).fields]
     hashed = collections.Counter()
@@ -335,6 +338,51 @@ def test_ldp_replica_groups_equal_the_per_replica_loop(monkeypatch, spec, beta, 
     if spec.distribution == "constant":  # constant weights are never hashed
         want.clear()
     assert hashed == want
+
+
+@pytest.mark.parametrize("n", [30, 200])
+def test_an_ldp_group_stays_within_its_budget(n):
+    # a full group: three (n+1)^2 squares and ten levels of 2n + 51 values
+    # per replica, beside one hash block, under the default budget
+    per_replica = 8 * (3 * (n + 1) ** 2 + 10 * (2 * n + 51))
+    group = (gibbs._LDP_BLOCK_BYTES - env._HASH_BLOCK_BYTES) // per_replica
+    spec = WeightSpec.inverse_log_gamma(1.0)
+    ldp_rate_profile(spec, 1.0, (-1.9, -1.9), 4, 1, 5)  # warms up
+    tracemalloc.start()
+    try:
+        prof = ldp_rate_profile(spec, 1.0, (-1.9, -1.9), n, group, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prof.identity_residual <= 1e-10
+    assert peak <= gibbs._LDP_BLOCK_BYTES
+
+
+def test_sweeps_stop_at_the_last_level_they_read(monkeypatch):
+    # the level steps, by the leading axes of the level they step from
+    calls = collections.Counter()
+    level = partition._level
+
+    def counted(prev, *args):
+        calls[prev.shape[:-1]] += 1
+        return level(prev, *args)
+
+    monkeypatch.setattr(partition, "_level", counted)
+    # ldp at n = 200: 4 replicas in one group, the point-to-line pass down
+    # from level 2n + 50, then the flow and the free energy up to level n
+    ldp_rate_profile(WeightSpec.inverse_log_gamma(1.0), 1.0, (-1.9, -1.9), 200, 4, 20241)
+    assert calls == {(4,): 450, (2, 4): 200}
+    # two groups of 3 and 2 replicas at n = 20
+    calls.clear()
+    monkeypatch.setattr(gibbs, "_LDP_BLOCK_BYTES", env._HASH_BLOCK_BYTES + 3 * 8 * (3 * 21**2 + 10 * 91))
+    ldp_rate_profile(GAUSS, 1.0, (-1.07, -1.07), 20, 5, 3)
+    assert calls == {(3,): 90, (2, 3): 20, (2,): 90, (2, 2): 20}
+    # the mass decay steps up to its largest distance, not across its square
+    trans = TransitionField(Window(Site(0, 0), 41, 41), np.full((41, 41), 0.3), "busemann", 1, 1.0)
+    for levels in ([0], [3, 1], [8, 16, 32], [40, 2, 40]):
+        calls.clear()
+        rooted_mass_decay(trans, Site(40, 40), levels)
+        assert calls == ({(): max(levels)} if max(levels) else {})
 
 
 def test_rooted_mass_decay_binomial_and_trivial():

@@ -17,6 +17,8 @@ from polymerlab.gibbs import ldp_rate_profile
 from polymerlab.partition import (
     _lae,
     _level,
+    _levels,
+    _sweep,
     _temperature,
     beta_limit_check,
     comparison_check,
@@ -614,6 +616,36 @@ def test_the_zero_temperature_level_is_the_max(lo, hi):
     t = prev + w
     want = np.concatenate([t[:, :lo], np.maximum(t[:, :-1], t[:, 1:]), t[:, 9 - hi :]], axis=1)
     assert np.array_equal(_level(prev, w, None, np.maximum, lo, hi), want)
+
+
+@pytest.mark.parametrize("comb", [np.maximum, np.logaddexp])
+@pytest.mark.parametrize("W,H", [(7, 4), (4, 7), (6, 6), (1, 5), (5, 1)])
+def test_levels_are_the_table_level_by_level(comb, W, H):
+    rng = np.random.default_rng(10 * W + H)
+    s1 = rng.normal(size=(2, 3, W - 1, H))
+    s2 = rng.normal(size=(3, W, H - 1))  # leading axes broadcast
+    L = _sweep(s1, s2, comb)
+    assert L.shape == (2, 3, W, H)
+    levels = list(_levels(s1, s2, comb))
+    assert len(levels) == W + H - 1
+    for k, level in enumerate(levels):
+        i = np.arange(max(0, k - H + 1), min(k, W - 1) + 1)
+        assert np.array_equal(level, L[..., i, k - i])
+    # a sweep to level `last` yields the same levels and stops there
+    for last in (0, 1, W + H - 3, W + H - 2):
+        cut = list(_levels(s1, s2, comb, last))
+        assert len(cut) == last + 1
+        assert all(np.array_equal(a, b) for a, b in zip(cut, levels))
+    if comb is np.maximum:  # the recursion cell by cell
+        want = np.full((2, 3, W, H), -np.inf)
+        want[..., 0, 0] = 0.0
+        for i in range(W):
+            for j in range(H):
+                if i:
+                    want[..., i, j] = want[..., i - 1, j] + s1[..., i - 1, j]
+                if j:
+                    want[..., i, j] = np.maximum(want[..., i, j], want[..., i, j - 1] + s2[..., i, j - 1])
+        assert np.array_equal(L, want)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-17, reason="needs an extended long double")
