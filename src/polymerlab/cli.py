@@ -81,8 +81,12 @@ def _at_least(lo: int) -> _In:
 _COUNT = _at_least(1)
 # the smallest positive double, so `x in _In(_TINY, ...)` means x > 0
 _TINY = math.ulp(0.0)
+# a standard error needs two samples; below that a check reads NaN or 0
+_SAMPLE = _at_least(2)
 _PROBABILITY = _In(0.0, 1.0, "between 0 and 1")
-_INTERIOR = _In(_TINY, math.nextafter(1.0, 0.0), "strictly between 0 and 1")
+# the dual tilt's shape estimate differences the directions t +- 0.05 and
+# t +- 0.1 (_FIXED's shape_step), which must lie in (0, 1)
+_DUAL_T = _In(math.nextafter(0.1, 1.0), math.nextafter(0.9, 0.0), "strictly between 0.1 and 0.9")
 
 # each weight distribution -> the config fields of its parameters, in order
 _WEIGHT_FIELDS = {
@@ -116,18 +120,17 @@ _SCHEMAS: dict[str, dict] = {
         "t_grid": (_parse_floatlist, (0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75), None),
         "n": (int, 1000, _COUNT),
         "n_list": (_parse_intlist, (), None),
+        # _config asks for 2 (a standard error) unless weights = constant
         "replicas": (int, 20, _COUNT),
-        "entropy_tol": (float, 0.01, None),
     },
     "busemann": {
         "construction": (str, "p2l", ("p2l", "p2p")),
         "h1": (float, 0.0, None),
         "h2": (float, 0.0, None),
-        "horizon": (int, 200, None),
+        # the p2p target (width + horizon, height + horizon) dominates the window
+        "horizon": (int, 200, _at_least(0)),
         "width": (int, 40, _at_least(2)),
         "height": (int, 40, _at_least(2)),
-        "target_u": (int, 0, None),
-        "target_v": (int, 0, None),
         "staircases": (int, 100, _COUNT),
     },
     "monotonicity": {
@@ -135,18 +138,15 @@ _SCHEMAS: dict[str, dict] = {
         "height": (int, 30, _COUNT),
         "horizon": (int, 80, None),
         "pairs": (int, 100, _COUNT),
-        "tilt_scale": (float, 0.5, _In(_TINY, sys.float_info.max, "positive and finite")),
         "triples": (int, 500, _COUNT),
-        "triple_size": (int, 30, _at_least(3)),
     },
     "cesaro": {
-        "t": (float, 0.5, _INTERIOR),
+        "t": (float, 0.5, _DUAL_T),
         # the Cesaro field lives on the 8x8 window, whose corner is at level 14
         "n": (int, 400, _at_least(15)),
-        "samples": (int, 200, _COUNT),
+        "samples": (int, 200, _SAMPLE),
         "shape_n": (int, 800, _COUNT),
-        "shape_replicas": (int, 12, _COUNT),
-        "shape_step": (float, 0.05, None),
+        "shape_replicas": (int, 12, _SAMPLE),
     },
     "dlr": {
         "fixture": (str, "", ("", "hand2x2")),
@@ -156,11 +156,10 @@ _SCHEMAS: dict[str, dict] = {
     },
     "ldp": {
         "n": (int, 500, _COUNT),
-        "replicas": (int, 10, _COUNT),
-        "t": (float, 0.5, _INTERIOR),
+        "replicas": (int, 10, _SAMPLE),
+        "t": (float, 0.5, _DUAL_T),
         "shape_n": (int, 2000, _COUNT),
-        "shape_replicas": (int, 12, _COUNT),
-        "shape_step": (float, 0.05, None),
+        "shape_replicas": (int, 12, _SAMPLE),
     },
     "decay": {
         "rule": (str, "half", ("half", "busemann")),
@@ -187,17 +186,14 @@ _SCHEMAS: dict[str, dict] = {
     "interface": {
         "steps": (int, 2000, _COUNT),
         "replicas": (int, 1000, _COUNT),
-        "interior_eps": (float, 0.001, None),
-        "interior_min": (float, 0.97, None),
     },
     "cdf": {
         "grid_points": (int, 21, _at_least(2)),
         "grid_lo": (float, 0.05, _PROBABILITY),
         "grid_hi": (float, 0.95, _PROBABILITY),
         "replicas": (int, 1000, _COUNT),
-        "steps": (int, 2000, _COUNT),
-        "busemann_horizon": (int, 0, None),
-        "tail_eps": (float, 0.02, None),
+        # the Busemann side probes targets at this horizon
+        "steps": (int, 2000, _at_least(2)),
     },
     "scan": {
         "t_points": (int, 41, _COUNT),
@@ -207,13 +203,19 @@ _SCHEMAS: dict[str, dict] = {
 }
 
 
-# The tolerances of each kind's exact identities.  They are fixed, not
-# config fields, so no config can loosen an identity until it passes; a
-# config reads them as attributes like its fields.
-_EXACT_TOLS: dict[str, dict[str, float]] = {
+# The fixed tolerances and sizes of each kind's checks.  They are not
+# config fields, so no config can loosen a check until it passes; a config
+# that sets one is refused, and a parsed config reads them as attributes
+# like its fields.
+_FIXED: dict[str, dict[str, float]] = {
+    "shape": {"entropy_tol": 0.01},
     "busemann": {"recovery_tol": 1e-9, "closure_tol": 1e-9, "path_tol": 1e-8},
+    "monotonicity": {"tilt_scale": 0.5, "triple_size": 30},
+    "cesaro": {"shape_step": 0.05},
     "dlr": {"tol": 1e-10},
-    "ldp": {"identity_tol": 1e-10},
+    "ldp": {"identity_tol": 1e-10, "shape_step": 0.05},
+    "interface": {"interior_eps": 0.001, "interior_min": 0.97},
+    "cdf": {"tail_eps": 0.02},
 }
 
 
@@ -228,7 +230,7 @@ class ExperimentConfig:
         if name.startswith("__") or "values" not in vars(self):
             raise AttributeError(name)
         try:
-            return self.values[name] if name in self.values else _EXACT_TOLS[self.kind][name]
+            return self.values[name] if name in self.values else _FIXED[self.kind][name]
         except KeyError as exc:
             raise AttributeError(name) from exc
 
@@ -275,7 +277,9 @@ def _config(raw: dict[str, str]) -> ExperimentConfig:
     values: dict = {}
     for key, sval in raw.items():
         if key not in schema:
-            raise ConfigError(f"field {key!r}: not recognized for kind {kind!r}")
+            fixed = _FIXED.get(kind, {})
+            how = f"fixed at {fixed[key]!r}" if key in fixed else "not recognized"
+            raise ConfigError(f"field {key!r}: {how} for kind {kind!r}")
         parser = schema[key][0]
         try:
             values[key] = parser(sval)
@@ -290,27 +294,10 @@ def _config(raw: dict[str, str]) -> ExperimentConfig:
     if kind == "monotonicity" or values.get("construction") == "p2l":
         # every window site lies below the horizon
         _refuse_outside("horizon", values["horizon"], _at_least(values["width"] + values["height"] - 1))
-    elif values.get("construction") == "p2p":
-        # the target (0, 0) stands for (width + horizon, height + horizon)
-        if (values["target_u"], values["target_v"]) == (0, 0):
-            _refuse_outside("horizon", values["horizon"], _at_least(0))
-        else:
-            _refuse_outside("target_u", values["target_u"], _at_least(values["width"]))
-            _refuse_outside("target_v", values["target_v"], _at_least(values["height"]))
-    if "shape_step" in values:
-        # the shape estimate differences its directions t +- step and t +- 2 step
-        t, step = values["t"], values["shape_step"]
-        if not 0 < t - 2 * step < t < t + 2 * step < 1:
-            raise ConfigError("field 'shape_step': must be positive, with t +- 2 shape_step in (0, 1)")
-    if kind == "cdf":
-        if not values["grid_lo"] < values["grid_hi"]:
-            raise ConfigError("field 'grid_hi': must be greater than grid_lo")
-        # the Busemann side probes targets at this horizon; 0 means steps
-        horizon = values["busemann_horizon"]
-        if horizon != 0 and horizon < 2:
-            raise ConfigError("field 'busemann_horizon': must be 0 (use steps) or at least 2")
-        if horizon == 0 and values["steps"] < 2:
-            raise ConfigError("field 'steps': must be at least 2 when busemann_horizon = 0")
+    if kind == "shape" and values["weights"] != "constant":
+        _refuse_outside("replicas", values["replicas"], _SAMPLE)
+    if kind == "cdf" and not values["grid_lo"] < values["grid_hi"]:
+        raise ConfigError("field 'grid_hi': must be greater than grid_lo")
     cfg = ExperimentConfig(kind, values)
     try:
         cfg.weight_spec()
@@ -455,9 +442,7 @@ def _run_busemann(cfg: ExperimentConfig, outdir: str, checks: list, artifacts: l
     if cfg.construction == "p2l":
         bf = coc.busemann_from_p2l(field, cfg.beta, (cfg.h1, cfg.h2), cfg.horizon, window)
     else:
-        target = Site(cfg.target_u, cfg.target_v)
-        if target == Site(0, 0):
-            target = Site(cfg.width + cfg.horizon, cfg.height + cfg.horizon)
+        target = Site(cfg.width + cfg.horizon, cfg.height + cfg.horizon)
         bf = coc.busemann_from_p2p(field, cfg.beta, target, window)
     artifacts.append(bf.to_csv(os.path.join(outdir, "busemann.csv")))
     checks.append(_leq("recovery_residual", bf.recovery_residual(), cfg.recovery_tol))
@@ -732,10 +717,7 @@ def _run_cdf(cfg: ExperimentConfig, outdir: str, checks: list, artifacts: list):
     spec = cfg.weight_spec()
     field = generate_field(spec, cfg.seed_weights, Window(Site(0, 0), 1, 1))
     grid = np.linspace(cfg.grid_lo, cfg.grid_hi, cfg.grid_points)
-    N = cfg.busemann_horizon if cfg.busemann_horizon else cfg.steps
-    cmp_ = cif_mod.cif_cdf_check(
-        field, cfg.beta, grid, cfg.replicas, cfg.steps, cfg.seed_coupling, busemann_horizon=N
-    )
+    cmp_ = cif_mod.cif_cdf_check(field, cfg.beta, grid, cfg.replicas, cfg.steps, cfg.seed_coupling)
     artifacts.append(cmp_.to_csv(os.path.join(outdir, "cdf_comparison.csv")))
     checks.append(
         _leq(
@@ -747,7 +729,7 @@ def _run_cdf(cfg: ExperimentConfig, outdir: str, checks: list, artifacts: list):
     )
     checks.append(_flag("cdf_monotone", cmp_.monotone))
     tails = cif_mod._busemann_cdf_values(
-        field, cfg.beta, Site(0, 0), np.asarray([cfg.tail_eps, 1 - cfg.tail_eps]), N
+        field, cfg.beta, Site(0, 0), np.asarray([cfg.tail_eps, 1 - cfg.tail_eps]), cfg.steps
     )
     checks.append(_leq("cdf_lower_tail", float(tails[0]), 0.5))
     checks.append(

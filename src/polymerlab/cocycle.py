@@ -150,7 +150,9 @@ def _increments(rows: np.ndarray, W: int, H: int, beta: float, h) -> tuple[np.nd
 # the level sweep's temporaries, which measure about seven such rows
 # (tracemalloc, K = 1000), and three W x H arrays, its increments b1 and b2
 # and one temporary while they are formed.  One hash block
-# (`env._HASH_BLOCK_BYTES`) is set aside for the whole group.
+# (`env._HASH_BLOCK_BYTES`) is set aside for the whole group, which assumes
+# that a level fits in one block: past K ~ 8190 it does not, and the hashing
+# transient grows with K (1.049 of the budget at K = 20000, W = H = 2).
 _TILT_BLOCK_BYTES = 8 << 20
 
 

@@ -60,13 +60,9 @@ class CouplingField:
 
 @dataclass(frozen=True)
 class CoupledStepRule:
-    """Step law p(x) = P(step e1 at x), as a vectorized site function.
-
-    weakly_elliptic declares that 0 < p < 1 holds on the relevant region;
-    coalescence claims are downgraded to descriptive when it is unset."""
+    """Step law p(x) = P(step e1 at x), as a vectorized site function."""
 
     p_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    weakly_elliptic: bool = True
 
     def p_at(self, uu, vv) -> np.ndarray:
         return np.asarray(
@@ -77,12 +73,11 @@ class CoupledStepRule:
 def constant_rule(p: float) -> CoupledStepRule:
     if not 0.0 <= p <= 1.0:
         raise ParameterError("p must be a probability")
-    elliptic = 0.0 < p < 1.0
 
     def p_fn(uu, vv):
         return np.full(np.shape(uu), p)
 
-    return CoupledStepRule(p_fn, weakly_elliptic=elliptic)
+    return CoupledStepRule(p_fn)
 
 
 def band_transition_rule(
@@ -144,7 +139,7 @@ def band_transition_rule(
             raise WindowError("walk left the diagonal band")
         return flat.take(kk * width + idx).astype(np.float64)
 
-    return CoupledStepRule(p_fn, weakly_elliptic=True)
+    return CoupledStepRule(p_fn)
 
 
 def _step(rule: CoupledStepRule, keys, u: np.ndarray, v: np.ndarray):
@@ -177,7 +172,6 @@ class CoalescenceStats:
     # pairs whose walks split on the step out of their meeting site; a rule
     # that reads one p per site cannot split them later
     post_merge_violations: int
-    elliptic: bool
 
     @property
     def pairs(self) -> int:
@@ -261,7 +255,6 @@ def coalescence_experiment(
         seeds=seeds,
         met_level=met_level,
         post_merge_violations=post_merge_violations,
-        elliptic=rule.weakly_elliptic,
     )
 
 

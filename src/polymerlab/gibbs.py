@@ -403,6 +403,8 @@ class LdpProfile:
 # point-to-line sweep's temporaries with their hashing once a level of all
 # replicas outgrows a hash block.  One hash block (`env._HASH_BLOCK_BYTES`)
 # is set aside for the whole group.  At n = 200 a group holds 4 replicas.
+# From n = 433 on, one replica alone counts more than the budget less that
+# reserve (6.1 MB against 4.6 MB at n = 500), so a group of one overruns it.
 _LDP_BLOCK_BYTES = 5 << 20
 
 

@@ -381,7 +381,7 @@ def test_c17_reproducibility(tmp_path):
     scan_cfg = "kind = scan\nweights = gaussian\nt_points = 31\nradius = 120\nseed_weights = 6\n"
     cdf_cfg = (
         "kind = cdf\nweights = gaussian\ngrid_points = 9\ngrid_lo = 0.1\ngrid_hi = 0.9\n"
-        "replicas = 200\nsteps = 150\nbusemann_horizon = 150\nseed_weights = 3\nseed_coupling = 4\n"
+        "replicas = 200\nsteps = 150\nseed_weights = 3\nseed_coupling = 4\n"
     )
     outputs = []
     for tag in ("a", "b"):

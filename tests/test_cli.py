@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ import pytest
 
 from polymerlab import cocycle, env, gibbs
 from polymerlab.cli import (
+    _COMMON,
+    _SCHEMAS,
     KINDS,
     Check,
     ExperimentConfig,
@@ -31,6 +34,7 @@ from polymerlab.partition import comparison_check
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 DLR_CFG = """
 # bundled dlr check
@@ -114,7 +118,6 @@ def test_parse_round_trip_and_defaults():
         ("kind = busemann\nwidth = 30\nheight = 30\nhorizon = 58", "'horizon'"),
         ("kind = busemann\nconstruction = p2p\nhorizon = -1", "'horizon'"),
         ("kind = busemann\nconstruction = p2p\ntarget_u = 39\ntarget_v = 80", "'target_u'"),
-        ("kind = busemann\nconstruction = p2p\ntarget_u = 80\ntarget_v = 2", "'target_v'"),
         ("kind = cdf\ngrid_points = 1", "'grid_points'"),
         ("kind = cdf\nbusemann_horizon = 1", "'busemann_horizon'"),
         ("kind = cdf\nbusemann_horizon = -5", "'busemann_horizon'"),
@@ -164,6 +167,17 @@ def test_parse_round_trip_and_defaults():
         ("kind = cdf\ngrid_lo = 0.5\ngrid_hi = 0.5", "'grid_hi'"),
         ("kind = cdf\ngrid_lo = -0.1", "'grid_lo'"),
         ("kind = cdf\ngrid_hi = 1.5", "'grid_hi'"),
+        ("kind = ldp\nt = 0.1", "'t'"),
+        ("kind = ldp\nt = 0.9", "'t'"),
+        ("kind = cesaro\nt = 0.1", "'t'"),
+        ("kind = cesaro\nt = 0.9", "'t'"),
+        # a standard error needs two samples
+        ("kind = cesaro\nsamples = 1", "'samples'"),
+        ("kind = cesaro\nshape_replicas = 1", "'shape_replicas'"),
+        ("kind = ldp\nreplicas = 1", "'replicas'"),
+        ("kind = ldp\nshape_replicas = 1", "'shape_replicas'"),
+        ("kind = shape\nn = 40\nreplicas = 1", "'replicas'"),
+        ("kind = shape\nweights = uniform\nreplicas = 1", "'replicas'"),
         ("just some words", "key = value"),
     ],
 )
@@ -177,6 +191,21 @@ def test_malformed_configs_name_the_field(text, fragment):
 def test_every_kind_parses_with_its_defaults(kind):
     # every default lies in its own field's accepted set
     assert parse_config(f"kind = {kind}").kind == kind
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"kind = {kind}\nt = {t!r}"
+        for kind in ("cesaro", "ldp")
+        for t in (math.nextafter(0.1, 1.0), math.nextafter(0.9, 0.0))
+    ]
+    + ["kind = cdf\nsteps = 2", "kind = shape\nweights = constant\nreplicas = 1"],
+)
+def test_edges_of_the_accepted_sets_parse(text):
+    # the first floats inside (0.1, 0.9), the shortest cdf horizon, and one
+    # replica where the constant model needs no standard error
+    parse_config(text)
 
 
 def test_run_dlr_fixture_passes(tmp_path):
@@ -275,6 +304,11 @@ def test_beta_flag_is_checked_like_the_field(tmp_path, capsys):
         ("kind = junctions\np = 1.5", "'p'"),
         ("kind = cdf\ngrid_lo = 0.9\ngrid_hi = 0.1", "'grid_hi'"),
         ("kind = scan\nsd = inf", "'sd'"),
+        # deleted fields: the p2p target is (width + horizon, height + horizon),
+        # and the cdf Busemann side probes at `steps`
+        ("kind = busemann\nconstruction = p2p\ntarget_u = 80", "'target_u': not recognized"),
+        ("kind = busemann\nconstruction = p2p\ntarget_v = 80", "'target_v': not recognized"),
+        ("kind = cdf\nbusemann_horizon = 80", "'busemann_horizon': not recognized"),
     ],
 )
 def test_typos_are_refused_before_any_work(tmp_path, capsys, typo, field):
@@ -299,20 +333,29 @@ def test_typos_are_refused_before_any_work(tmp_path, capsys, typo, field):
         ("busemann", "path_tol", 1e-8),
         ("dlr", "tol", 1e-10),
         ("ldp", "identity_tol", 1e-10),
+        ("shape", "entropy_tol", 0.01),
+        ("monotonicity", "tilt_scale", 0.5),
+        ("monotonicity", "triple_size", 30),
+        ("cesaro", "shape_step", 0.05),
+        ("ldp", "shape_step", 0.05),
+        ("interface", "interior_eps", 0.001),
+        ("interface", "interior_min", 0.97),
+        ("cdf", "tail_eps", 0.02),
     ],
 )
 def test_exact_identity_tolerances_are_not_config_fields(tmp_path, capsys, kind, field, tol):
-    """A config cannot loosen an exact identity until it passes: setting its
-    tolerance is refused with exit 2 naming the field, and the run reads the
-    fixed value."""
+    """A config cannot loosen a check until it passes: setting one of its
+    fixed tolerances or sizes is refused with exit 2 naming the field, and
+    the run reads the fixed value."""
     loose = tmp_path / "loose.cfg"
     loose.write_text(f"kind = {kind}\n{field} = 1\n")
     out = tmp_path / "o"
     assert main(["run", str(loose), "--out", str(out)]) == 2
-    assert f"'{field}'" in capsys.readouterr().err
+    assert f"'{field}': fixed at {tol!r}" in capsys.readouterr().err
     assert not out.exists()
     cfg = parse_config(f"kind = {kind}")
     assert getattr(cfg, field) == tol and field not in cfg.values
+
 
 
 def test_a_log_gamma_shape_with_infinite_weights_exits_2(tmp_path, capsys):
@@ -348,7 +391,7 @@ def test_reproducibility_byte_identical(tmp_path):
 def test_coupling_seed_does_not_touch_weight_quantities(tmp_path):
     cdf_cfg = (
         "kind = cdf\nweights = gaussian\ngrid_points = 5\ngrid_lo = 0.2\ngrid_hi = 0.8\n"
-        "replicas = 150\nsteps = 80\nbusemann_horizon = 80\nseed_weights = 3\nseed_coupling = 4\n"
+        "replicas = 150\nsteps = 80\nseed_weights = 3\nseed_coupling = 4\n"
     )
     base = parse_config(cdf_cfg)
     moved = ExperimentConfig(base.kind, {**base.values, "seed_coupling": 999})
@@ -377,9 +420,10 @@ def test_suite_aggregates_and_fails_on_one_bad_item(tmp_path):
     good.write_text(SCAN_CFG)
     failing = tmp_path / "failing.cfg"
     failing.write_text(
-        # impossible tolerance forces a clean FAIL without erroring
+        # at n = 64 constant weights miss the entropy by 0.036, beyond the
+        # fixed 0.01: a clean FAIL without erroring
         "kind = shape\nweights = constant\nvalue = 0\n"
-        "t_grid = 0.5\nn = 64\nreplicas = 1\nentropy_tol = 1e-9\n"
+        "t_grid = 0.5\nn = 64\nreplicas = 1\n"
     )
     ok, reports = suite([str(good), str(failing)], out_dir=str(tmp_path / "out"))
     assert not ok
@@ -388,6 +432,35 @@ def test_suite_aggregates_and_fails_on_one_bad_item(tmp_path):
     manifest.write_text("good.cfg\nfailing.cfg\n")
     assert main(["suite", str(manifest), "--out", str(tmp_path / "out2")]) == 1
 
+
+
+def _table_rows(text, header):
+    # the cells of each row of the markdown table under `header`
+    lines = text[text.index(header) :].splitlines()[2:]
+    rows = []
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _names(cell):
+    # backticked names, leaving out the values in parentheses after a field
+    return re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", cell))
+
+
+def test_readme_config_tables_name_only_accepted_fields():
+    text = README.read_text(encoding="utf-8")
+    common = [name for row in _table_rows(text, "| field | meaning | default |") for name in _names(row[0])]
+    assert "kind" in common and "seed_sampler" in common
+    assert set(common) <= set(_COMMON)
+    kinds = _table_rows(text, "| kind | what it checks | key fields |")
+    assert sorted(_names(row[0])[0] for row in kinds) == sorted(KINDS)
+    for row in kinds:
+        kind = _names(row[0])[0]
+        fields = _names(row[2])
+        assert fields and set(fields) <= set(_COMMON) | set(_SCHEMAS[kind]), kind
 
 
 def test_manifest_lists_every_shipped_config_and_each_loads():
@@ -438,7 +511,7 @@ def test_batched_monotonicity_run_equals_the_per_pair_loop(tmp_path, monkeypatch
     # pairs straddle two groups
     cfg = parse_config(
         f"kind = monotonicity\nbeta = {beta}\nwidth = 6\nheight = 5\nhorizon = 10\npairs = 7\n"
-        "tilt_scale = 0.8\ntriples = 12\ntriple_size = 9\nseed_weights = 21\nseed_sampler = 4\n"
+        "triples = 12\nseed_weights = 21\nseed_sampler = 4\n"
     )
     per_tilt = 8 * ((cfg.horizon + 1) * (cfg.width + 8) + 3 * cfg.width * cfg.height)
     monkeypatch.setattr(cocycle, "_TILT_BLOCK_BYTES", env._HASH_BLOCK_BYTES + 3 * per_tilt)
@@ -470,7 +543,7 @@ def test_write_csv_matches_format_value(tmp_path):
     [
         ("kind = interface\nsteps = 30\nreplicas = 20", "interface_directions.csv"),
         (
-            "kind = cdf\ngrid_points = 5\nreplicas = 20\nsteps = 30\nbusemann_horizon = 30",
+            "kind = cdf\ngrid_points = 5\nreplicas = 20\nsteps = 30",
             "cdf_comparison.csv",
         ),
         ("kind = coalescence\nrule = half\nhorizon = 40\nseeds = 12", "coalescence.csv"),
@@ -491,7 +564,7 @@ def test_negative_coupling_seeds_wrap_like_weight_seeds(tmp_path, text, csv):
         ("kind = ldp\nn = 20\nreplicas = 3\nshape_n = 40\nshape_replicas = 4", "seed_weights"),
         ("kind = busemann\nwidth = 6\nheight = 5\nhorizon = 20\nstaircases = 5", "seed_sampler"),
         (
-            "kind = monotonicity\nwidth = 5\nheight = 5\nhorizon = 12\npairs = 3\ntriples = 4\ntriple_size = 6",
+            "kind = monotonicity\nwidth = 5\nheight = 5\nhorizon = 12\npairs = 3\ntriples = 4",
             "seed_sampler",
         ),
         (

@@ -24,7 +24,6 @@ GAUSS = WeightSpec.gaussian(0, 1)
 def test_degenerate_rule_gives_ray():
     p = coupled_walk(constant_rule(1.0), CouplingField(3), Site(0, 0), 12)
     assert np.all(p.sites[:, 1] == 0)
-    assert not constant_rule(1.0).weakly_elliptic
 
 
 def test_walk_is_function_of_state():
@@ -59,7 +58,6 @@ def test_half_rule_coalescence_and_permanence():
     )
     assert stats.fraction >= 0.95
     assert stats.post_merge_violations == 0
-    assert stats.elliptic
 
 
 def test_the_loop_ends_once_every_pair_has_met():

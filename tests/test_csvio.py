@@ -156,7 +156,7 @@ def _coalescence_run():
 
 def _coalescence_censored():
     seeds = np.array([2**63 + 1, 5, 2**64 - 1], dtype=np.uint64)
-    return _coalescence(CoalescenceStats(seeds, np.array([4, -1, 0]), 0, True))
+    return _coalescence(CoalescenceStats(seeds, np.array([4, -1, 0]), 0))
 
 
 def _directions():

@@ -155,11 +155,9 @@ def test_exact_path_probability_matches_sampling():
     path = path_from_steps(Site(0, 0), [1, 0, 0, 1, 1])
     p = exact_path_probability(bf, f, Site(0, 0), path)
     n = 40000
-    rng = np.random.default_rng(4)
-    hits = 0
-    for _ in range(n):
-        s = forward_chain_sample(trans, Site(0, 0), 5, rng)
-        hits += np.array_equal(s.sites, path.sites)
+    # n forward chains in one batch; five steps from the origin stay in the window
+    e1, _, _ = gibbs._walk(trans, Site(0, 0), 5, n, np.random.default_rng(4))
+    hits = int((e1 == path.steps_e1()).all(axis=1).sum())
     se = math.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) <= 3 * se
 
