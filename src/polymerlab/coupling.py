@@ -8,6 +8,7 @@ probabilities produce pathwise-ordered walks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -17,6 +18,7 @@ import numpy as np
 from .csvio import write_columns
 from .env import (
     COUPLING_STREAM,
+    _HASH_BLOCK_SITES,
     Site,
     WeightField,
     Window,
@@ -142,12 +144,59 @@ def band_transition_rule(
     return CoupledStepRule(p_fn)
 
 
-def _step(rule: CoupledStepRule, keys, u: np.ndarray, v: np.ndarray):
-    """One synchronized step of coupled walkers at (u, v) under the
-    `_key`s of their coupling seeds: e1 where the site's uniform falls
-    below the step probability."""
-    s = _uniforms(keys, u, v) < rule.p_at(u, v)
-    return u + s, v + ~s
+@functools.cache
+def _triangle(m: int, ndim: int):
+    """The offsets (i, j - i), 0 <= i <= j < m, of the sites a walker can
+    step from in its next m levels, in the order j(j+1)/2 + i, each shaped
+    to lead `ndim` walker axes."""
+    j = np.repeat(np.arange(m), np.arange(1, m + 1))
+    i = np.arange(j.size) - j * (j + 1) // 2
+    shape = (-1,) + (1,) * ndim
+    return i.reshape(shape), (j - i).reshape(shape)
+
+
+def _ahead(keys, u: np.ndarray, v: np.ndarray, levels: int):
+    """The uniforms of every site walkers at (u, v) can step from in their
+    next m levels, hashed by one `_uniforms` call under the `_key`s of their
+    coupling seeds (broadcast against u).  m is the largest with u.size *
+    m(m+1)/2 sites in one hash block, at least 1 and at most `levels`.
+    After j steps, i of them e1, a walker is at (u + i, v + j - i): row
+    j(j+1)/2 + i of the block, which has a column per walker in u's flat
+    order.  Returns m and the block, flat; row 0 is the walkers' own sites,
+    and a one-level block is only that row."""
+    m = min(levels, (math.isqrt(8 * (_HASH_BLOCK_SITES // max(u.size, 1)) + 1) - 1) // 2)
+    if m <= 1:
+        return 1, _uniforms(keys, u, v).ravel()
+    du, dv = _triangle(m, u.ndim)
+    return m, _uniforms(keys, u + du, v + dv).ravel()
+
+
+def _walk(rule: CoupledStepRule, keys, u: np.ndarray, v: np.ndarray, steps: int):
+    """Coupled walkers at (u, v) stepped `steps` levels on uniforms hashed
+    ahead by `_ahead`: e1 where the site's uniform falls below the step
+    probability, which `rule.p_at` gives at the visited sites only, in u's
+    shape.  Yields (u, v) after each level.  A caller may send a mask of the
+    last axis: the walkers outside it, with their keys, leave the walk."""
+    while steps:
+        m, theta = _ahead(keys, u, v, steps)
+        n = u.size
+        for j in range(m):
+            # `at`: each walker's flat index into the rows from j(j+1)/2
+            # on, i rows below its column
+            t = theta[:n].reshape(u.shape) if j == 0 else theta[j * (j + 1) // 2 * n :].take(at)
+            s = t < rule.p_at(u, v)
+            u, v = u + s, v + ~s
+            if j < m - 1:
+                at = (np.arange(n).reshape(u.shape) if j == 0 else at) + n * s
+            keep = yield u, v
+            if keep is not None:
+                # `compress` keeps (2, A) sites C-ordered; a boolean index of
+                # the last axis returns them Fortran-ordered, and every later
+                # ufunc, the hash's included, then runs strided
+                keys, u, v = keys[keep], u.compress(keep, -1), v.compress(keep, -1)
+                if j < m - 1:
+                    at = at.compress(keep, -1)
+        steps -= m
 
 
 def coupled_walk(
@@ -159,9 +208,8 @@ def coupled_walk(
     u = np.asarray([start.u], dtype=np.int64)
     v = np.asarray([start.v], dtype=np.int64)
     key = _key(thetas.seed, COUPLING_STREAM)
-    for k in range(steps):
-        u, v = _step(rule, key, u, v)
-        sites[k + 1] = (u[0], v[0])
+    for k, (u, v) in enumerate(_walk(rule, key, u, v, steps), 1):
+        sites[k] = (u[0], v[0])
     return PolymerPath(sites)
 
 
@@ -222,13 +270,13 @@ def coalescence_experiment(
     ua = np.full(S, start_a.u, dtype=np.int64)
     va = np.full(S, start_a.v, dtype=np.int64)
     # bring walker a up to walker b's level first, driven by the same thetas
-    for k in range(lag):
-        ua, va = _step(rule, keys, ua, va)
+    for ua, va in _walk(rule, keys, ua, va, lag):
+        pass
     # rows a, b of the pairs idx that have not met.  A pair that meets takes
     # one more step and then leaves: a split on that step is a permanence
     # violation, and none can follow, since one key at one site reads one
-    # uniform and one p.  idx, keys, u and v are compacted together, and
-    # only on levels where some pair meets.
+    # uniform and one p.  idx and the walk's keys, sites and block indices
+    # are compacted together, and only on levels where some pair meets.
     u = np.stack([ua, np.full(S, start_b.u, dtype=np.int64)])
     v = np.stack([va, np.full(S, start_b.v, dtype=np.int64)])
     idx = np.arange(S)
@@ -236,17 +284,20 @@ def coalescence_experiment(
     post_merge_violations = 0
     level = start_b.level()
     same = (u[0] == u[1]) & (v[0] == v[1])
+    walk = _walk(rule, keys, u, v, horizon)
+    live = None
     for k in range(horizon):
         met = same.any()
         if met:
             met_level[idx[same]] = level
-        u, v = _step(rule, keys, u, v)
+        u, v = walk.send(live)
         level += 1
         after = (u[0] == u[1]) & (v[0] == v[1])
+        live = None
         if met:
             post_merge_violations += int((same & ~after).sum())
             live = ~same
-            idx, keys, u, v, after = idx[live], keys[live], u[:, live], v[:, live], after[live]
+            idx, after = idx[live], after[live]
         same = after
         if not idx.size:
             break
@@ -280,9 +331,9 @@ def ordering_check(
     uh = ul.copy()
     vh = vl.copy()
     violations = 0
-    for k in range(steps):
-        ul, vl = _step(rule_low, keys, ul, vl)
-        uh, vh = _step(rule_high, keys, uh, vh)
+    low = _walk(rule_low, keys, ul, vl, steps)
+    high = _walk(rule_high, keys, uh, vh, steps)
+    for (ul, _), (uh, _) in zip(low, high):
         violations += int((ul > uh).sum())
     return violations
 
@@ -331,7 +382,12 @@ def junction_statistics(
         by_level.setdefault(u + v, []).append(i)
     junctions = 0
     events = 0
+    # every site a walker steps from: the box, widened to the starts
+    us = [0, L] + [u for u, _ in starts]
+    vs = [0, L] + [v for _, v in starts]
+    u0, v0 = min(us), min(vs)
     key = _key(thetas.seed, COUPLING_STREAM)
+    theta = _uniforms(key, np.arange(u0, max(us) + 1)[:, None], np.arange(v0, max(vs) + 1))
     for level in range(0, 2 * L + 1):
         for i in by_level.get(level, ()):
             pos[i] = starts[i]
@@ -355,7 +411,8 @@ def junction_statistics(
             cs = list(new_pos)
             uu = np.asarray([new_pos[c][0] for c in cs], dtype=np.int64)
             vv = np.asarray([new_pos[c][1] for c in cs], dtype=np.int64)
-            uu2, vv2 = _step(rule, key, uu, vv)
+            s = theta[uu - u0, vv - v0] < rule.p_at(uu, vv)
+            uu2, vv2 = uu + s, vv + ~s
             keep = (uu2 <= L) & (vv2 <= L)
             for j, c in enumerate(cs):
                 if keep[j]:

@@ -7,6 +7,7 @@ import scipy.stats as st
 from scipy.special import expit
 
 from polymerlab import cif as cif_module
+from polymerlab import gibbs
 from polymerlab.cif import (
     build_tree,
     cif_cdf_check,
@@ -204,17 +205,26 @@ def test_busemann_probes_refuse_horizons_below_two():
         cif_cdf_check(f, 1.0, grid, 10, 1, 1)  # the horizon defaults to steps
 
 
-def test_constant_weights_cif_transitions_are_binomial():
+def test_constant_weights_cif_transitions_are_binomial(monkeypatch):
     f = generate_field(WeightSpec.constant(0.0), 1, Window(Site(0, 0), 12, 12))
     table = p2p_table(f, Site(0, 0), Window(Site(0, 0), 12, 12), 1.0, "from_anchor")
-    n = 30000
+    chains = []
+
+    def walk(chain, *args):
+        chains.append(chain)
+        return gibbs._walk(chain, *args)
+
+    monkeypatch.setattr(cif_module, "_walk", walk)
     rng = np.random.default_rng(3)
-    first = 0
-    for _ in range(n):
-        first += interface_direct_sample(table, f, 1, rng).path.sites[1, 0]
+    direct = [interface_direct_sample(table, f, 1, rng).path.sites[1, 0] for _ in range(6)]
+    # n one-step walkers of the chain the sampler builds draw the uniforms
+    # of n one-step samples, in the same order
+    n = 30000
+    e1 = gibbs._walk(chains[0], table.anchor, 1, n, np.random.default_rng(3))[0][:, 0]
+    assert e1[:6].tolist() == direct
     # P(step e1 at 0) = (v+1)/(u+v+2) at (u,v)=(0,0) -> 1/2
     se = math.sqrt(0.25 / n)
-    assert abs(first / n - 0.5) <= 3 * se
+    assert abs(e1.sum() / n - 0.5) <= 3 * se
 
 
 def test_constant_weights_direction_is_polya_uniform():

@@ -7,6 +7,7 @@ from polymerlab.cocycle import busemann_from_p2l
 from polymerlab.coupling import (
     CoupledStepRule,
     CouplingField,
+    JunctionReport,
     band_transition_rule,
     coalescence_experiment,
     constant_rule,
@@ -35,15 +36,16 @@ def test_walk_is_function_of_state():
 
 
 def test_marginal_step_law():
-    # frequencies over theta-seeds match p at a fixed site
+    # frequencies over theta-seeds match p at a fixed site: seed s steps e1
+    # out of (0, 0) where its uniform there is below p, as the first walks
+    # show
     rule = constant_rule(0.3)
-    hits = 0
     n = 20000
-    for s in range(n):
-        th = CouplingField(s)
-        hits += coupled_walk(rule, th, Site(0, 0), 1).sites[1, 0]
+    e1 = site_uniforms(np.arange(n), COUPLING_STREAM, 0, 0) < 0.3
+    for s in range(8):
+        assert coupled_walk(rule, CouplingField(s), Site(0, 0), 1).sites[1, 0] == e1[s]
     se = math.sqrt(0.3 * 0.7 / n)
-    assert abs(hits / n - 0.3) <= 3 * se
+    assert abs(e1.sum() / n - 0.3) <= 3 * se
 
 
 def test_identical_starts_meet_immediately():
@@ -268,14 +270,51 @@ def test_coalescence_block_equals_pairwise_steps():
         (Site(3, 1), Site(0, 0)),  # swapped starts
         (Site(2, 2), Site(2, 2)),  # identical starts
     ]
-    # short horizons make some pairs meet exactly at the last level
-    runs = [(constant_rule(0.5), h) for h in (1, 2, 3, 400)] + [(band, 250), (transitions, 50)]
-    for rule, horizon in runs:
+    long_band = band_transition_rule(f, 1.0, (-0.7, -0.7), 410, 6)
+    seeds = range(40, 120)
+    # short horizons make some pairs meet exactly at the last level.  4200
+    # seeds put 8400 walkers in the first block, which is then one level;
+    # 40 seeds step in blocks of about 30 levels that pairs leave midway
+    runs = [(constant_rule(0.5), h, seeds) for h in (1, 2, 3, 400)] + [
+        (band, 250, seeds),
+        (transitions, 50, seeds),
+        (constant_rule(0.5), 3, range(4200)),
+        (constant_rule(0.5), 400, range(900, 940)),
+        (long_band, 400, range(900, 940)),
+    ]
+    for rule, horizon, theta_seeds in runs:
         for a, b in starts:
-            stats = coalescence_experiment(rule, a, b, horizon, range(40, 120))
-            met_level, violations = _pairwise_coalescence(rule, a, b, horizon, range(40, 120))
+            stats = coalescence_experiment(rule, a, b, horizon, theta_seeds)
+            met_level, violations = _pairwise_coalescence(rule, a, b, horizon, theta_seeds)
             assert np.array_equal(stats.met_level, met_level)
             assert stats.post_merge_violations == violations
+
+
+def _on_rays(*starts):
+    """p = 1 on the e1 rays from `starts`, and a refusal at any other site:
+    walks from the starts only step e1 and never leave their rays."""
+
+    def p_fn(uu, vv):
+        on = np.zeros(np.shape(uu), dtype=bool)
+        for s in starts:
+            on |= (vv == s.v) & (uu >= s.u)
+        if not on.all():
+            raise WindowError("site off the rays")
+        return np.ones(np.shape(uu))
+
+    return CoupledStepRule(p_fn)
+
+
+def test_walks_read_the_step_law_only_at_the_sites_they_visit():
+    # the blocks hash every site a walker could reach; the rule sees only
+    # the ones it does reach
+    a, b = Site(0, 0), Site(0, 2)
+    rule = _on_rays(a, b)
+    stats = coalescence_experiment(rule, a, b, 500, range(40))
+    assert np.all(stats.met_level == -1) and stats.post_merge_violations == 0
+    assert ordering_check(rule, rule, a, 500, range(40)) == 0
+    path = coupled_walk(rule, CouplingField(3), a, 500)
+    assert np.array_equal(path.sites[:, 0], np.arange(501)) and np.all(path.sites[:, 1] == 0)
 
 
 def _per_level_band(field, beta, h, horizon, half_width):
@@ -358,3 +397,59 @@ def test_band_rule_lookups_gather_its_rows_and_refuse_sites_off_the_band():
         with pytest.raises(WindowError):
             rule.p_at(np.array([15, u]), np.array([15, v]))
     assert np.isfinite(rule.p_at(np.array([11, 19, 24]), np.array([19, 11, 24]))).all()
+
+
+def _per_level_junctions(rule, box, seed, starts=None):
+    """Reference: every start's walker stepped alone by `_site_step`, level
+    by level from 0 to 2 box, until it leaves [., box]^2.  Walkers that
+    come to one site from two or more sites of the level before, or start
+    there, join there: one event, a junction inside [1, box]^2."""
+    L = box
+    if starts is None:
+        starts = [(k, 0) for k in range(L + 1)] + [(0, k) for k in range(1, L + 1)]
+    comp = list(range(len(starts)))  # the start each walker has joined
+    walkers = {}  # walker -> (site, where it came from)
+    events = junctions = 0
+    for level in range(2 * L + 1):
+        for i, (u, v) in enumerate(starts):
+            if u + v == level:
+                walkers[i] = ((u, v), ("start", i))
+        at = {}
+        for i, (xy, came) in walkers.items():
+            at.setdefault(xy, []).append((came, i))
+        for xy, here in at.items():
+            if len({came for came, _ in here}) > 1:
+                events += 1
+                junctions += 1 <= xy[0] <= L and 1 <= xy[1] <= L
+                old = {comp[i] for _, i in here}
+                comp = [here[0][1] if c in old else c for c in comp]
+        if not walkers:
+            continue
+        ids = list(walkers)
+        uu = np.array([walkers[i][0][0] for i in ids])
+        vv = np.array([walkers[i][0][1] for i in ids])
+        uu2, vv2 = _site_step(rule, seed, uu, vv)
+        walkers = {
+            i: ((int(u), int(v)), ("site", walkers[i][0]))
+            for i, u, v in zip(ids, uu2, vv2)
+            if u <= L and v <= L
+        }
+    sizes = np.bincount(comp, minlength=len(starts))
+    sizes = sizes[sizes >= 2]
+    return JunctionReport(L, junctions, junctions / L**2, int(sizes.sum()), events, sizes.size)
+
+
+@pytest.mark.parametrize(
+    "box,starts",
+    [(L, None) for L in (1, 2, 16, 64)]
+    + [
+        (6, [(-3, 4), (-2, 2), (0, 0), (-1, 1), (4, -4), (9, 1), (2, 8), (7, 7)]),
+        (5, [(2, 2), (2, 2), (12, -3), (-6, 7), (0, 11), (-9, -9), (3, 0)]),
+        (4, []),
+    ],
+)
+def test_junction_box_equals_per_site_hashing(box, starts):
+    rule = constant_rule(0.5)
+    for seed in range(3, 8):
+        rep = junction_statistics(rule, box, CouplingField(seed), starts=starts)
+        assert rep == _per_level_junctions(rule, box, seed, starts)
