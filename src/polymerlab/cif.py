@@ -18,7 +18,7 @@ import numpy as np
 
 from .coupling import CouplingField
 from .csvio import write_columns
-from .env import COUPLING_STREAM, E1, E2, EHAT, Site, WeightField, Window, _as_u64, _key, _rows, _special, _uniforms
+from .env import COUPLING_STREAM, E1, E2, EHAT, Site, WeightField, Window, _key, _rows, _seed_array, _special, _uniforms
 from .errors import (
     DomainError,
     ParameterError,
@@ -206,7 +206,7 @@ def cif_direction_stats(
     beta, scale, comb = _temperature(beta)
     if math.isinf(beta):
         raise ParameterError("interface directions are defined for finite beta")
-    seeds = np.fromiter(map(_as_u64, range(theta_seed, theta_seed + replicas)), np.uint64)
+    seeds = _seed_array(range(theta_seed, theta_seed + replicas))
     keys = _key(seeds, COUPLING_STREAM)
     u = np.zeros(replicas, dtype=np.int64)
     v = np.zeros(replicas, dtype=np.int64)

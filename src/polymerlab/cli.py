@@ -98,7 +98,7 @@ _WEIGHT_FIELDS = {
 
 # field name -> (parser, default, accepted).  `accepted` is None, the tuple
 # of allowed strings, or an _In that a number, and every entry of a list
-# (which must not be empty), lies in.
+# (which must not be empty), lies in.  A list must be strictly increasing.
 _COMMON = {
     "kind": (str, None, None),  # required; _config checks it first
     "weights": (str, "gaussian", tuple(_WEIGHT_FIELDS)),
@@ -289,6 +289,8 @@ def _config(raw: dict[str, str]) -> ExperimentConfig:
         values.setdefault(key, default)
         if accepted is not None:
             _refuse_outside(key, values[key], accepted)
+        if isinstance(values[key], tuple) and not all(a < b for a, b in zip(values[key], values[key][1:])):
+            raise ConfigError(f"field {key!r}: must be strictly increasing")
     if math.isinf(values["beta"]) and (kind in _FINITE_BETA_KINDS or values.get("rule") == "busemann"):
         raise ConfigError(f"field 'beta': kind {kind!r} is defined for finite beta only")
     if kind == "monotonicity" or values.get("construction") == "p2l":

@@ -21,10 +21,9 @@ from .env import (
     _HASH_BLOCK_SITES,
     Site,
     WeightField,
-    Window,
-    _as_u64,
     _key,
     _rows,
+    _seed_array,
     _uniforms,
     site_uniforms,
 )
@@ -48,10 +47,9 @@ __all__ = [
 class CouplingField:
     """Per-site Uniform[0,1] variables with the same counter-based
     determinism contract as weight fields, in an independent seed namespace.
-    Values regenerate at any site; the window is only a nominal extent."""
+    Values regenerate at any site."""
 
     seed: int
-    window: Window | None = None
 
     def theta_at(self, uu, vv) -> np.ndarray:
         return site_uniforms(self.seed, COUPLING_STREAM, uu, vv)
@@ -259,7 +257,7 @@ def coalescence_experiment(
     seeds: detects the first common site, counts the pairs that split on the
     step out of it, and reports the censored (never-met within horizon)
     fraction.  The loop ends once every pair has met."""
-    seeds = np.fromiter(map(_as_u64, theta_seeds), np.uint64)
+    seeds = _seed_array(theta_seeds)
     S = seeds.size
     if S == 0:
         raise ParameterError("coalescence needs at least one coupling seed")
@@ -325,7 +323,7 @@ def ordering_check(
     if p_low is not None and p_high is not None:
         if np.any(p_low > p_high + 1e-12):
             raise OrderingError("step laws are not pointwise ordered")
-    keys = _key(np.fromiter(map(_as_u64, theta_seeds), np.uint64), COUPLING_STREAM)
+    keys = _key(_seed_array(theta_seeds), COUPLING_STREAM)
     ul = np.full(keys.size, start.u, dtype=np.int64)
     vl = np.full(keys.size, start.v, dtype=np.int64)
     uh = ul.copy()
@@ -352,76 +350,49 @@ class JunctionReport:
         return self.leaves >= self.interior + self.trees
 
 
-def junction_statistics(
-    rule: CoupledStepRule, box: int, thetas: CouplingField, starts=None
-) -> JunctionReport:
+def junction_statistics(rule: CoupledStepRule, box: int, thetas: CouplingField) -> JunctionReport:
     """Coalescence forest of coupled walks from the south-west boundary of
-    [0, box]^2 (or explicit starts): counts junction points (first meetings
-    of distinct merged classes) inside [1, box]^2 per unit area, and checks
-    the binary-forest inequality leaves >= interior + trees."""
+    [0, box]^2: counts junction points (first meetings of distinct merged
+    classes) inside [1, box]^2 per unit area, and checks the binary-forest
+    inequality leaves >= interior + trees.
+
+    Walkers step by 0 or +1 in u per level, so they cannot cross without
+    meeting: the classes of a level stay sorted by u, and a merge is two
+    neighbours with one u.  Level k's starts (0, k) and (k, 0) join at the
+    two ends, and only the ends can leave the box, the first past v = box
+    and the last past u = box.  A class that leaves holds its final count
+    of starts."""
     L = int(box)
     if L < 1:
         raise ParameterError("junction box must be at least 1")
-    if starts is None:
-        starts = [(k, 0) for k in range(L + 1)] + [(0, k) for k in range(1, L + 1)]
-    else:
-        starts = [(int(u), int(v)) for u, v in starts]
-    n_start = len(starts)
-    parent = list(range(n_start))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    # active walkers per class: class -> position; level-synchronized
-    pos: dict[int, tuple[int, int]] = {}
-    by_level: dict[int, list[int]] = {}
-    for i, (u, v) in enumerate(starts):
-        by_level.setdefault(u + v, []).append(i)
-    junctions = 0
-    events = 0
-    # every site a walker steps from: the box, widened to the starts
-    us = [0, L] + [u for u, _ in starts]
-    vs = [0, L] + [v for _, v in starts]
-    u0, v0 = min(us), min(vs)
     key = _key(thetas.seed, COUPLING_STREAM)
-    theta = _uniforms(key, np.arange(u0, max(us) + 1)[:, None], np.arange(v0, max(vs) + 1))
-    for level in range(0, 2 * L + 1):
-        for i in by_level.get(level, ()):
-            pos[i] = starts[i]
-        # group by site; merge co-located classes
-        sites: dict[tuple[int, int], list[int]] = {}
-        for c, xy in pos.items():
-            sites.setdefault(xy, []).append(c)
-        new_pos: dict[int, tuple[int, int]] = {}
-        for xy, classes in sites.items():
-            rep = classes[0]
-            if len(classes) > 1:
-                events += 1
-                if 1 <= xy[0] <= L and 1 <= xy[1] <= L:
-                    junctions += 1
-                for c in classes:
-                    parent[find(c)] = find(rep)
-            new_pos[find(rep)] = xy
-        # one synchronized step per surviving class
-        pos = {}
-        if new_pos:
-            cs = list(new_pos)
-            uu = np.asarray([new_pos[c][0] for c in cs], dtype=np.int64)
-            vv = np.asarray([new_pos[c][1] for c in cs], dtype=np.int64)
-            s = theta[uu - u0, vv - v0] < rule.p_at(uu, vv)
-            uu2, vv2 = uu + s, vv + ~s
-            keep = (uu2 <= L) & (vv2 <= L)
-            for j, c in enumerate(cs):
-                if keep[j]:
-                    pos[c] = (int(uu2[j]), int(vv2[j]))
-    comp: dict[int, int] = {}
-    for i in range(n_start):
-        comp[find(i)] = comp.get(find(i), 0) + 1
-    leaves = sum(size for size in comp.values() if size >= 2)
-    trees = sum(1 for size in comp.values() if size >= 2)
+    theta = _uniforms(key, np.arange(L + 1)[:, None], np.arange(L + 1))
+    u = np.zeros(1, dtype=np.int64)  # the classes on the level, by their u
+    size = np.ones(1, dtype=np.int64)  # the starts each class holds
+    junctions = events = leaves = trees = 0
+    for level in range(2 * L + 1):
+        if 0 < level <= L:
+            u = np.concatenate(([0], u, [level]))
+            size = np.concatenate(([1], size, [1]))
+        elif not u.size:
+            break
+        at = np.flatnonzero(u[1:] == u[:-1])  # classes at and at + 1 meet
+        if at.size:
+            events += at.size
+            # inside [1, L]^2: u >= 1 and v = level - u >= 1
+            junctions += int(np.count_nonzero((u[at] >= 1) & (u[at] < level)))
+            size[at] += size[at + 1]
+            u, size = np.delete(u, at + 1), np.delete(size, at + 1)
+        v = level - u
+        u = u + (theta[u, v] < rule.p_at(u, v))
+        # the first class may step past v = L, the last past u = L
+        lo = int(u[0] < level + 1 - L)
+        hi = u.size - int(u[-1] > L)
+        for n in size[:lo].tolist() + size[hi:].tolist():
+            if n >= 2:
+                leaves += n
+                trees += 1
+        u, size = u[lo:hi], size[lo:hi]
     return JunctionReport(
         box=L,
         junctions=junctions,

@@ -287,6 +287,12 @@ def _as_u64(x) -> np.ndarray | np.uint64:
     return np.asarray(x).astype(np.uint64)
 
 
+def _seed_array(seeds) -> np.ndarray:
+    """Integer seeds modulo 2^64 as one uint64 array, each the value
+    `_as_u64` keys on: a negative seed or one at or above 2^64 wraps."""
+    return np.array([int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
+
+
 def _wrapped_seed(seed) -> int:
     """The seed modulo 2^64, the value the hash keys on, as an int for
     seeding numpy generators: a negative seed names the same streams as its
@@ -360,7 +366,7 @@ def _hashed(window: Window, spec: WeightSpec, seed, shift: Site = Site(0, 0)) ->
     place from `_blocks`, in blocks of whole rows of constant u."""
     field = WeightField(window, spec, seed, np.empty((window.width, window.height)), shift)
     u = window.origin.u + np.arange(window.width)
-    for i, vals in _blocks(field, u, window.origin.v, window.height, (0, 1)):
+    for i, vals in _blocks(field, u, window.origin.v, window.height):
         field.values[i : i + len(vals)] = vals
     return field
 
@@ -371,20 +377,17 @@ def _replica_shape(field) -> tuple[int, ...]:
     return field.seeds.shape if isinstance(field, FieldBatch) else ()
 
 
-def _blocks(field, across, start, n: int, step):
-    """Raw weights of a rectangle of rows of n sites from `start` along an
-    axis step ((0, +-1) or (+-1, 0)), at the coordinates `across` of the
-    other axis, in the blocks of whole rows of `_rows`: yields (i, weights
-    of rows i, i+1, ... on axis -2).  A block hashes a column of the rows'
-    coordinates against one row of coordinates along them."""
+def _blocks(field, across, start, n: int):
+    """Raw weights of a rectangle of rows u = `across`[i], v = start ..
+    start + n - 1, in the blocks of whole rows of `_rows`: yields (i,
+    weights of rows i, i+1, ... on axis -2).  A block hashes a column of
+    the rows' u against one row of v."""
     block = _HASH_BLOCK_SITES // math.prod(_replica_shape(field))
-    d = step[0] + step[1]
-    along = start + np.arange(0, d * n, d)
+    along = start + np.arange(n)
     across = np.asarray(across)[:, None]
     rows = max(1, block // n)
     for i in range(0, len(across), rows):
-        col = across[i : i + rows]
-        yield i, field.values_at(along, col) if step[0] else field.values_at(col, along)
+        yield i, field.values_at(across[i : i + rows], along)
 
 
 def _rows(field, u0, v0, lengths, step=(0, 1)):
@@ -473,7 +476,7 @@ class FieldBatch:
         ):
             raise ParameterError("a field batch takes unshifted hashed fields of one distribution")
         object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "seeds", np.array([_as_u64(f.seed) for f in fields]))
+        object.__setattr__(self, "seeds", _seed_array(f.seed for f in fields))
 
     def values_at(self, uu, vv) -> np.ndarray:
         """Weights at the sites in every environment, shape (R,) + sites."""

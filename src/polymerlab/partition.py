@@ -226,7 +226,7 @@ class PartitionTable:
         worst = NEG_INF
         last = None  # L + beta*w on the row before a from_anchor block
         u = self.window.origin.u + np.arange(W)
-        for i, w in _blocks(self.field, u, self.window.origin.v, H, (0, 1)):
+        for i, w in _blocks(self.field, u, self.window.origin.v, H):
             wb = scale * w
             Lb = L[i : i + len(w)]
             a = np.full(wb.shape, NEG_INF)

@@ -92,6 +92,15 @@ def test_parse_round_trip_and_defaults():
         ("kind = cdf\nsteps = 0", "'steps'"),
         ("kind = junctions\nboxes = 0", "'boxes'"),
         ("kind = junctions\nboxes = 16 0 32", "'boxes'"),
+        # list fields are strictly increasing: each check reads them in order
+        ("kind = junctions\nboxes = 32 16", "'boxes'"),
+        ("kind = junctions\nboxes = 16 16 32", "'boxes'"),
+        ("kind = decay\nlevels = 8 8 16", "'levels'"),
+        ("kind = decay\nlevels = 16 8", "'levels'"),
+        ("kind = shape\nt_grid = 0.5 0.3 0.7 0.4 0.6", "'t_grid'"),
+        ("kind = shape\nt_grid = 0.3 nan 0.7", "'t_grid'"),
+        ("kind = shape\nn_list = 250 125 500", "'n_list'"),
+        ("kind = shape\nn_list = 125 125", "'n_list'"),
         ("kind = junctions\nreplicas = 0", "'replicas'"),
         ("kind = coalescence\nseeds = 0", "'seeds'"),
         ("kind = coalescence\nhorizon = 0", "'horizon'"),
@@ -469,6 +478,15 @@ def test_manifest_lists_every_shipped_config_and_each_loads():
     assert sorted(listed) == sorted(p.name for p in CONFIGS.glob("*.cfg"))
     for name in listed:
         load_config(CONFIGS / name)
+
+
+def test_shipped_junctions_csv_is_pinned(tmp_path):
+    # the shipped junctions run byte for byte, as the union-find forest
+    # wrote it
+    assert run(load_config(CONFIGS / "junctions.cfg"), out_dir=str(tmp_path)).passed
+    assert (tmp_path / "junctions.csv").read_bytes() == (
+        b"L,density\n16,0.040625000000000001\n32,0.022607421874999999\n64,0.01220703125\n"
+    )
 
 
 def _per_pair_monotonicity_csvs(cfg):

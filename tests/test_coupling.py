@@ -173,12 +173,6 @@ def test_ordering_rejects_unordered_fields():
         )
 
 
-def test_junction_single_start_has_none():
-    rep = junction_statistics(constant_rule(0.5), 8, CouplingField(3), starts=[(0, 0)])
-    assert rep.junctions == 0 and rep.interior == 0 and rep.trees == 0
-    assert rep.forest_identity_ok
-
-
 def test_junction_forest_identity_and_trend():
     densities = []
     for L in (12, 24):
@@ -399,14 +393,33 @@ def test_band_rule_lookups_gather_its_rows_and_refuse_sites_off_the_band():
     assert np.isfinite(rule.p_at(np.array([11, 19, 24]), np.array([19, 11, 24]))).all()
 
 
-def _per_level_junctions(rule, box, seed, starts=None):
-    """Reference: every start's walker stepped alone by `_site_step`, level
-    by level from 0 to 2 box, until it leaves [., box]^2.  Walkers that
-    come to one site from two or more sites of the level before, or start
-    there, join there: one event, a junction inside [1, box]^2."""
+def test_junction_rule_is_read_once_per_level_at_the_classes():
+    # one p_at call per level, at the distinct sites that the reference's
+    # walkers occupy there, sorted by u
+    def recording(calls):
+        def p_fn(uu, vv):
+            calls.append(np.stack([uu, vv]))
+            return np.full(uu.shape, 0.5)
+
+        return CoupledStepRule(p_fn)
+
+    for box in (3, 12):
+        got, want = [], []
+        junction_statistics(recording(got), box, CouplingField(4))
+        _per_level_junctions(recording(want), box, 4)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, np.unique(w, axis=1))
+
+
+def _per_level_junctions(rule, box, seed):
+    """Reference: the walker of every start on the south-west boundary of
+    [0, box]^2 stepped alone by `_site_step`, level by level from 0 to
+    2 box, until it leaves [., box]^2.  Walkers that come to one site from
+    two or more sites of the level before, or start there, join there: one
+    event, a junction inside [1, box]^2."""
     L = box
-    if starts is None:
-        starts = [(k, 0) for k in range(L + 1)] + [(0, k) for k in range(1, L + 1)]
+    starts = [(k, 0) for k in range(L + 1)] + [(0, k) for k in range(1, L + 1)]
     comp = list(range(len(starts)))  # the start each walker has joined
     walkers = {}  # walker -> (site, where it came from)
     events = junctions = 0
@@ -439,17 +452,11 @@ def _per_level_junctions(rule, box, seed, starts=None):
     return JunctionReport(L, junctions, junctions / L**2, int(sizes.sum()), events, sizes.size)
 
 
-@pytest.mark.parametrize(
-    "box,starts",
-    [(L, None) for L in (1, 2, 16, 64)]
-    + [
-        (6, [(-3, 4), (-2, 2), (0, 0), (-1, 1), (4, -4), (9, 1), (2, 8), (7, 7)]),
-        (5, [(2, 2), (2, 2), (12, -3), (-6, 7), (0, 11), (-9, -9), (3, 0)]),
-        (4, []),
-    ],
-)
-def test_junction_box_equals_per_site_hashing(box, starts):
-    rule = constant_rule(0.5)
-    for seed in range(3, 8):
-        rep = junction_statistics(rule, box, CouplingField(seed), starts=starts)
-        assert rep == _per_level_junctions(rule, box, seed, starts)
+@pytest.mark.parametrize("box", [1, 2, 3, 16, 64])
+def test_junction_box_equals_per_site_hashing(box):
+    # the sorted classes against every walker stepped alone, the rays of
+    # p = 0 and p = 1 among the laws
+    for p in (0.0, 0.3, 0.5, 1.0):
+        rule = constant_rule(p)
+        for seed in range(3, 8):
+            assert junction_statistics(rule, box, CouplingField(seed)) == _per_level_junctions(rule, box, seed)

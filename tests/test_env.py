@@ -75,6 +75,19 @@ def test_seed_and_stream_separation():
     assert np.all((w > 0) & (w < 1))
 
 
+def test_seed_arrays_key_each_seed_as_it_keys_alone():
+    # a walker batch's seeds wrap modulo 2^64 as one seed does: negative
+    # seeds, seeds at or above 2^63 and above 2^64, and numpy ints
+    seeds = [0, 5, -1, -(2**63), 2**63, 2**64 - 1, 2**64 + 7, 3 * 2**64 - 2]
+    seeds += [np.int64(-9), np.uint64(2**63 + 1), np.int32(4)]
+    got = env._seed_array(seeds)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, np.fromiter(map(env._as_u64, seeds), np.uint64))
+    keys = env._key(got, COUPLING_STREAM)
+    assert keys.tolist() == [int(env._key(s, COUPLING_STREAM)) for s in seeds]
+    assert env._seed_array([]).shape == (0,)
+
+
 def test_shift_view_identity_and_group_law():
     spec = WeightSpec.gaussian(0.5, 2.0)
     f = generate_field(spec, 3, Window(Site(0, 0), 6, 6))

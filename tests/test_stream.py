@@ -135,24 +135,22 @@ def test_rows_equal_per_row_values_at(spec, field_seeds, batch, rows, step, bloc
     across=st.lists(coords, min_size=1, max_size=12),
     start=coords,
     n=st.integers(1, 50),
-    step=st.sampled_from([(0, 1), (0, -1), (1, 0), (-1, 0)]),
     block=st.integers(1, 64),
 )
-def test_rectangle_blocks_equal_per_row_values_at(spec, field_seeds, batch, across, start, n, step, block):
-    # the rectangle stream of p2p_table and the window hash: rows at the
-    # coordinates `across` of one axis, n sites from `start` along the other
+def test_rectangle_blocks_equal_per_row_values_at(spec, field_seeds, batch, across, start, n, block):
+    # the rectangle stream of the window hash and of
+    # PartitionTable.recursion_residual: rows u = across[r], v = start ..
+    # start + n - 1
     fields = [generate_field(spec, s, Window(Site(0, 0), 1, 1)) for s in field_seeds]
     field = FieldBatch(fields) if batch else fields[0]
     with mock.patch.object(env, "_HASH_BLOCK_SITES", block):
-        blocks = list(env._blocks(field, np.array(across), start, n, step))
+        blocks = list(env._blocks(field, np.array(across), start, n))
     rows = max(1, block // (len(fields) if batch else 1) // n)
     assert [i for i, _ in blocks] == list(range(0, len(across), rows))
     got = np.concatenate([vals for _, vals in blocks], axis=-2)
     assert got.shape[-2:] == (len(across), n)
-    along = start + (step[0] + step[1]) * np.arange(n)
     for r, c in enumerate(across):
-        uu, vv = (along, c) if step[0] else (c, along)
-        assert np.array_equal(got[..., r, :], field.values_at(uu, vv))
+        assert np.array_equal(got[..., r, :], field.values_at(c, start + np.arange(n)))
 
 
 def _table_reference(field, anchor, window, beta, mode):
