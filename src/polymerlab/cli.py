@@ -87,6 +87,8 @@ _PROBABILITY = _In(0.0, 1.0, "between 0 and 1")
 # the dual tilt's shape estimate differences the directions t +- 0.05 and
 # t +- 0.1 (_FIXED's shape_step), which must lie in (0, 1)
 _DUAL_T = _In(math.nextafter(0.1, 1.0), math.nextafter(0.9, 0.0), "strictly between 0.1 and 0.9")
+# the shape kind's directions must be interior
+_INTERIOR = _In(_TINY, math.nextafter(1.0, 0.0), "strictly between 0 and 1")
 
 # each weight distribution -> the config fields of its parameters, in order
 _WEIGHT_FIELDS = {
@@ -117,7 +119,7 @@ _COMMON = {
 
 _SCHEMAS: dict[str, dict] = {
     "shape": {
-        "t_grid": (_parse_floatlist, (0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75), None),
+        "t_grid": (_parse_floatlist, (0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75), _INTERIOR),
         "n": (int, 1000, _COUNT),
         "n_list": (_parse_intlist, (), None),
         # _config asks for 2 (a standard error) unless weights = constant

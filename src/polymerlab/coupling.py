@@ -94,37 +94,69 @@ def band_transition_rule(
     polymer recursion of the band-confined path model: transitions normalize
     exactly, walks started inside can never leave (steps that would exit get
     probability 0), and the rule is weakly elliptic in the band interior.
+
+    The recursion runs down from level n = horizon + 2, but walks read it
+    upwards, so the rule keeps the float32 p rows of one block of
+    B = isqrt(n) levels at a time (levels jB .. jB + B - 1), and for every
+    block the -inf-padded F of the level above it: O((n/B + B) * width)
+    bytes in place of n * width.  The build is one backward sweep that
+    stores the checkpoints and keeps block 0's rows; a lookup in another
+    block refills the rows from that block's checkpoint with the same
+    arithmetic, so every probability is the same bits whichever block it
+    was computed in.  A refill costs B level steps, about 1/B of the build.
     """
     beta, scale, comb = _temperature(beta)
     if math.isinf(beta):
         raise ParameterError("band rule is defined for finite beta")
     if half_width < 2:
         raise ParameterError("half_width must be at least 2")
+    if horizon < 0:
+        raise ParameterError("horizon must be nonnegative")
     n = horizon + 2
+    B = math.isqrt(n)
     width = 2 * half_width + 1
     bh1 = scale * h[0]
     bh2 = scale * h[1]
-    p_rows = np.full((n, width), np.nan, dtype=np.float32)
-    # F on the level above, padded with -inf on both sides so that the
-    # children of every band offset are slices of it
+
+    def sweep(F, j, rows=None):
+        """Steps F, padded with -inf on both sides so that the children of
+        every band offset are slices of it, from the level above block j
+        down to level jB, in place; with `rows`, writes level k's p row to
+        rows[k - jB]."""
+        # the band's sites on level k are u in [lo, hi], offsets [a, a + hi - lo]
+        kk = np.arange(min(j * B + B, n) - 1, j * B - 1, -1)
+        lo = np.maximum(kk // 2 - half_width, 0)
+        hi = np.minimum(kk // 2 + half_width, kk)
+        levels = _rows(field, lo, kk - lo, hi - lo + 1, (1, -1))
+        for k, a, w in zip(kk.tolist(), (lo - kk // 2 + half_width).tolist(), levels):
+            b = a + w.size
+            bw = scale * w
+            c = F[1 - k % 2 :]  # c[i]: child u of band offset i; c[i + 1]: child u + 1
+            Fk = _level(c[a : b + 1], bw + bh2, bw + bh1, comb, False, False)
+            if rows is not None:
+                rows[k - j * B, a:b] = np.exp(bw + bh1 + c[a + 1 : b + 1] - Fk)
+            F[1 : a + 1] = F[b + 1 : -1] = float("-inf")
+            F[a + 1 : b + 1] = Fk
+
     F = np.full(width + 2, float("-inf"))
     uu = n // 2 - half_width + np.arange(width)
     F[1:-1][(uu >= 0) & (uu <= n)] = 0.0  # level n boundary
-    # the band's sites on level k are u in [lo, hi], offsets [a, a + hi - lo]
-    kk = np.arange(n - 1, -1, -1)
-    lo = np.maximum(kk // 2 - half_width, 0)
-    hi = np.minimum(kk // 2 + half_width, kk)
-    levels = _rows(field, lo, kk - lo, hi - lo + 1, (1, -1))
-    for k, a, w in zip(kk.tolist(), (lo - kk // 2 + half_width).tolist(), levels):
-        b = a + w.size
-        bw = scale * w
-        c = F[1 - k % 2 :]  # c[i]: child u of band offset i; c[i + 1]: child u + 1
-        Fk = _level(c[a : b + 1], bw + bh2, bw + bh1, comb, False, False)
-        p_rows[k, a:b] = np.exp(bw + bh1 + c[a + 1 : b + 1] - Fk)
-        F[1 : a + 1] = F[b + 1 : -1] = float("-inf")
-        F[a + 1 : b + 1] = Fk
+    checkpoints = np.empty((-(-n // B), width + 2))
+    rows = np.full((B, width), np.nan, dtype=np.float32)
+    for j in range(len(checkpoints) - 1, -1, -1):
+        checkpoints[j] = F
+        sweep(F, j, rows if j == 0 else None)
+    flat = rows.ravel()
+    cached = 0
 
-    flat = p_rows.ravel()
+    def load(j):
+        """The p rows of block j, flat, refilled unless they are cached."""
+        nonlocal cached
+        if j != cached:
+            rows.fill(np.nan)
+            sweep(checkpoints[j].copy(), j, rows)
+            cached = j
+        return flat
 
     # each bound is one max pass: as uint64 a negative level or offset
     # wraps above any bound
@@ -132,12 +164,25 @@ def band_transition_rule(
         uu = np.asarray(uu, dtype=np.int64)
         vv = np.asarray(vv, dtype=np.int64)
         kk = uu + vv
-        if kk.size and kk.view(np.uint64).max() > horizon:
+        if not kk.size:
+            return np.empty(kk.shape)
+        top = int(kk.view(np.uint64).max())
+        if top > horizon:
             raise WindowError("walk level outside the band horizon")
         idx = uu - (kk // 2 - half_width)
-        if idx.size and idx.view(np.uint64).max() >= width:
+        if idx.view(np.uint64).max() >= width:
             raise WindowError("walk left the diagonal band")
-        return flat.take(kk * width + idx).astype(np.float64)
+        j = int(kk.min()) // B
+        if j == top // B:  # always, for walkers: their sites share a level
+            return load(j).take((kk - j * B) * width + idx).astype(np.float64)
+        # block by block, from the top, so that the lowest block read, where
+        # walks start, stays cached
+        p = np.empty(kk.shape)
+        blk = kk // B
+        for j in np.unique(blk)[::-1].tolist():
+            at = blk == j
+            p[at] = load(j).take((kk[at] - j * B) * width + idx[at])
+        return p
 
     return CoupledStepRule(p_fn)
 

@@ -149,6 +149,9 @@ def test_parse_round_trip_and_defaults():
         ("kind = ldp\nshape_replicas = 0", "'shape_replicas'"),
         ("kind = shape\nreplicas = 0", "'replicas'"),
         ("kind = shape\nn = 0", "'n'"),
+        ("kind = shape\nt_grid = 1.5", "'t_grid'"),
+        ("kind = shape\nt_grid = nan", "'t_grid'"),
+        ("kind = shape\nt_grid = -0.2 0.5", "'t_grid'"),
         ("kind = shape\nweights = gausian", "'weights'"),
         ("kind = busemann\nconstruction = p2q", "'construction'"),
         ("kind = dlr\nfixture = hand3x3", "'fixture'"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from polymerlab.coupling import (
     junction_statistics,
     ordering_check,
 )
-from polymerlab.env import COUPLING_STREAM, Site, WeightSpec, Window, generate_field, site_uniforms
+from polymerlab.env import _HASH_BLOCK_BYTES, COUPLING_STREAM, Site, WeightSpec, Window, generate_field, site_uniforms
 from polymerlab.errors import OrderingError, ParameterError, WindowError
 from polymerlab.gibbs import busemann_transitions
 
@@ -207,6 +208,10 @@ def test_band_rule_keeps_walks_inside():
         assert np.max(np.abs(off)) <= 12
     with pytest.raises(ParameterError):
         band_transition_rule(f, math.inf, (0.0, 0.0), 10, 5)
+    # a negative horizon has no level to read and no block to cut
+    for horizon in (-1, -2):
+        with pytest.raises(ParameterError):
+            band_transition_rule(f, 1.0, (0.0, 0.0), horizon, 5)
 
 
 def test_walker_runs_refuse_degenerate_sizes():
@@ -391,6 +396,59 @@ def test_band_rule_lookups_gather_its_rows_and_refuse_sites_off_the_band():
         with pytest.raises(WindowError):
             rule.p_at(np.array([15, u]), np.array([15, v]))
     assert np.isfinite(rule.p_at(np.array([11, 19, 24]), np.array([19, 11, 24]))).all()
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        2,  # n < 4: blocks of B = 1 level
+        3,
+        99,  # B^2 - 1: 11 blocks of B = 9
+        100,  # B^2: 10 blocks of B = 10
+        101,  # B^2 + 1: a last block of one level, above the horizon
+        502,  # 23 blocks of B = 22, the last of 18 levels
+    ],
+)
+def test_band_rule_refills_give_its_rows_in_any_order(n):
+    # the rule holds one block of rows: walker order climbs through every
+    # block, the reverse order refills each one from its checkpoint, and a
+    # shuffled call spans every block at once
+    f = generate_field(GAUSS, 12, Window(Site(0, 0), 1, 1))
+    horizon, half_width = n - 2, 3
+    width = 2 * half_width + 1
+    expected = _per_level_band(f, 1.3, (-0.6, -0.8), horizon, half_width).astype(np.float64)
+    kk, idx = np.divmod(np.arange((horizon + 1) * width), width)
+    uu = kk // 2 - half_width + idx
+    rule = band_transition_rule(f, 1.3, (-0.6, -0.8), horizon, half_width)
+    for k in [*range(horizon + 1), *range(horizon, -1, -1)]:
+        at = kk == k
+        assert np.array_equal(rule.p_at(uu[at], k - uu[at]), expected[k], equal_nan=True)
+    order = np.random.default_rng(n).permutation(kk.size)
+    got = rule.p_at(uu[order], (kk - uu)[order])
+    assert np.array_equal(got, expected.ravel()[order], equal_nan=True)
+
+
+def test_band_rule_holds_its_checkpoints_and_one_block():
+    # horizon 4000, half-width 300: n = 4002 levels in blocks of B = 63.
+    # The rule keeps a padded float64 level per block and the float32 rows
+    # of one block, in place of 9.6 MB of rows, beside one hash block;
+    # lookups that refill blocks add nothing that lasts
+    f = generate_field(GAUSS, 5, Window(Site(0, 0), 1, 1))
+    horizon, half_width = 4000, 300
+    band_transition_rule(f, 1.0, (-0.7, -0.7), 10, 3)  # warms up
+    tracemalloc.start()
+    try:
+        rule = band_transition_rule(f, 1.0, (-0.7, -0.7), horizon, half_width)
+        for k in (0, 1500, horizon, 200):
+            uu = k // 2 + np.arange(-half_width, half_width + 1)
+            uu = uu[(uu >= 0) & (uu <= k)]
+            assert np.isfinite(rule.p_at(uu, k - uu)).all()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = horizon + 2
+    B = math.isqrt(n)
+    assert peak <= (n / B + B) * (2 * half_width + 3) * 8 + _HASH_BLOCK_BYTES
 
 
 def test_junction_rule_is_read_once_per_level_at_the_classes():
