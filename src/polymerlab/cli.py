@@ -84,6 +84,9 @@ _TINY = math.ulp(0.0)
 # a standard error needs two samples; below that a check reads NaN or 0
 _SAMPLE = _at_least(2)
 _PROBABILITY = _In(0.0, 1.0, "between 0 and 1")
+# a non-finite tilt makes the band rule's p NaN, which steps every walker
+# along e2, so every pair "meets"
+_FINITE = _In(-sys.float_info.max, sys.float_info.max, "finite")
 # the dual tilt's shape estimate differences the directions t +- 0.05 and
 # t +- 0.1 (_FIXED's shape_step), which must lie in (0, 1)
 _DUAL_T = _In(math.nextafter(0.1, 1.0), math.nextafter(0.9, 0.0), "strictly between 0.1 and 0.9")
@@ -127,8 +130,8 @@ _SCHEMAS: dict[str, dict] = {
     },
     "busemann": {
         "construction": (str, "p2l", ("p2l", "p2p")),
-        "h1": (float, 0.0, None),
-        "h2": (float, 0.0, None),
+        "h1": (float, 0.0, _FINITE),
+        "h2": (float, 0.0, _FINITE),
         # the p2p target (width + horizon, height + horizon) dominates the window
         "horizon": (int, 200, _at_least(0)),
         "width": (int, 40, _at_least(2)),
@@ -167,17 +170,19 @@ _SCHEMAS: dict[str, dict] = {
         "rule": (str, "half", ("half", "busemann")),
         "levels": (_parse_intlist, (8, 16, 32, 64), _at_least(0)),
         "seeds": (int, 10, _COUNT),
-        "h1": (float, -0.7, None),
-        "h2": (float, -0.7, None),
+        "h1": (float, -0.7, _FINITE),
+        "h2": (float, -0.7, _FINITE),
     },
     "coalescence": {
         "rule": (str, "half", ("half", "busemann")),
         "horizon": (int, 10000, _COUNT),
         "seeds": (int, 1000, _COUNT),
-        "gap": (int, 2, None),
-        "threshold": (float, 0.99, None),
-        "h1": (float, -0.7, None),
-        "h2": (float, -0.7, None),
+        # gap 0 starts both walkers on one site, a threshold <= 0 passes any
+        # fraction: either way the check passes by construction
+        "gap": (int, 2, _COUNT),
+        "threshold": (float, 0.99, _In(_TINY, 1.0, "greater than 0 and at most 1")),
+        "h1": (float, -0.7, _FINITE),
+        "h2": (float, -0.7, _FINITE),
         "half_width": (int, 1200, None),
     },
     "junctions": {

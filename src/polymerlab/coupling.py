@@ -112,6 +112,8 @@ def band_transition_rule(
         raise ParameterError("half_width must be at least 2")
     if horizon < 0:
         raise ParameterError("horizon must be nonnegative")
+    if not (math.isfinite(h[0]) and math.isfinite(h[1])):
+        raise ParameterError(f"band rule needs a finite tilt, got {tuple(h)}")
     n = horizon + 2
     B = math.isqrt(n)
     width = 2 * half_width + 1

@@ -24,7 +24,8 @@ from .errors import (
     SizeError,
     WindowError,
 )
-from .partition import NEG_INF, PartitionTable, _levels, _p2l_sweep, _strided, _temperature, p2p_values
+from . import partition
+from .partition import NEG_INF, PartitionTable, _levels, _p2l_sweep, _temperature, p2p_values
 
 __all__ = [
     "PolymerPath",
@@ -397,14 +398,13 @@ class LdpProfile:
 
 
 # Replicas of `ldp_rate_profile` are swept together in groups under this
-# many bytes.  A replica counts three (n+1)^2 squares, the increments b1 and
-# b2 and the weights, which become the edge terms of the flow and of the
-# free-energy curve in place, and ten levels of 2n + 51 values, the
+# many bytes.  A replica counts three values (b1, b2 and the weight) at each
+# of the n(n+1)/2 sites below level n, and ten levels of 2n + 51 values, the
 # point-to-line sweep's temporaries with their hashing once a level of all
 # replicas outgrows a hash block.  One hash block (`env._HASH_BLOCK_BYTES`)
-# is set aside for the whole group.  At n = 200 a group holds 4 replicas.
-# From n = 433 on, one replica alone counts more than the budget less that
-# reserve (6.1 MB against 4.6 MB at n = 500), so a group of one overruns it.
+# is set aside for the whole group.  At n = 200 a group holds 8 replicas; a
+# full group peaks at 0.65 of the budget at n = 500 and 0.91 at n = 600, and
+# a group of one overruns it from about n = 620 on.
 _LDP_BLOCK_BYTES = 5 << 20
 
 
@@ -430,14 +430,13 @@ def ldp_rate_profile(
     finite-n deficit of both sides cancels; an external ShapeEstimate only
     feeds the descriptive `reference` columns.
 
-    Replicas are swept in groups under `_LDP_BLOCK_BYTES`, one pass per
-    group.  One point-to-line sweep hashes each level once; on the levels
-    k < n it forms b1 and b2 from levels k and k + 1, with the arithmetic of
-    `cocycle._increments`, and keeps them with the raw weights in one
-    (3, R, n+1, n+1) buffer, written through strided views.  The flow and
-    the free-energy curve (the from_anchor table of the square, whose
-    entries equal `p2p_values` bit for bit) then sweep, as one stacked
-    block of views of that buffer, to level n only, the level they report.
+    Replicas are swept in groups under `_LDP_BLOCK_BYTES`, in two passes.
+    The pass down, one point-to-line sweep, hashes each level once and keeps
+    the levels k < n, each as one (3, R, k + 1) array of b1 and b2 (from
+    levels k and k + 1, with the arithmetic of `cocycle._increments`) and
+    the raw weights.  The pass up walks them from level 0 and steps the flow
+    and the free-energy curve (the from_anchor table of the square, whose
+    entries equal `p2p_values` bit for bit) as one stacked block to level n.
     So each replica equals its own busemann_from_p2l, subfield and
     p2p_values route bit for bit.
     """
@@ -449,7 +448,7 @@ def ldp_rate_profile(
         raise ParameterError("the probability flow is defined for finite beta")
     horizon = 2 * n + 50
     envs = _replica_batch(spec, seed, replicas, 0x1D9).fields
-    per_replica = 8 * (3 * (n + 1) ** 2 + 10 * (2 * n + 51))
+    per_replica = 8 * (3 * n * (n + 1) // 2 + 10 * (2 * n + 51))
     group = max(1, (_LDP_BLOCK_BYTES - _HASH_BLOCK_BYTES) // per_replica)
     inv = 1 / scale
     h = np.asarray(h_hat, dtype=np.float64)[:, None, None]
@@ -462,38 +461,33 @@ def ldp_rate_profile(
     for g in range(0, replicas, group):
         batch = FieldBatch(envs[g : g + group])
         R = len(batch.fields)
-        # b1, b2 and the weights on the levels below n; zeros above, which
-        # the in-place arithmetic runs over and no sweep reads
-        block = np.zeros((3, R, n + 1, n + 1))
-        b1, b2, w = block
-        flat = block.reshape(3, R, -1)
+        # pass down: b1, b2 and the weights at the sites (i, k - i) of each
+        # level k < n, whose e1 and e2 neighbours are sites i + 1 and i above
+        down = []
         for k, raw, level in _p2l_sweep(batch, beta, h_hat, horizon, Site(0, 0)):
             if k < n:
-                # b1, b2 and the weights at the sites (i, k - i), whose e1
-                # and e2 neighbours are the sites i + 1 and i of the level above
-                lb = _strided(flat, k, k + 1, n)
-                np.subtract(level, above[..., 1:], out=lb[0])
-                np.subtract(level, above[..., :-1], out=lb[1])
-                lb[:2] *= inv
-                lb[:2] -= h
-                lb[2] = raw
+                t = np.empty((3, R, k + 1))
+                np.subtract(level, above[..., 1:], out=t[0])
+                np.subtract(level, above[..., :-1], out=t[1])
+                t[:2] *= inv
+                t[:2] -= h
+                t[2] = raw
+                down.append(t)
             above = level
-        # B(0, (a, n-a)) along the staircase e1 first, then e2, each sum
-        # accumulated in the order of np.cumsum
-        bvals = np.zeros((R, n + 1))
-        np.cumsum(b1[:, :-1, 0], axis=-1, out=bvals[:, 1:])
-        tail = np.zeros((R, n + 1))  # tail[:, a] = b2[:, a, 0] + ... + b2[:, a, n - a - 1]
-        tail[:, :n] = b2[:, :n, 0]
-        for j in range(1, n):
-            tail[:, : n - j] += b2[:, : n - j, j]
+        # pass up: B(0, (a, n-a)) = bvals[:, a] + tail[:, a], the staircase
+        # b1(0, 0) + ... + b1(a - 1, 0), then b2(a, 0) + ... + b2(a, n - a - 1)
+        bvals, tail = np.zeros((2, R, n + 1))
+        level = np.zeros((2, R, 1))
+        for k, t in enumerate(reversed(down)):
+            np.add(bvals[:, k], t[0, :, k], out=bvals[:, k + 1])
+            tail[:, k] = t[1, :, k]
+            tail[:, :k] += t[1, :, :k]
+            # in place: the edge terms beta * (omega - b_i) and beta * omega
+            # of the flow and the free energy, which step as one block
+            np.subtract(t[2], t[:2], out=t[:2])
+            t *= beta
+            level = partition._level(level, t[::2], t[1:], comb, True, True)
         bvals += tail
-        # in place: the flow's edge terms beta * (omega - b_i) and beta * omega
-        np.subtract(w, block[:2], out=block[:2])
-        block *= beta
-        # flow and free energy as one block: its e1 terms are b1 and w, its
-        # e2 terms b2 and w
-        for level in _levels(block[::2, :, :-1], block[1:, :, :, :-1], comb, n):
-            pass
         rate_flow = -level[0] / n
         logz = level[1]
         rate_alg = -(logz - beta * bvals) / n

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -190,6 +191,21 @@ def test_parse_round_trip_and_defaults():
         ("kind = ldp\nshape_replicas = 1", "'shape_replicas'"),
         ("kind = shape\nn = 40\nreplicas = 1", "'replicas'"),
         ("kind = shape\nweights = uniform\nreplicas = 1", "'replicas'"),
+        # inputs that pass the coalescence check by construction, and tilts
+        # that read NaN
+        ("kind = coalescence\nrule = busemann\nh1 = nan", "'h1'"),
+        ("kind = coalescence\nrule = busemann\nh2 = inf", "'h2'"),
+        ("kind = coalescence\nh1 = -inf", "'h1'"),
+        ("kind = coalescence\ngap = 0", "'gap'"),
+        ("kind = coalescence\ngap = -2", "'gap'"),
+        ("kind = coalescence\nthreshold = -1", "'threshold'"),
+        ("kind = coalescence\nthreshold = 0", "'threshold'"),
+        ("kind = coalescence\nthreshold = 1.5", "'threshold'"),
+        ("kind = coalescence\nthreshold = nan", "'threshold'"),
+        ("kind = decay\nrule = busemann\nh1 = nan", "'h1'"),
+        ("kind = decay\nh2 = -inf", "'h2'"),
+        ("kind = busemann\nh1 = inf", "'h1'"),
+        ("kind = busemann\nh2 = nan", "'h2'"),
         ("just some words", "key = value"),
     ],
 )
@@ -316,6 +332,11 @@ def test_beta_flag_is_checked_like_the_field(tmp_path, capsys):
         ("kind = junctions\np = 1.5", "'p'"),
         ("kind = cdf\ngrid_lo = 0.9\ngrid_hi = 0.1", "'grid_hi'"),
         ("kind = scan\nsd = inf", "'sd'"),
+        # each of these passed every coalescence check by construction
+        ("kind = coalescence\nrule = busemann\nh1 = nan", "'h1'"),
+        ("kind = coalescence\ngap = 0", "'gap'"),
+        ("kind = coalescence\nthreshold = -1", "'threshold'"),
+        ("kind = decay\nrule = busemann\nh2 = inf", "'h2'"),
         # deleted fields: the p2p target is (width + horizon, height + horizon),
         # and the cdf Busemann side probes at `steps`
         ("kind = busemann\nconstruction = p2p\ntarget_u = 80", "'target_u': not recognized"),
@@ -490,6 +511,21 @@ def test_shipped_junctions_csv_is_pinned(tmp_path):
     assert (tmp_path / "junctions.csv").read_bytes() == (
         b"L,density\n16,0.040625000000000001\n32,0.022607421874999999\n64,0.01220703125\n"
     )
+
+
+def test_small_ldp_csv_and_checks_are_pinned(tmp_path):
+    # a small ldp run byte for byte, as the (n+1)^2-square sweep wrote it
+    cfg = parse_config("kind = ldp\nn = 40\nreplicas = 3\nshape_n = 80\nshape_replicas = 4\n")
+    assert run(cfg, out_dir=str(tmp_path)).passed
+    data = (tmp_path / "ldp_rate.csv").read_bytes()
+    assert data.startswith(b"zeta1,rate,rate_se,gap,gap_se,reference,reference_se\n0,1.0570546311510662,")
+    assert hashlib.sha256(data).hexdigest() == "750325e7051724dfadab786da64130e79613b3964ae46c4aada8e91f4cd2d2a2"
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert [(c["name"], c["value"], c["tolerance"], c["note"], c["passed"]) for c in checks] == [
+        ("rate_flow_identity", "5.5511151231257827e-16", "1e-10", "", True),
+        ("rate_nonnegative_2se", "0", "0", "min(rate+2se)=0.0981", True),
+        ("rate_zero_at_dual", "0.0034878936670342808", "0.18868807485916422", "zeta=0.500", True),
+    ]
 
 
 def _per_pair_monotonicity_csvs(cfg):

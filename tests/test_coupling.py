@@ -214,6 +214,14 @@ def test_band_rule_keeps_walks_inside():
             band_transition_rule(f, 1.0, (0.0, 0.0), horizon, 5)
 
 
+@pytest.mark.parametrize("h", [(math.nan, -0.7), (-0.7, math.nan), (math.inf, -0.7), (-0.7, -math.inf)])
+def test_band_rule_refuses_a_non_finite_tilt(h):
+    # a NaN p steps every walker along e2, so any pair "meets" at once
+    f = generate_field(GAUSS, 6, Window(Site(0, 0), 1, 1))
+    with pytest.raises(ParameterError, match="finite tilt"):
+        band_transition_rule(f, 1.0, h, 10, 5)
+
+
 def test_walker_runs_refuse_degenerate_sizes():
     with pytest.raises(ParameterError):
         junction_statistics(constant_rule(0.5), 0, CouplingField(3))

@@ -309,7 +309,7 @@ def _ref_ldp_samples(spec, beta, h, n, replicas, seed, margin=50):
 )
 def test_ldp_replica_groups_equal_the_per_replica_loop(monkeypatch, spec, beta, h, n, replicas, group):
     if group is not None:
-        per_replica = 8 * (3 * (n + 1) ** 2 + 10 * (2 * n + 51))
+        per_replica = 8 * (3 * n * (n + 1) // 2 + 10 * (2 * n + 51))
         monkeypatch.setattr(gibbs, "_LDP_BLOCK_BYTES", env._HASH_BLOCK_BYTES + group * per_replica)
     rates, gaps, ident = _ref_ldp_samples(spec, beta, h, n, replicas, 31)
     seeds = [f.seed for f in _replica_batch(spec, 31, replicas, 0x1D9).fields]
@@ -338,12 +338,13 @@ def test_ldp_replica_groups_equal_the_per_replica_loop(monkeypatch, spec, beta, 
     assert hashed == want
 
 
-@pytest.mark.parametrize("n", [30, 200])
+@pytest.mark.parametrize("n", [30, 200, 500])
 def test_an_ldp_group_stays_within_its_budget(n):
-    # a full group: three (n+1)^2 squares and ten levels of 2n + 51 values
-    # per replica, beside one hash block, under the default budget
-    per_replica = 8 * (3 * (n + 1) ** 2 + 10 * (2 * n + 51))
-    group = (gibbs._LDP_BLOCK_BYTES - env._HASH_BLOCK_BYTES) // per_replica
+    # a full group: three values at each site below level n and ten levels
+    # of 2n + 51 values per replica, beside one hash block, under the default
+    # budget; n = 500 is the shipped size of configs/ldp.cfg
+    per_replica = 8 * (3 * n * (n + 1) // 2 + 10 * (2 * n + 51))
+    group = max(1, (gibbs._LDP_BLOCK_BYTES - env._HASH_BLOCK_BYTES) // per_replica)
     spec = WeightSpec.inverse_log_gamma(1.0)
     ldp_rate_profile(spec, 1.0, (-1.9, -1.9), 4, 1, 5)  # warms up
     tracemalloc.start()
@@ -372,7 +373,7 @@ def test_sweeps_stop_at_the_last_level_they_read(monkeypatch):
     assert calls == {(4,): 450, (2, 4): 200}
     # two groups of 3 and 2 replicas at n = 20
     calls.clear()
-    monkeypatch.setattr(gibbs, "_LDP_BLOCK_BYTES", env._HASH_BLOCK_BYTES + 3 * 8 * (3 * 21**2 + 10 * 91))
+    monkeypatch.setattr(gibbs, "_LDP_BLOCK_BYTES", env._HASH_BLOCK_BYTES + 3 * 8 * (3 * 20 * 21 // 2 + 10 * 91))
     ldp_rate_profile(GAUSS, 1.0, (-1.07, -1.07), 20, 5, 3)
     assert calls == {(3,): 90, (2, 3): 20, (2,): 90, (2, 2): 20}
     # the mass decay steps up to its largest distance, not across its square
