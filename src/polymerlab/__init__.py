@@ -39,6 +39,7 @@ from .gibbs import (
     backward_transitions,
     busemann_transitions,
     dlr_consistency_check,
+    dlr_window_reports,
     exact_path_probability,
     forward_chain_sample,
     ldp_rate_profile,

@@ -103,7 +103,8 @@ _WEIGHT_FIELDS = {
 
 # field name -> (parser, default, accepted).  `accepted` is None, the tuple
 # of allowed strings, or an _In that a number, and every entry of a list
-# (which must not be empty), lies in.  A list must be strictly increasing.
+# (which must not be empty, unless its default is: n_list), lies in.  A
+# list must be strictly increasing.
 _COMMON = {
     "kind": (str, None, None),  # required; _config checks it first
     "weights": (str, "gaussian", tuple(_WEIGHT_FIELDS)),
@@ -124,7 +125,8 @@ _SCHEMAS: dict[str, dict] = {
     "shape": {
         "t_grid": (_parse_floatlist, (0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75), _INTERIOR),
         "n": (int, 1000, _COUNT),
-        "n_list": (_parse_intlist, (), None),
+        # () means n alone
+        "n_list": (_parse_intlist, (), _COUNT),
         # _config asks for 2 (a standard error) unless weights = constant
         "replicas": (int, 20, _COUNT),
     },
@@ -160,7 +162,8 @@ _SCHEMAS: dict[str, dict] = {
         "levels": (int, 10, _In(1, 20, "between 1 and 20")),
     },
     "ldp": {
-        "n": (int, 500, _COUNT),
+        # past _LDP_MAX_N one replica overruns the sweep's memory budget
+        "n": (int, 500, _In(1, gb._LDP_MAX_N, f"between 1 and {gb._LDP_MAX_N}")),
         "replicas": (int, 10, _SAMPLE),
         "t": (float, 0.5, _DUAL_T),
         "shape_n": (int, 2000, _COUNT),
@@ -183,7 +186,8 @@ _SCHEMAS: dict[str, dict] = {
         "threshold": (float, 0.99, _In(_TINY, 1.0, "greater than 0 and at most 1")),
         "h1": (float, -0.7, _FINITE),
         "h2": (float, -0.7, _FINITE),
-        "half_width": (int, 1200, None),
+        # the band rule's half width; below 2 `band_transition_rule` refuses it
+        "half_width": (int, 1200, _at_least(2)),
     },
     "junctions": {
         "p": (float, 0.5, _PROBABILITY),
@@ -294,7 +298,7 @@ def _config(raw: dict[str, str]) -> ExperimentConfig:
             raise ConfigError(f"field {key!r}: cannot parse {sval!r}") from exc
     for key, (_, default, accepted) in schema.items():
         values.setdefault(key, default)
-        if accepted is not None:
+        if accepted is not None and not (default == () == values[key]):
             _refuse_outside(key, values[key], accepted)
         if isinstance(values[key], tuple) and not all(a < b for a, b in zip(values[key], values[key][1:])):
             raise ConfigError(f"field {key!r}: must be strictly increasing")
@@ -457,16 +461,19 @@ def _run_busemann(cfg: ExperimentConfig, outdir: str, checks: list, artifacts: l
     checks.append(_leq("recovery_residual", bf.recovery_residual(), cfg.recovery_tol))
     checks.append(_leq("closure_residual", bf.closure_residual(), cfg.closure_tol))
     rng = np.random.default_rng(_wrapped_seed(cfg.seed_sampler))
-    B = bf.integrated()
-    gaps = []
-    for _ in range(cfg.staircases):
+    # staircase s takes the steps e1[s, : tu + tv] (1 for e1) from the
+    # origin to ends[s] = (tu, tv); the zeros after them are not read
+    e1 = np.zeros((cfg.staircases, cfg.width + cfg.height - 2), dtype=np.int64)
+    ends = np.empty((cfg.staircases, 2), dtype=np.int64)
+    for s in range(cfg.staircases):
         tu = int(rng.integers(1, cfg.width))
         tv = int(rng.integers(1, cfg.height))
-        steps = np.concatenate([np.ones(tu, dtype=np.int64), np.zeros(tv, dtype=np.int64)])
-        rng.shuffle(steps)
-        sites = np.zeros((tu + tv + 1, 2), dtype=np.int64)
-        np.cumsum(np.stack([steps, 1 - steps], axis=1), axis=0, out=sites[1:])
-        gaps.append(abs(bf.staircase_sum(sites) - B[tu, tv]))
+        e1[s, :tu] = 1
+        rng.shuffle(e1[s, : tu + tv])
+        ends[s] = tu, tv
+    sites = np.zeros((cfg.staircases, e1.shape[1] + 1, 2), dtype=np.int64)
+    np.cumsum(np.stack([e1, 1 - e1], axis=-1), axis=1, out=sites[:, 1:])
+    gaps = np.abs(bf.staircase_sums(sites, ends.sum(axis=1)) - bf.integrated()[ends[:, 0], ends[:, 1]])
     # np.max keeps a NaN gap, which then fails the check
     checks.append(_leq("staircase_independence", np.max(gaps), cfg.path_tol))
 
@@ -563,20 +570,16 @@ def _run_dlr(cfg: ExperimentConfig, outdir: str, checks: list, artifacts: list):
         rows.append(("hand2x2", rep.paths_checked, rep.max_discrepancy))
         checks.append(_leq("dlr_fixture", rep.max_discrepancy, 1e-12))
     spec = cfg.weight_spec()
+    seeds = [cfg.seed_weights + k for k in range(cfg.windows)]
+    fields = [generate_field(spec, seed, Window(Site(0, 0), 1, 1)) for seed in seeds]
+    side = cfg.levels + 1
+    reports = gb.dlr_window_reports(
+        fields, cfg.beta, (0.0, 0.0), 3 * cfg.levels + 4, Window(Site(0, 0), side, side), Site(0, 0), cfg.levels
+    )
     worst = 0.0
-    for k in range(cfg.windows):
-        field = generate_field(spec, cfg.seed_weights + k, Window(Site(0, 0), 1, 1))
-        side = cfg.levels + 1
-        bf = coc.busemann_from_p2l(
-            field,
-            cfg.beta,
-            (0.0, 0.0),
-            3 * cfg.levels + 4,
-            Window(Site(0, 0), side, side),
-        )
-        rep = gb.dlr_consistency_check(bf, field, Site(0, 0), cfg.levels)
+    for seed, rep in zip(seeds, reports):
         worst = np.maximum(worst, rep.max_discrepancy)  # keeps a NaN
-        rows.append((f"seed{cfg.seed_weights + k}", rep.paths_checked, rep.max_discrepancy))
+        rows.append((f"seed{seed}", rep.paths_checked, rep.max_discrepancy))
     artifacts.append(
         write_csv(
             os.path.join(outdir, "dlr.csv"), ("case", "paths", "max_discrepancy"), rows

@@ -105,34 +105,54 @@ class BusemannField:
         """B(origin, x) for every window site x, summed along the staircase
         that first travels in e1 at the bottom edge (closure makes any other
         staircase agree)."""
-        W, H = self.b1.shape
-        col0 = np.zeros(W)
-        col0[1:] = np.cumsum(self.b1[:-1, 0])
-        body = np.zeros((W, H))
-        body[:, 1:] = np.cumsum(self.b2[:, :-1], axis=1)
-        return col0[:, None] + body
+        return _integrate(self.b1, self.b2)
 
     def staircase_sum(self, sites) -> float:
         """Sum of increments along an explicit up-right staircase, a list of
-        Sites or an (n+1, 2) coordinate array.  The increments are gathered
-        at once and summed in path order from 0.0 by a sequential cumsum, so
-        the sum equals a running `total +=` bit for bit."""
+        Sites or an (n+1, 2) coordinate array: the one-staircase case of
+        `staircase_sums`."""
         sites = _site_array(sites)
-        step = np.diff(sites, axis=0)
+        return float(self.staircase_sums(sites[None], [len(sites) - 1])[0]) if len(sites) else 0.0
+
+    def staircase_sums(self, sites, lengths) -> np.ndarray:
+        """Sums of increments along S up-right staircases at once: staircase
+        s is sites[s, :lengths[s] + 1] of an (S, M + 1, 2) coordinate array,
+        whose later entries are ignored.  The increments are gathered into
+        one zero-padded (S, M + 1) array behind a leading 0.0 and summed in
+        path order by a row-wise cumsum, which is sequential, read at each
+        staircase's own end: each sum equals a running `total +=` from 0.0
+        bit for bit."""
+        sites = np.asarray(sites, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if np.any((lengths < 0) | (lengths >= sites.shape[1])):
+            raise ParameterError(f"staircase lengths must lie in [0, {sites.shape[1] - 1}]")
+        live = np.arange(sites.shape[1] - 1) < lengths[:, None]  # (S, M) steps taken
+        step = np.diff(sites, axis=1)[live]
         e1 = (step[:, 0] == 1) & (step[:, 1] == 0)
         if not np.all(e1 | ((step[:, 0] == 0) & (step[:, 1] == 1))):
             raise ParameterError("staircase steps must be e1 or e2")
-        du = sites[:-1, 0] - self.window.origin.u
-        dv = sites[:-1, 1] - self.window.origin.v
+        du = sites[:, :-1, 0][live] - self.window.origin.u
+        dv = sites[:, :-1, 1][live] - self.window.origin.v
         if np.any((du < 0) | (du >= self.window.width) | (dv < 0) | (dv >= self.window.height)):
             raise WindowError(f"staircase leaves window {self.window}")
-        b = np.zeros(len(sites))  # b[0] = 0.0 starts the running total
-        b[1:] = np.where(e1, self.b1[du, dv], self.b2[du, dv])
-        return float(np.cumsum(b)[-1]) if len(sites) else 0.0
+        b = np.zeros(sites.shape[:2])  # b[:, 0] = 0.0 starts each running total
+        b[:, 1:][live] = np.where(e1, self.b1[du, dv], self.b2[du, dv])
+        return np.cumsum(b, axis=1)[np.arange(len(b)), lengths]
 
     def to_csv(self, path) -> str:
         uu, vv = self.window.coord_grids()
         return write_columns(path, {"u": uu, "v": vv, "b1": self.b1, "b2": self.b2})
+
+
+def _integrate(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """`BusemannField.integrated` of increments (..., W, H): the cumsums
+    run along the last two axes, one lane at a time, so every leading entry
+    equals its own field's bit for bit."""
+    col0 = np.zeros(b1.shape[:-1])
+    col0[..., 1:] = np.cumsum(b1[..., :-1, 0], axis=-1)
+    body = np.zeros(b2.shape)
+    body[..., 1:] = np.cumsum(b2[..., :-1], axis=-1)
+    return col0[..., None] + body
 
 
 def _increments(rows: np.ndarray, W: int, H: int, beta: float, h) -> tuple[np.ndarray, np.ndarray]:
@@ -154,6 +174,25 @@ def _increments(rows: np.ndarray, W: int, H: int, beta: float, h) -> tuple[np.nd
 # that a level fits in one block: past K ~ 8190 it does not, and the hashing
 # transient grows with K (1.049 of the budget at K = 20000, W = H = 2).
 _TILT_BLOCK_BYTES = 8 << 20
+
+
+def _p2l_bytes(n: int, window: Window) -> int:
+    """The bytes that one tilt of one environment counts against a group
+    budget: the count of `_TILT_BLOCK_BYTES`."""
+    W, H = window.width, window.height
+    return 8 * ((n - window.origin.level() + 1) * (W + 8) + 3 * W * H)
+
+
+def _p2l_increments(field, beta: float, h, n: int, window: Window) -> tuple[np.ndarray, np.ndarray]:
+    """b1 and b2 of `busemann_from_p2l` on `window`, at tilts h (..., 2)
+    whose leading axes broadcast with the replica axis of a FieldBatch; the
+    leading axes come in front."""
+    if window.corner.level() >= n:
+        raise HorizonError(
+            f"window reaches level {window.corner.level()} >= horizon {n}"
+        )
+    rows = p2l_rows(field, beta, h, n, window.origin, keep_rows=window.width + 1)
+    return _increments(rows, window.width, window.height, beta, h)
 
 
 def busemann_from_p2l(
@@ -182,17 +221,10 @@ def busemann_fields_from_p2l(
         raise ParameterError(f"need a nonempty (T, 2) array of tilts, got shape {tilts.shape}")
     if window is None:
         window = field.window
-    if window.corner.level() >= n:
-        raise HorizonError(
-            f"window reaches level {window.corner.level()} >= horizon {n}"
-        )
-    W, H = window.width, window.height
-    per_tilt = 8 * ((n - window.origin.level() + 1) * (W + 8) + 3 * W * H)
-    group = max(1, (_TILT_BLOCK_BYTES - _HASH_BLOCK_BYTES) // per_tilt)
+    group = max(1, (_TILT_BLOCK_BYTES - _HASH_BLOCK_BYTES) // _p2l_bytes(n, window))
     for i in range(0, len(tilts), group):
         hs = tilts[i : i + group]
-        rows = p2l_rows(field, beta, hs, n, window.origin, keep_rows=W + 1)
-        b1, b2 = _increments(rows, W, H, beta, hs)
+        b1, b2 = _p2l_increments(field, beta, hs, n, window)
         for k, h in enumerate(hs.tolist()):
             prov = Provenance(kind="p2l", h=(h[0], h[1]), horizon=n)
             yield BusemannField(window, float(beta), b1[k], b2[k], prov, field)

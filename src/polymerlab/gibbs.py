@@ -10,12 +10,13 @@ exactly by the DP identity.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import BusemannField
+from .cocycle import BusemannField, _integrate, _p2l_bytes, _p2l_increments
 from .csvio import write_columns
 from .env import _HASH_BLOCK_BYTES, FieldBatch, Site, WeightField, Window
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     WindowError,
 )
 from . import partition
-from .partition import NEG_INF, PartitionTable, _levels, _p2l_sweep, _temperature, p2p_values
+from .partition import NEG_INF, PartitionTable, _levels, _p2l_sweep, _path_log_weights, _temperature, p2p_values
 
 __all__ = [
     "PolymerPath",
@@ -37,6 +38,7 @@ __all__ = [
     "exact_path_probability",
     "level_mass_profile",
     "dlr_consistency_check",
+    "dlr_window_reports",
     "forward_chain_sample",
     "forward_chain_batch",
     "ldp_rate_profile",
@@ -301,40 +303,81 @@ def dlr_consistency_check(
     measures: for every path from x to level n,
     Pi_x(path) = Pi_x(X_n = endpoint) * Q_{x,endpoint}(path),
     with Pi from exact path probabilities (cocycle route), Pi(X_n = .) by
-    summing them, and Q from partition tables (DP route)."""
-    from .partition import _path_log_weights
+    summing them, and Q from partition tables (DP route).  One window: the
+    one-replica case of `_dlr_reports`."""
+    (report,) = _dlr_reports(busemann.integrated(), busemann.window, busemann.beta, field, x, n)
+    return report
 
+
+# DLR windows are checked together in groups under this many bytes.  A
+# window counts its point-to-line sweep as a tilt of `cocycle._TILT_BLOCK_BYTES`
+# does, and, at the endpoint with the most paths, P paths of `steps` sites:
+# their gathered weights and five arrays of P energies and probabilities.
+# What the group shares is set aside: one hash block and the enumeration's
+# 10 bytes per path site (its flat intp index into the weights, the int8
+# combinations and a bool temporary).  At levels = 20, P = 184756, a window
+# counts 37 MB and the enumeration 37 MB, so a group holds one window.  A
+# group peaked at 0.66 of the budget at levels = 20 (one window), 0.82 at 19
+# (four) and 0.91 at 18 (ten) (tracemalloc).
+_DLR_BLOCK_BYTES = 96 << 20
+
+
+def dlr_window_reports(
+    fields, beta: float, h: tuple[float, float], horizon: int, window: Window, x: Site, n: int
+) -> list[DlrReport]:
+    """`dlr_consistency_check(busemann_from_p2l(f, beta, h, horizon, window),
+    f, x, n)` for each hashed field f of `fields` (unshifted, of one
+    distribution), in order.  The windows go in groups under
+    `_DLR_BLOCK_BYTES`; a group advances as one FieldBatch through the
+    point-to-line sweep, the probe of log Z_{x, endpoint} and the path
+    enumeration, with every reduction along the paths' own axis, so each
+    report equals its own window's bit for bit."""
+    steps = n - x.level()
+    paths = math.comb(steps, steps // 2) if steps >= 0 else 0
+    per_window = _p2l_bytes(horizon, window) + 8 * paths * (steps + 5)
+    spare = _DLR_BLOCK_BYTES - _HASH_BLOCK_BYTES - 10 * paths * steps
+    group = max(1, spare // per_window)
+    reports = []
+    for g in range(0, len(fields), group):
+        batch = FieldBatch(fields[g : g + group])
+        B = _integrate(*_p2l_increments(batch, beta, h, horizon, window))
+        reports += _dlr_reports(B, window, beta, batch, x, n)
+    return reports
+
+
+def _dlr_reports(B: np.ndarray, win: Window, beta: float, field, x: Site, n: int) -> list[DlrReport]:
+    """The check of `dlr_consistency_check` from integrated Busemann fields
+    B (..., W, H) on `win` and their environments: one field, or a
+    FieldBatch whose replica axis is B's leading axis.  One report per
+    leading entry."""
     steps = n - x.level()
     if steps < 0:
         raise ParameterError("level n is below x")
     if steps > 20:
         raise SizeError("more than 20 steps: enumeration refused")
     if steps == 0:
-        return DlrReport(1, 0.0)
-    win = busemann.window
-    beta = busemann.beta
-    if busemann.zero_temp:
+        return [DlrReport(1, 0.0)] * math.prod(B.shape[:-2])
+    if math.isinf(beta):
         raise ParameterError("DLR consistency is defined for finite beta")
-    B = busemann.integrated()
-    bx = B[win.index(x)]
+    bx = B[(...,) + win.index(x)]
     # the endpoints inside the window; all paths x -> end live in the rect
     # [x, end], inside the window, and one probe gives every log Z_{x, end}
     aa = [a for a in range(steps + 1) if win.contains(Site(x.u + a, x.v + steps - a))]
     if not aa:
         raise WindowError("no admissible endpoints inside the window")
-    logz = p2p_values(field, x, beta, aa, [steps - a for a in aa]).tolist()
-    worst = 0.0
+    logz = p2p_values(field, x, beta, aa, [steps - a for a in aa])
+    worst = np.zeros(B.shape[:-2])
     count = 0
-    for a, logz_end in zip(aa, logz):
+    for i, a in enumerate(aa):
         end = Site(x.u + a, x.v + steps - a)
         blw = _path_log_weights(field, x, steps, a, beta, None)
-        bend = B[win.index(end)]
-        lhs = np.exp(blw - beta * (bend - bx))
-        mass = float(np.sum(lhs))
-        rhs = mass * np.exp(blw - logz_end)
-        worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))  # keeps a NaN
-        count += lhs.size
-    return DlrReport(count, float(worst))
+        bend = B[(...,) + win.index(end)]
+        lhs = np.exp(blw - (beta * (bend - bx))[..., None])
+        mass = np.sum(lhs, axis=-1, keepdims=True)
+        rhs = mass * np.exp(blw - logz[..., i, None])
+        worst = np.maximum(worst, np.max(np.abs(lhs - rhs), axis=-1))  # keeps a NaN
+        count += lhs.shape[-1]
+    return [DlrReport(count, w) for w in np.ravel(worst).tolist()]
 
 
 def forward_chain_sample(
@@ -404,8 +447,19 @@ class LdpProfile:
 # replicas outgrows a hash block.  One hash block (`env._HASH_BLOCK_BYTES`)
 # is set aside for the whole group.  At n = 200 a group holds 8 replicas; a
 # full group peaks at 0.65 of the budget at n = 500 and 0.91 at n = 600, and
-# a group of one overruns it from about n = 620 on.
+# a group of one overruns it from about n = 620 on.  `_LDP_MAX_N` is the
+# largest n whose one replica's count fits, and the cli refuses larger n.
 _LDP_BLOCK_BYTES = 5 << 20
+
+
+def _ldp_replica_bytes(n: int) -> int:
+    return 8 * (3 * n * (n + 1) // 2 + 10 * (2 * n + 51))
+
+
+# the count grows with n, so the n that fit are a prefix of 1, 2, ...
+_LDP_MAX_N = bisect.bisect_right(
+    range(1, 1 << 16), _LDP_BLOCK_BYTES - _HASH_BLOCK_BYTES, key=_ldp_replica_bytes
+)
 
 
 def ldp_rate_profile(
@@ -448,8 +502,7 @@ def ldp_rate_profile(
         raise ParameterError("the probability flow is defined for finite beta")
     horizon = 2 * n + 50
     envs = _replica_batch(spec, seed, replicas, 0x1D9).fields
-    per_replica = 8 * (3 * n * (n + 1) // 2 + 10 * (2 * n + 51))
-    group = max(1, (_LDP_BLOCK_BYTES - _HASH_BLOCK_BYTES) // per_replica)
+    group = max(1, (_LDP_BLOCK_BYTES - _HASH_BLOCK_BYTES) // _ldp_replica_bytes(n))
     inv = 1 / scale
     h = np.asarray(h_hat, dtype=np.float64)[:, None, None]
     zeta1 = np.arange(n + 1) / n

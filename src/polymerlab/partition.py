@@ -502,7 +502,7 @@ def _p2l_sweep(field, beta: float, h, n: int, base: Site, horizons=None):
 
 
 def _path_log_weights(
-    field: WeightField,
+    field: WeightField | FieldBatch,
     x: Site,
     steps: int,
     n_e1: int,
@@ -511,34 +511,41 @@ def _path_log_weights(
 ) -> np.ndarray:
     """Scaled energies (`_temperature` scale) of every admissible path with
     `steps` steps and `n_e1` e1-steps out of x (weights summed over visited
-    sites except the endpoint), optionally restricted to paths through a site."""
-    combos = np.asarray(
-        list(itertools.combinations(range(steps), n_e1)), dtype=np.int64
-    )
-    P = combos.shape[0] if n_e1 > 0 else 1
-    S = np.zeros((P, steps), dtype=np.int8)
-    if n_e1 > 0:
-        S[np.repeat(np.arange(P), n_e1), combos.ravel()] = 1
-    # coordinates of the j-th visited site (before step j), j = 0..steps-1
-    cu = np.zeros((P, steps), dtype=np.int64)
-    cu[:, 1:] = np.cumsum(S[:, :-1], axis=1)
-    jj = np.arange(steps, dtype=np.int64)[None, :]
-    cv = jj - cu
-    uu = x.u + cu
-    vv = x.v + cv
+    sites except the endpoint), optionally restricted to paths through a
+    site; a FieldBatch puts its replica axis in front.
+
+    The paths come in the order of `itertools.combinations` of their e1
+    steps.  The weights are read once on the rectangle x + [0, U) x [0, V)
+    that holds every visited site and gathered per path by one flat index,
+    and each path's weights are summed in visiting order along the last
+    axis, so each energy equals that of its own sites' `values_at` bit for
+    bit."""
+    P = math.comb(steps, n_e1)
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(steps), n_e1)),
+        dtype=np.int8,
+        count=P * n_e1,
+    ).reshape(P, n_e1)
+    # the e1 coordinate (from x) of the j-th visited site: the e1 steps
+    # among steps 0 .. j - 1
+    jj = np.arange(steps)
+    cu = np.zeros((P, steps), dtype=np.intp)
+    for k in range(n_e1):
+        cu += combos[:, k, None] < jj
     if through is not None:
         j = through.level() - x.level()
         if j < 0 or j > steps:
             raise OrderingError("restriction site not between the endpoints")
         if j < steps:
-            keep = (uu[:, j] == through.u) & (vv[:, j] == through.v)
-        else:
-            keep = np.ones(P, dtype=bool)
-        uu, vv = uu[keep], vv[keep]
-        if uu.shape[0] == 0:
-            return np.empty(0)
-    w = field.values_at(uu, vv)
-    return scale * w.sum(axis=1)
+            cu = cu[cu[:, j] == through.u - x.u]
+    U, V = min(n_e1, steps - 1) + 1, min(steps - n_e1, steps - 1) + 1
+    rect = field.values_at(x.u + np.arange(U)[:, None], x.v + np.arange(V))
+    # site (cu, j - cu) of the rectangle, flat: cu * V + j - cu
+    cu *= V - 1
+    cu += jj
+    # `take` gives C order, so each path's sum runs along a contiguous row
+    w = np.take(rect.reshape(rect.shape[:-2] + (-1,)), cu, axis=-1)
+    return scale * w.sum(axis=-1)
 
 
 def enumerate_oracle(

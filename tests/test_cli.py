@@ -206,6 +206,12 @@ def test_parse_round_trip_and_defaults():
         ("kind = decay\nh2 = -inf", "'h2'"),
         ("kind = busemann\nh1 = inf", "'h1'"),
         ("kind = busemann\nh2 = nan", "'h2'"),
+        # refused by the runs after they made their output directory
+        ("kind = coalescence\nhalf_width = 1", "'half_width'"),
+        ("kind = coalescence\nrule = busemann\nhalf_width = 1", "'half_width'"),
+        ("kind = shape\nn_list = 0 5", "'n_list'"),
+        # one replica past the ldp memory budget
+        (f"kind = ldp\nn = {gibbs._LDP_MAX_N + 1}", "'n'"),
         ("just some words", "key = value"),
     ],
 )
@@ -213,6 +219,25 @@ def test_malformed_configs_name_the_field(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["kind = coalescence\nhalf_width = 1", "kind = shape\nn_list = 0 5", f"kind = ldp\nn = {gibbs._LDP_MAX_N + 1}"],
+)
+def test_refused_configs_make_no_output_directory(tmp_path, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_ldp_n_stops_at_the_last_replica_within_the_budget():
+    # the largest n whose one replica fits beside a hash block parses
+    n = gibbs._LDP_MAX_N
+    spare = gibbs._LDP_BLOCK_BYTES - env._HASH_BLOCK_BYTES
+    assert gibbs._ldp_replica_bytes(n) <= spare < gibbs._ldp_replica_bytes(n + 1)
+    assert parse_config(f"kind = ldp\nn = {n}").n == n
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -649,21 +674,29 @@ def _failed(report, name):
 
 
 def test_a_nan_staircase_gap_fails_the_busemann_run(tmp_path, monkeypatch):
-    monkeypatch.setattr(cocycle.BusemannField, "staircase_sum", lambda self, sites: math.nan)
+    # the second staircase's sum is NaN, among finite ones
+    real = cocycle.BusemannField.staircase_sums
+
+    def second_is_nan(self, sites, lengths):
+        sums = real(self, sites, lengths)
+        sums[1] = math.nan
+        return sums
+
+    monkeypatch.setattr(cocycle.BusemannField, "staircase_sums", second_is_nan)
     cfg = parse_config("kind = busemann\nwidth = 6\nheight = 5\nhorizon = 20\nstaircases = 4\n")
     assert _failed(run(cfg, out_dir=str(tmp_path)), "staircase_independence")
 
 
 def test_a_nan_dlr_discrepancy_fails_the_dlr_run(tmp_path, monkeypatch):
     # the second random window reports NaN, after a finite first one
-    real, calls = gibbs.dlr_consistency_check, []
+    real = gibbs.dlr_window_reports
 
     def second_is_nan(*args):
-        rep = real(*args)
-        calls.append(rep)
-        return dataclasses.replace(rep, max_discrepancy=math.nan) if len(calls) == 2 else rep
+        reps = real(*args)
+        reps[1] = dataclasses.replace(reps[1], max_discrepancy=math.nan)
+        return reps
 
-    monkeypatch.setattr(gibbs, "dlr_consistency_check", second_is_nan)
+    monkeypatch.setattr(gibbs, "dlr_window_reports", second_is_nan)
     cfg = parse_config("kind = dlr\nwindows = 3\nlevels = 4\nseed_weights = 5\n")
     assert _failed(run(cfg, out_dir=str(tmp_path)), "dlr_max_discrepancy")
 

@@ -428,6 +428,44 @@ def test_staircase_sum_refuses_what_the_loop_refused():
             bf.staircase_sum(outside)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_staircase_sums_equal_each_staircase_sum(seed):
+    # every length from 1 to W + H - 2, from random starts, padded with
+    # junk past each staircase's end
+    W, H = 9, 7
+    win = Window(Site(-2, 3), W, H)
+    f = generate_field(GAUSS, 500 + seed, Window(Site(0, 0), 1, 1))
+    bf = busemann_from_p2l(f, 1.0, (0.3, -0.2), 40, win)
+    rng = np.random.default_rng(seed)
+    lengths = np.arange(1, W + H - 1)
+    sites = rng.integers(-99, 99, (len(lengths), W + H - 1, 2))
+    for s, n in enumerate(lengths.tolist()):
+        tu = int(rng.integers(max(0, n - H + 1), min(n, W - 1) + 1))
+        start = (int(rng.integers(0, W - tu)) - 2, int(rng.integers(0, H - (n - tu))) + 3)
+        steps = rng.permutation(np.r_[np.ones(tu, dtype=np.int64), np.zeros(n - tu, dtype=np.int64)])
+        sites[s, 0] = start
+        sites[s, 1 : n + 1] = start + np.cumsum(np.stack([steps, 1 - steps], axis=1), axis=0)
+    sums = bf.staircase_sums(sites, lengths)
+    one = [bf.staircase_sum(sites[s, : n + 1]) for s, n in enumerate(lengths.tolist())]
+    loop = [_running_total(bf, [Site(u, v) for u, v in sites[s, : n + 1].tolist()]) for s, n in enumerate(lengths.tolist())]
+    assert np.array_equal(sums, one) and np.array_equal(sums, loop)
+
+
+def test_staircase_sums_refuse_within_each_staircase_only():
+    win = Window(Site(0, 0), 5, 5)
+    f = generate_field(GAUSS, 12, Window(Site(0, 0), 1, 1))
+    bf = busemann_from_p2l(f, 1.0, (0.0, 0.0), 30, win)
+    sites = np.array([[[0, 0], [1, 0], [2, 2]], [[0, 0], [0, 1], [0, 2]]])
+    assert np.array_equal(bf.staircase_sums(sites, [1, 2]), [bf.b1[0, 0], bf.b2[0, 0] + bf.b2[0, 1]])
+    with pytest.raises(ParameterError):
+        bf.staircase_sums(sites, [2, 2])
+    with pytest.raises(WindowError):
+        bf.staircase_sums(np.array([[[4, 4], [5, 4], [6, 4]]]), [2])
+    for bad in ([-1, 0], [3, 0]):
+        with pytest.raises(ParameterError):
+            bf.staircase_sums(sites, bad)
+
+
 def test_a_nan_increment_is_a_monotonicity_violation():
     f = generate_field(GAUSS, 3, Window(Site(0, 0), 1, 1))
     win = Window(Site(0, 0), 6, 5)

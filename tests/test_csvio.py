@@ -22,7 +22,7 @@ from polymerlab.cocycle import (
     estimate_shape,
 )
 from polymerlab.coupling import CoalescenceStats, coalescence_experiment, constant_rule
-from polymerlab.csvio import format_value, write_csv
+from polymerlab.csvio import format_value, write_columns, write_csv
 from polymerlab.env import Site, Window, WeightSpec, field_from_values, generate_field
 from polymerlab.gibbs import LdpProfile, MassDecayProfile, ldp_rate_profile, path_from_steps
 from polymerlab.partition import p2p_table
@@ -73,6 +73,43 @@ def test_cell_rule_literal_bytes(tmp_path, value, text):
 
 def _lines(header, rows) -> str:
     return "".join(",".join(format_value(x) for x in row) + "\n" for row in [header, *rows])
+
+
+FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1]
+COLUMN_SETS = {
+    "numeric": {
+        "i64": np.array([-3, 0, 2**62, -(2**63), 7, 1, 9], dtype=np.int64),
+        "u64": np.array([0, 1, 2**64 - 1, 2**63, 5, 6, 7], dtype=np.uint64),
+        "flag": np.array([True, False, True, True, False, False, True]),
+        "f32": np.array([math.nan, math.inf, -math.inf, -0.0, 1e-45, 3e38, 0.1], dtype=np.float32),
+        "f64": np.array(FLOATS),
+        "scalar": np.float64(-0.0),
+    },
+    "grid": {"u": np.arange(3)[:, None], "v": np.arange(4)[None, :], "b": np.arange(12.0).reshape(3, 4) / 7},
+    "empty": {"a": np.empty(0, dtype=np.int64), "b": np.empty(0)},
+    "object": {
+        "cell": np.array([1, 2.5, True, "a%b", None, (1, 2), np.float32(0.1)], dtype=object),
+        "f64": np.array(FLOATS),
+    },
+}
+
+
+@pytest.mark.parametrize("name", COLUMN_SETS)
+def test_write_columns_applies_the_cell_rule_to_each_cell(tmp_path, name):
+    # the bytes of format_value on each tolist() cell, row by row in C order
+    columns = COLUMN_SETS[name]
+    arrays = np.broadcast_arrays(*columns.values())
+    rows = list(zip(*(a.ravel().tolist() for a in arrays)))
+    path = write_columns(tmp_path / "c.csv", columns)
+    assert Path(path).read_text() == _lines(tuple(columns), rows)
+
+
+def test_the_column_cells_reach_every_format():
+    text = _lines(("x",), [(c,) for a in COLUMN_SETS["numeric"].values() for c in np.ravel(a).tolist()])
+    for cell in ("18446744073709551615", "-9223372036854775808", "1", "0", "nan", "-inf", "-0", "4.9406564584124654e-324", "1.0000000000000001e+300", "0.10000000149011612"):
+        assert f"\n{cell}\n" in text
+    mixed = _lines(("x",), [(c,) for c in COLUMN_SETS["object"]["cell"].tolist()])
+    assert mixed == "x\n1\n2.5\n1\na%b\nNone\n(1, 2)\n0.1\n"
 
 
 def _grid_rows(window, *arrays):

@@ -8,7 +8,7 @@ import pytest
 import scipy.stats as st
 from scipy.special import expit
 
-from polymerlab import env, gibbs, partition
+from polymerlab import cocycle, env, gibbs, partition
 from polymerlab.cif import interface_direct_sample
 from polymerlab.cocycle import _mean_se, _replica_batch, busemann_from_p2l, busemann_from_p2p
 from polymerlab.env import Site, WeightSpec, Window, generate_field
@@ -182,6 +182,70 @@ def test_dlr_random_windows():
         rep = dlr_consistency_check(bf, f, Site(0, 0), 10)
         assert rep.paths_checked == 1024
         assert rep.max_discrepancy <= 1e-10
+
+
+def _windows(spec, seeds, levels):
+    side = levels + 1
+    fields = [generate_field(spec, seed, Window(Site(0, 0), 1, 1)) for seed in seeds]
+    return fields, (1.0, (0.3, -0.2), 3 * levels + 4, Window(Site(0, 0), side, side))
+
+
+@pytest.mark.parametrize("spec", [GAUSS, WeightSpec.inverse_log_gamma(1.5)], ids=["gaussian", "ilg"])
+@pytest.mark.parametrize("x,levels", [(Site(0, 0), 7), (Site(2, 1), 9)])
+def test_batched_dlr_windows_equal_each_window(monkeypatch, spec, x, levels):
+    # one group, then groups of two (the last holds one): each report is
+    # its own window's single-window check
+    fields, (beta, h, horizon, win) = _windows(spec, range(40, 45), levels)
+    want = [
+        dlr_consistency_check(busemann_from_p2l(f, beta, h, horizon, win), f, x, levels) for f in fields
+    ]
+    assert gibbs.dlr_window_reports(fields, beta, h, horizon, win, x, levels) == want
+    steps = levels - x.level()
+    per_window = cocycle._p2l_bytes(horizon, win) + 8 * math.comb(steps, steps // 2) * (steps + 5)
+    shared = env._HASH_BLOCK_BYTES + 10 * math.comb(steps, steps // 2) * steps
+    monkeypatch.setattr(gibbs, "_DLR_BLOCK_BYTES", shared + 2 * per_window)
+    assert gibbs.dlr_window_reports(fields, beta, h, horizon, win, x, levels) == want
+    assert all(r.max_discrepancy <= 1e-10 for r in want)
+
+
+def test_a_perturbed_window_moves_only_its_own_discrepancy(monkeypatch):
+    # the DP route of window 2 reads its weight at x raised by 1e-6, which
+    # raises each of its log Z_{x, end} by beta * 1e-6; the enumeration
+    # reads the true weights.  Its discrepancy leaves the identity's ulps,
+    # and the other windows keep their bits
+    fields, (beta, h, horizon, win) = _windows(GAUSS, range(60, 65), 6)
+    clean = gibbs.dlr_window_reports(fields, beta, h, horizon, win, Site(0, 0), 6)
+    probe = gibbs.p2p_values
+
+    def window_2_perturbed(*args):
+        logz = probe(*args)
+        logz[2] += beta * 1e-6
+        return logz
+
+    monkeypatch.setattr(gibbs, "p2p_values", window_2_perturbed)
+    moved = gibbs.dlr_window_reports(fields, beta, h, horizon, win, Site(0, 0), 6)
+    assert moved[:2] + moved[3:] == clean[:2] + clean[3:]
+    assert clean[2].max_discrepancy <= 1e-10 < moved[2].max_discrepancy
+
+
+@pytest.mark.parametrize("levels,windows", [(20, 1), (18, 12)])
+def test_a_dlr_window_group_stays_within_its_budget(levels, windows):
+    # at levels = 20 a group holds one window, at 18 a full group ten
+    fields, (beta, h, horizon, win) = _windows(GAUSS, range(windows), levels)
+    P = math.comb(levels, levels // 2)
+    per_window = cocycle._p2l_bytes(horizon, win) + 8 * P * (levels + 5)
+    group = (gibbs._DLR_BLOCK_BYTES - env._HASH_BLOCK_BYTES - 10 * P * levels) // per_window
+    assert group == {20: 1, 18: 10}[levels]
+    gibbs.dlr_window_reports(fields[:1], beta, h, horizon, Window(Site(0, 0), 3, 3), Site(0, 0), 2)  # warms up
+    tracemalloc.start()
+    try:
+        reports = gibbs.dlr_window_reports(fields, beta, h, horizon, win, Site(0, 0), levels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.paths_checked for r in reports] == [2**levels] * windows
+    assert max(r.max_discrepancy for r in reports) <= 1e-10
+    assert peak <= gibbs._DLR_BLOCK_BYTES
 
 
 def test_a_nan_discrepancy_fails_the_dlr_check():
