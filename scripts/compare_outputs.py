@@ -1,6 +1,7 @@
-"""Compare two `polymerlab suite` output trees.
+"""Compare two `polymerlab suite` output trees, or one tree with pinned digests.
 
     python scripts/compare_outputs.py A B
+    python scripts/compare_outputs.py --digests configs/manifest.sha256 A
 
 Exits 0 when both trees hold the same files, every CSV is byte-identical
 and each report.json is equal apart from its `seconds` (artifacts are
@@ -17,12 +18,21 @@ CSVs:
 - `residual`: the residual of an exact identity, held to its check's
   tolerance, 1e-9;
 - `rel 1e-12`: every other column, marked `ok` or `FAIL` against 1e-12.
+
+With `--digests FILE` it checks one tree against a digest file instead:
+one line per CSV (`<path> sha256 <hex>`) and one per check of each
+report.json (`<path> check <name> <passed> <value> <tolerance>`), paths
+relative to the tree.  It prints each line found on one side only and
+exits 1 when there is any.  `configs/manifest.sha256` pins the outputs
+of `polymerlab suite configs/manifest.txt`; a change that moves an output
+replaces the lines printed for it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -123,20 +133,58 @@ def compare_trees(root_a: str, root_b: str) -> list[str]:
     return lines
 
 
+def digest_lines(root: str) -> list[str]:
+    """The digest lines of every CSV and report.json under `root`, by path."""
+    lines = []
+    for rel in sorted(_files(root)):
+        path = os.path.join(root, rel)
+        if rel.endswith(".csv"):
+            with open(path, "rb") as fh:
+                lines.append(f"{rel} sha256 {hashlib.sha256(fh.read()).hexdigest()}")
+        elif os.path.basename(rel) == "report.json":
+            with open(path, encoding="utf-8") as fh:
+                checks = json.load(fh)["checks"]
+            for c in checks:
+                passed = "true" if c["passed"] else "false"
+                lines.append(f"{rel} check {c['name']} {passed} {c['value']} {c['tolerance']}")
+    return lines
+
+
+def read_digests(path: str) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
+        return [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+
+
+def compare_digests(pinned: list[str], found: list[str]) -> list[str]:
+    """Each line on one side only, pinned side first; empty when they agree."""
+    pin, got = set(pinned), set(found)
+    return [f"pinned only: {x}" for x in pinned if x not in got] + [
+        f"tree only: {x}" for x in found if x not in pin
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", help="first suite output directory")
-    parser.add_argument("b", help="second suite output directory")
+    parser.add_argument("b", nargs="?", help="second suite output directory")
+    parser.add_argument("--digests", metavar="FILE", help="check A against this digest file")
     args = parser.parse_args(argv)
-    for root in (args.a, args.b):
+    if (args.b is None) == (args.digests is None):
+        parser.error("give two directories, or one with --digests")
+    roots = [args.a] if args.digests else [args.a, args.b]
+    for root in roots:
         if not os.path.isdir(root):
             print(f"not a directory: {root}", file=sys.stderr)
             return 2
-    lines = compare_trees(args.a, args.b)
-    csvs = sum(f.endswith(".csv") for f in _files(args.a))
+    if args.digests:
+        lines = compare_digests(read_digests(args.digests), digest_lines(args.a))
+        subject = f"{args.a} against {args.digests}"
+    else:
+        lines = compare_trees(args.a, args.b)
+        subject = f"{sum(f.endswith('.csv') for f in _files(args.a))} CSVs under {args.a}"
     for line in lines:
         print(line)
-    print(f"{'identical' if not lines else 'differ'}: {csvs} CSVs under {args.a}")
+    print(f"{'differ' if lines else 'identical'}: {subject}")
     return 1 if lines else 0
 
 

@@ -50,6 +50,7 @@ from .coupling import (
     CoupledStepRule,
     CouplingField,
     coalescence_experiment,
+    constant_rule,
     coupled_walk,
     junction_statistics,
     ordering_check,

@@ -1,0 +1,19 @@
+"""Every ```python block of README.md runs as written."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.S | re.M)
+
+
+def test_the_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_readme_python_block_runs(index, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {"__name__": "readme"})
