@@ -26,7 +26,7 @@ from .errors import (
     WindowError,
 )
 from . import partition
-from .partition import NEG_INF, PartitionTable, _levels, _p2l_sweep, _path_log_weights, _temperature, p2p_values
+from .partition import NEG_INF, PartitionTable, _diagonals, _levels, _p2l_sweep, _path_log_weights, _temperature, p2p_values
 
 __all__ = [
     "PolymerPath",
@@ -602,9 +602,6 @@ def rooted_mass_decay(
     p1 = transitions.p1[b0u : b0u + n_max + 1, b0v : b0v + n_max + 1][::-1, ::-1]
     with np.errstate(divide="ignore"):
         s1, s2 = np.log(p1[1:]), np.log1p(-p1[:, 1:])
-    hit = {}
-    for n, level in enumerate(_levels(s1, s2, np.logaddexp, n_max)):
-        if n in levels:
-            hit[n] = float(np.max(np.exp(level)))
-    out = [hit[n] for n in levels]
-    return MassDecayProfile(levels, tuple(out))
+    sweep = _levels(n_max + 1, n_max + 1, _diagonals(s1, s2), np.logaddexp, np.zeros(1), n_max)
+    hit = {n: float(np.max(np.exp(level))) for n, _, level in sweep if n in levels}
+    return MassDecayProfile(levels, tuple(hit[n] for n in levels))

@@ -143,41 +143,63 @@ def _strided(flat: np.ndarray, start: int, n: int, step: int) -> np.ndarray:
     return flat[..., start : stop if stop >= 0 else None : step]
 
 
-def _levels(s1: np.ndarray, s2: np.ndarray, comb: np.ufunc, last: int | None = None):
-    """The levels 0, 1, ..., last (default W + H - 2, the far corner) of the
-    sweep L[0, 0] = 0, L[i, j] = comb(L[i-1, j] + s1[i-1, j], L[i, j-1] +
-    s2[i, j-1]) on a W x H rectangle (comb from `_temperature`, or logaddexp
-    for sums of probabilities), one at a time: level k holds L[i, k - i] for
-    max(0, k - H + 1) <= i <= min(k, W - 1), in increasing i.
-
-    s1 (..., W-1, H) and s2 (..., W, H-1) are the log-weights of the e1 and
-    e2 edges into each site; the caller chooses them (site weights, cocycle
-    log-probabilities, ...).  Leading axes are independent rectangles, each
-    equal to its own call bit for bit.  Level k reads the edges out of level
-    k - 1, the anti-diagonals of s1 and s2 (diagonals of their mirror views),
-    so the sweep to level `last` reads no edge out of a higher level."""
-    W, H = s2.shape[-2], s1.shape[-1]
+def _levels(W: int, H: int, terms, comb: np.ufunc, row: np.ndarray, last: int | None = None):
+    """The one loop over the levels 0, 1, ..., last (default W + H - 2) of
+    the sweep L[i, j] = comb(L[i-1, j] + e1 term, L[i, j-1] + e2 term) on a
+    W x H rectangle from level 0 = `row`.  Yields (k, i0, level): level holds
+    L[i, k - i] for i0 = max(0, k - H + 1) <= i <= min(k, W - 1).
+    `terms(kk, lo, hi)` gives the (s1, s2) of `_level` for the levels kk[1:]
+    clipped to lo..hi (`_diagonals` or `_hashed`); level k reads only the
+    edges out of level k - 1, so the sweep to `last` reads none out of a
+    higher level.  Leading axes are independent rectangles, each its own
+    sweep bit for bit.  The next level steps from the yielded one, so a
+    caller may write into it (a pair probe starts its second sweep there)."""
     last = W + H - 2 if last is None else min(last, W + H - 2)
-    row = np.zeros(np.broadcast_shapes(s1.shape[:-2], s2.shape[:-2]) + (1,))
-    yield row
-    f1, f2 = s1[..., ::-1], s2[..., ::-1]
-    for k in range(1, last + 1):
-        lo, hi = max(0, k - H + 1), min(k, W - 1)
-        e1 = np.diagonal(f1, H - k, -2, -1)
-        e2 = np.diagonal(f2, H - 1 - k, -2, -1)
-        row = _level(row, e1, e2, comb, lo == 0, hi == k)
-        yield row
+    kk = np.arange(last + 1)
+    lo, hi = np.maximum(kk - (H - 1), 0), np.minimum(kk, W - 1)
+    edges = itertools.chain((None,), terms(kk, lo, hi))
+    for k, i0, i1, e in zip(kk.tolist(), lo.tolist(), hi.tolist(), edges):
+        if k:
+            row = _level(row, *e, comb, i0 == 0, i1 == k)
+        yield k, i0, row
+
+
+def _diagonals(s1: np.ndarray, s2: np.ndarray):
+    """`_levels` terms from arrays: s1 (..., W-1, H) and s2 (..., W, H-1) are
+    the log-weights of the e1 and e2 edges into each site (site weights,
+    cocycle log-probabilities, ...), level k's the anti-diagonals of both."""
+    H, f1, f2 = s1.shape[-1], s1[..., ::-1], s2[..., ::-1]
+    return lambda kk, lo, hi: (
+        (np.diagonal(f1, H - k, -2, -1), np.diagonal(f2, H - 1 - k, -2, -1)) for k in kk[1:].tolist()
+    )
+
+
+def _hashed(field, anchor: Site, d: int, scale: float):
+    """`_levels` terms from a field's weights times `scale`, streamed by
+    `env._rows` along the levels anchor + d * (i, k - i), step (d, -d), and
+    the one rule for which weight an edge carries.  From the anchor (d = 1)
+    it is the site it leaves, one term per site of level k - 1 added once
+    (levels 0..K-1 hashed); to it (d = -1) the site it enters, on both sides
+    before the combine (levels 1..K hashed)."""
+
+    def terms(kk, lo, hi):
+        read = kk[1:] if d < 0 else kk[:-1]
+        raws = _rows(field, anchor.u + d * lo[read], anchor.v + d * (read - lo[read]), hi[read] - lo[read] + 1, (d, -d))
+        for grow_lo, grow_hi, raw in zip((lo[1:] == 0).tolist(), (hi[1:] == kk[1:]).tolist(), raws):
+            w = scale * raw
+            yield (w, None) if d > 0 else (w[grow_lo:], w[: len(w) - grow_hi])
+
+    return terms
 
 
 def _sweep(s1: np.ndarray, s2: np.ndarray, comb: np.ufunc) -> np.ndarray:
-    """The whole W x H table L of `_levels`, each level written through a
-    strided view of the flat table."""
+    """The W x H table of `_levels` on `_diagonals(s1, s2)` from L[0, 0] = 0,
+    each level written through a strided view of the flat table."""
     W, H = s2.shape[-2], s1.shape[-1]
     L = np.empty(np.broadcast_shapes(s1.shape[:-2], s2.shape[:-2]) + (W, H))
     flat = L.reshape(L.shape[:-2] + (-1,))
-    for k, row in enumerate(_levels(s1, s2, comb)):
-        lo = max(0, k - H + 1)
-        _strided(flat, k + lo * (H - 1), row.shape[-1], max(H - 1, 1))[...] = row
+    for k, i0, row in _levels(W, H, _diagonals(s1, s2), comb, np.zeros(L.shape[:-2] + (1,))):
+        _strided(flat, k + i0 * (H - 1), row.shape[-1], max(H - 1, 1))[...] = row
     return L
 
 
@@ -276,30 +298,14 @@ def p2p_table(
     au, av = window.index(anchor)
     logz = np.full((window.width, window.height), NEG_INF)
     # the sweep from the anchor (reversed for to_anchor) on its W x H corner
-    # of the window, one level at a time: level k holds the sites
-    # anchor + d * (i, k - i), lo <= i <= hi, written through a strided view
-    # of the flat logz.  An edge carries the weight of the site it leaves
-    # (from_anchor: the sites of level k - 1, hashed for levels 0..K-1) or,
-    # reversed, of the site it enters (to_anchor: the sites of level k,
-    # hashed for levels 1..K)
+    # of the window: level k holds the sites anchor + d * (i, k - i), i0 <=
+    # i, written through a strided view of the flat logz
     d = -1 if mode == "to_anchor" else 1
     W, H = (au + 1, av + 1) if d < 0 else (window.width - au, window.height - av)
-    kk = np.arange(W + H - 1)
-    lo, hi = np.maximum(kk - (H - 1), 0), np.minimum(kk, W - 1)
-    read = kk[1:] if d < 0 else kk[:-1]
-    raws = _rows(field, anchor.u + d * lo[read], anchor.v + d * (read - lo[read]), hi[read] - lo[read] + 1, (d, -d))
     flat = logz.reshape(-1)
     step = d * max(window.height - 1, 1)
     origin = au * window.height + av
-    flat[origin] = 0.0
-    row = np.zeros(1)
-    for k, i0, i1, raw in zip(kk[1:].tolist(), lo[1:].tolist(), hi[1:].tolist(), raws):
-        w = scale * raw
-        grow_lo, grow_hi = i0 == 0, i1 == k
-        if d > 0:
-            row = _level(row, w, None, comb, grow_lo, grow_hi)
-        else:
-            row = _level(row, w[grow_lo:], w[: len(w) - grow_hi], comb, grow_lo, grow_hi)
+    for k, i0, row in _levels(W, H, _hashed(field, anchor, d, scale), comb, np.zeros(1)):
         _strided(flat, origin + d * (k + i0 * (window.height - 1)), len(row), step)[...] = row
     return PartitionTable(field, anchor, beta, mode, window, logz)
 
@@ -337,18 +343,13 @@ def _probe(field, anchor: Site, beta: float, du, dv, anchors: int) -> np.ndarray
     lead = (anchors,) * (anchors > 1) + _replica_shape(field)
     levels = (du + dv).ravel()
     order = np.argsort(levels, kind="stable")
-    kk = np.arange(int(levels.max(initial=-1)) + 1)
-    ends = np.searchsorted(levels[order], kk, "right")
-    # level k of the triangle clipped to the targets' bounding box holds
-    # the sites anchor + (i, k - i), lo <= i <= hi
-    lo, hi = np.maximum(kk - dv.max(initial=0), 0), np.minimum(kk, du.max(initial=0))
-    raws = _rows(field, anchor.u + lo[:-1], anchor.v + kk[:-1] - lo[:-1], hi[:-1] - lo[:-1] + 1, (1, -1))
+    last = int(levels.max(initial=-1))
+    ends = np.searchsorted(levels[order], np.arange(last + 1), "right")
+    # the triangle of levels 0..last clipped to the targets' bounding box
+    W, H = int(du.max(initial=0)) + 1, int(dv.max(initial=0)) + 1
     out = np.empty((du.size,) + lead)
-    row = np.full(lead + (1,), NEG_INF)
-    for k, i0, i1, raw in zip(kk.tolist(), lo.tolist(), hi.tolist(), itertools.chain((None,), raws)):
-        if k:
-            row = _level(row, scale * raw, None, comb, i0 == 0, i1 == k)
-        if k < anchors and k <= i1:  # the sweep from anchor + (k, 0) starts here
+    for k, i0, row in _levels(W, H, _hashed(field, anchor, 1, scale), comb, np.full(lead + (1,), NEG_INF), last):
+        if k < min(anchors, W):  # the sweep from anchor + (k, 0) starts here
             row[(k,) * (anchors > 1) + (..., k - i0)] = 0.0
         hit = order[ends[k - 1] if k else 0 : ends[k]]
         if hit.size:

@@ -15,6 +15,7 @@ from polymerlab.errors import OrderingError, ParameterError, SizeError
 from polymerlab.fixtures import hand_grid_field
 from polymerlab.gibbs import ldp_rate_profile
 from polymerlab.partition import (
+    _diagonals,
     _lae,
     _level,
     _levels,
@@ -626,14 +627,14 @@ def test_levels_are_the_table_level_by_level(comb, W, H):
     s2 = rng.normal(size=(3, W, H - 1))  # leading axes broadcast
     L = _sweep(s1, s2, comb)
     assert L.shape == (2, 3, W, H)
-    levels = list(_levels(s1, s2, comb))
+    levels = [level for _, _, level in _levels(W, H, _diagonals(s1, s2), comb, np.zeros((2, 3, 1)))]
     assert len(levels) == W + H - 1
     for k, level in enumerate(levels):
         i = np.arange(max(0, k - H + 1), min(k, W - 1) + 1)
         assert np.array_equal(level, L[..., i, k - i])
     # a sweep to level `last` yields the same levels and stops there
     for last in (0, 1, W + H - 3, W + H - 2):
-        cut = list(_levels(s1, s2, comb, last))
+        cut = [level for _, _, level in _levels(W, H, _diagonals(s1, s2), comb, np.zeros((2, 3, 1)), last)]
         assert len(cut) == last + 1
         assert all(np.array_equal(a, b) for a, b in zip(cut, levels))
     if comb is np.maximum:  # the recursion cell by cell
