@@ -567,7 +567,7 @@ def _run_dlr(cfg: ExperimentConfig, outdir: str, checks: list, artifacts: list):
         field = hand_grid_field(pad_to=6)
         bf = coc.busemann_from_p2p(field, cfg.beta, Site(3, 3), Window(Site(0, 0), 2, 2))
         rep = gb.dlr_consistency_check(bf, field, Site(0, 0), 2)
-        rows.append(("hand2x2", rep.paths_checked, rep.max_discrepancy))
+        rows.append(("hand2x2", rep.paths_checked, rep.max_discrepancy, rep.level_mass_defect))
         checks.append(_leq("dlr_fixture", rep.max_discrepancy, 1e-12))
     spec = cfg.weight_spec()
     seeds = [cfg.seed_weights + k for k in range(cfg.windows)]
@@ -576,16 +576,18 @@ def _run_dlr(cfg: ExperimentConfig, outdir: str, checks: list, artifacts: list):
     reports = gb.dlr_window_reports(
         fields, cfg.beta, (0.0, 0.0), 3 * cfg.levels + 4, Window(Site(0, 0), side, side), Site(0, 0), cfg.levels
     )
-    worst = 0.0
+    worst = defect = 0.0
     for seed, rep in zip(seeds, reports):
         worst = np.maximum(worst, rep.max_discrepancy)  # keeps a NaN
-        rows.append((f"seed{seed}", rep.paths_checked, rep.max_discrepancy))
+        defect = np.maximum(defect, rep.level_mass_defect)
+        rows.append((f"seed{seed}", rep.paths_checked, rep.max_discrepancy, rep.level_mass_defect))
     artifacts.append(
         write_csv(
-            os.path.join(outdir, "dlr.csv"), ("case", "paths", "max_discrepancy"), rows
+            os.path.join(outdir, "dlr.csv"), ("case", "paths", "max_discrepancy", "level_mass_defect"), rows
         )
     )
     checks.append(_leq("dlr_max_discrepancy", worst, cfg.tol))
+    checks.append(_leq("dlr_level_mass", defect, cfg.tol))
 
 
 def _run_ldp(cfg: ExperimentConfig, outdir: str, checks: list, artifacts: list):

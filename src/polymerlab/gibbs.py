@@ -292,8 +292,14 @@ def level_mass_profile(
 
 @dataclass(frozen=True)
 class DlrReport:
+    """`max_discrepancy` compares the path enumeration with the DP probe, which
+    holds for any Busemann field B; `level_mass_defect` = |sum_end Z_{x,end}
+    exp(-beta B(x, end)) - 1| over the endpoints on level n is where B
+    enters, NaN unless the window holds all of them."""
+
     paths_checked: int
     max_discrepancy: float
+    level_mass_defect: float
 
 
 def dlr_consistency_check(
@@ -356,28 +362,29 @@ def _dlr_reports(B: np.ndarray, win: Window, beta: float, field, x: Site, n: int
     if steps > 20:
         raise SizeError("more than 20 steps: enumeration refused")
     if steps == 0:
-        return [DlrReport(1, 0.0)] * math.prod(B.shape[:-2])
+        return [DlrReport(1, 0.0, 0.0)] * math.prod(B.shape[:-2])
     if math.isinf(beta):
         raise ParameterError("DLR consistency is defined for finite beta")
-    bx = B[(...,) + win.index(x)]
     # the endpoints inside the window; all paths x -> end live in the rect
     # [x, end], inside the window, and one probe gives every log Z_{x, end}
-    aa = [a for a in range(steps + 1) if win.contains(Site(x.u + a, x.v + steps - a))]
-    if not aa:
+    aa = np.array([a for a in range(steps + 1) if win.contains(Site(x.u + a, x.v + steps - a))])
+    if not aa.size:
         raise WindowError("no admissible endpoints inside the window")
-    logz = p2p_values(field, x, beta, aa, [steps - a for a in aa])
+    logz = p2p_values(field, x, beta, aa, steps - aa)
+    xu, xv = win.index(x)
+    db = beta * (B[..., xu + aa, xv + steps - aa] - B[..., xu, xv, None])  # beta B(x, end)
+    level_mass = np.sum(np.exp(logz - db), axis=-1)
+    defect = np.abs(level_mass - 1.0) if aa.size == steps + 1 else np.full(level_mass.shape, np.nan)
     worst = np.zeros(B.shape[:-2])
     count = 0
-    for i, a in enumerate(aa):
-        end = Site(x.u + a, x.v + steps - a)
+    for i, a in enumerate(aa.tolist()):
         blw = _path_log_weights(field, x, steps, a, beta, None)
-        bend = B[(...,) + win.index(end)]
-        lhs = np.exp(blw - (beta * (bend - bx))[..., None])
+        lhs = np.exp(blw - db[..., i, None])
         mass = np.sum(lhs, axis=-1, keepdims=True)
         rhs = mass * np.exp(blw - logz[..., i, None])
         worst = np.maximum(worst, np.max(np.abs(lhs - rhs), axis=-1))  # keeps a NaN
         count += lhs.shape[-1]
-    return [DlrReport(count, w) for w in np.ravel(worst).tolist()]
+    return [DlrReport(count, w, m) for w, m in zip(np.ravel(worst).tolist(), np.ravel(defect).tolist())]
 
 
 def forward_chain_sample(
@@ -589,6 +596,8 @@ def rooted_mass_decay(
     if transitions.direction != 1:
         raise ParameterError("rooted mass decay needs a forward transition field")
     levels = tuple(sorted(int(n) for n in levels))
+    if not levels or levels[0] < 0:
+        raise ParameterError(f"levels must be nonempty and nonnegative, got {list(levels)}")
     n_max = levels[-1]
     win = transitions.window
     base = target - Site(n_max, n_max)

@@ -5,7 +5,10 @@ the free energy) for finite beta, and the last-passage time G itself at
 beta = inf.  -inf encodes "no admissible path".  Every sweep advances one
 level (anti-diagonal) at a time through `_level`, whose two-term
 log-sum-exp is max + log1p(exp(min - max)) (`_lae`), so raw partition
-values are never materialized.
+values are never materialized.  `_levels` is the one loop over the levels
+of a corner rectangle (the tables, the probes and `_sweep`), with its edge
+terms from two edge arrays (`_diagonals`) or a hashed field (`_hashed`);
+the point-to-line sweep starts from a line and steps `_level` itself.
 
 Path-weight convention: the energy of a path from x to y sums the weights at
 every visited site including x and excluding y, so Z_{x,x} = 1.
@@ -157,10 +160,10 @@ def _levels(W: int, H: int, terms, comb: np.ufunc, row: np.ndarray, last: int | 
     last = W + H - 2 if last is None else min(last, W + H - 2)
     kk = np.arange(last + 1)
     lo, hi = np.maximum(kk - (H - 1), 0), np.minimum(kk, W - 1)
-    edges = itertools.chain((None,), terms(kk, lo, hi))
-    for k, i0, i1, e in zip(kk.tolist(), lo.tolist(), hi.tolist(), edges):
+    edges = terms(kk, lo, hi)
+    for k, i0, i1 in zip(kk.tolist(), lo.tolist(), hi.tolist()):
         if k:
-            row = _level(row, *e, comb, i0 == 0, i1 == k)
+            row = _level(row, *next(edges), comb, i0 == 0, i1 == k)
         yield k, i0, row
 
 
@@ -186,8 +189,11 @@ def _hashed(field, anchor: Site, d: int, scale: float):
         read = kk[1:] if d < 0 else kk[:-1]
         raws = _rows(field, anchor.u + d * lo[read], anchor.v + d * (read - lo[read]), hi[read] - lo[read] + 1, (d, -d))
         for grow_lo, grow_hi, raw in zip((lo[1:] == 0).tolist(), (hi[1:] == kk[1:]).tolist(), raws):
-            w = scale * raw
-            yield (w, None) if d > 0 else (w[grow_lo:], w[: len(w) - grow_hi])
+            if d > 0:
+                yield scale * raw, None
+            else:
+                w = scale * raw
+                yield w[grow_lo:], w[: len(w) - grow_hi]
 
     return terms
 

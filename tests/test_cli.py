@@ -29,7 +29,7 @@ from polymerlab.cli import (
 )
 from polymerlab.cocycle import busemann_from_p2l, check_monotonicity
 from polymerlab.csvio import format_value, write_csv
-from polymerlab.env import Site, Window, generate_field
+from polymerlab.env import FieldBatch, Site, Window, generate_field
 from polymerlab.errors import ConfigError
 from polymerlab.partition import comparison_check
 
@@ -699,6 +699,23 @@ def test_a_nan_dlr_discrepancy_fails_the_dlr_run(tmp_path, monkeypatch):
     monkeypatch.setattr(gibbs, "dlr_window_reports", second_is_nan)
     cfg = parse_config("kind = dlr\nwindows = 3\nlevels = 4\nseed_weights = 5\n")
     assert _failed(run(cfg, out_dir=str(tmp_path)), "dlr_max_discrepancy")
+
+
+def test_another_environments_field_fails_the_dlr_level_mass(tmp_path, monkeypatch):
+    # each window's Busemann field is built on the next seed's environment,
+    # seed 7001's field against seed 7000's paths: every path-set identity
+    # still holds, and only the level mass sees the wrong field
+    real = gibbs._p2l_increments
+
+    def next_seed(batch, *args):
+        return real(FieldBatch([generate_field(f.spec, f.seed + 1, f.window) for f in batch.fields]), *args)
+
+    monkeypatch.setattr(gibbs, "_p2l_increments", next_seed)
+    cfg = parse_config("kind = dlr\nwindows = 3\nlevels = 10\nseed_weights = 7000\n")
+    checks = {c.name: c for c in run(cfg, out_dir=str(tmp_path)).checks}
+    assert checks["dlr_max_discrepancy"].passed
+    assert not checks["dlr_level_mass"].passed
+    assert checks["dlr_level_mass"].value > 0.5
 
 
 def test_a_nan_hit_mass_fails_the_binomial_match(tmp_path, monkeypatch):

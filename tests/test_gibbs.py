@@ -258,6 +258,27 @@ def test_a_nan_discrepancy_fails_the_dlr_check():
     assert math.isnan(rep.max_discrepancy)
 
 
+def test_only_the_level_mass_sees_another_environments_field():
+    # the shipped dlr window: gaussian weights, levels 10, horizon 34, 11 x 11.
+    # B built on seed 7001 passes every path-set identity of seed 7000's
+    # environment, but not the normalisation on level n
+    win = Window(Site(0, 0), 11, 11)
+    f, other = (generate_field(GAUSS, seed, Window(Site(0, 0), 1, 1)) for seed in (7000, 7001))
+    right = dlr_consistency_check(busemann_from_p2l(f, 1.0, (0.0, 0.0), 34, win), f, Site(0, 0), 10)
+    wrong = dlr_consistency_check(busemann_from_p2l(other, 1.0, (0.0, 0.0), 34, win), f, Site(0, 0), 10)
+    assert max(right.max_discrepancy, wrong.max_discrepancy) <= 1e-10
+    assert right.level_mass_defect <= 1e-10 < 0.5 < wrong.level_mass_defect
+
+
+def test_the_level_mass_needs_every_endpoint_in_the_window():
+    # the hand2x2 fixture's window holds one of the three endpoints on level 2
+    fh = hand_grid_field(pad_to=6)
+    bfh = busemann_from_p2p(fh, 1.0, Site(3, 3), Window(Site(0, 0), 2, 2))
+    assert math.isnan(dlr_consistency_check(bfh, fh, Site(0, 0), 2).level_mass_defect)
+    assert dlr_consistency_check(bfh, fh, Site(0, 0), 1).level_mass_defect <= 1e-12
+    assert dlr_consistency_check(bfh, fh, Site(0, 0), 0).level_mass_defect == 0.0
+
+
 def test_forward_chain_degenerate_ray():
     win = Window(Site(0, 0), 12, 12)
     trans = TransitionField(win, np.ones((12, 12)), "busemann", 1, 1.0)
@@ -456,6 +477,13 @@ def test_rooted_mass_decay_binomial_and_trivial():
     for n, mh in zip(prof.levels[1:], prof.max_hit[1:]):
         assert mh == pytest.approx(math.comb(n, n // 2) / 2.0**n, abs=1e-12)
     assert prof.strictly_decreasing
+
+
+@pytest.mark.parametrize("levels", [[], [-1], [4, -2, 8]])
+def test_rooted_mass_decay_refuses_empty_and_negative_levels(levels):
+    trans = TransitionField(Window(Site(0, 0), 17, 17), np.full((17, 17), 0.5), "busemann", 1, 1.0)
+    with pytest.raises(ParameterError):
+        rooted_mass_decay(trans, Site(16, 16), levels)
 
 
 def test_rooted_mass_decay_gaussian_decreasing():

@@ -1,19 +1,22 @@
+import ast
 import collections
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polymerlab import env
+import polymerlab
+from polymerlab import env, partition
 from polymerlab.cif import cif_cdf_check, cif_direction_stats
 from polymerlab.cocycle import direction_scan, estimate_shape
 from polymerlab.coupling import band_transition_rule
 from polymerlab.env import E1, FieldBatch, Site, WeightSpec, Window, field_from_values, generate_field, shift_view
 from polymerlab.errors import OrderingError, ParameterError, SizeError
 from polymerlab.fixtures import hand_grid_field
-from polymerlab.gibbs import ldp_rate_profile
+from polymerlab.gibbs import TransitionField, ldp_rate_profile, rooted_mass_decay
 from polymerlab.partition import (
     _diagonals,
     _lae,
@@ -647,6 +650,61 @@ def test_levels_are_the_table_level_by_level(comb, W, H):
                 if j:
                     want[..., i, j] = np.maximum(want[..., i, j], want[..., i, j - 1] + s2[..., i, j - 1])
         assert np.array_equal(L, want)
+
+
+@pytest.mark.parametrize("beta", [1.5, math.inf])
+def test_the_corner_loop_steps_each_level_it_reads_once(monkeypatch, beta):
+    # hand counts: a table steps the W + H - 2 levels of its corner of the
+    # window in either mode, a probe the level of its farthest target, the
+    # array sweep W + H - 2 and the mass decay its largest distance
+    steps = []
+    level = partition._level
+    monkeypatch.setattr(partition, "_level", lambda *args: steps.append(1) or level(*args))
+
+    def count(fn):
+        steps.clear()
+        fn()
+        return len(steps)
+
+    f = grid_field(3)
+    win = Window(Site(0, 0), 9, 7)
+    assert count(lambda: p2p_table(f, Site(5, 4), win, beta, "to_anchor")) == 6 + 5 - 2
+    assert count(lambda: p2p_table(f, Site(2, 1), win, beta, "from_anchor")) == 7 + 6 - 2
+    assert count(lambda: p2p_table(f, Site(0, 0), win, beta, "to_anchor")) == 0
+    assert count(lambda: p2p_values(f, Site(1, 1), beta, [3, 0, 5], [2, 7, 0])) == 7
+    assert count(lambda: p2p_values(f, Site(1, 1), beta, [0, 1], [0, 0])) == 1
+    assert count(lambda: p2p_values(f, Site(1, 1), beta, [], [])) == 0
+    assert count(lambda: p2p_pair_values(f, Site(1, 1), beta, [4, 1], [6, 2])) == 10
+    rng = np.random.default_rng(4)
+    assert count(lambda: _sweep(rng.normal(size=(6, 4)), rng.normal(size=(7, 3)), np.maximum)) == 7 + 4 - 2
+    trans = TransitionField(Window(Site(0, 0), 65, 65), np.full((65, 65), 0.5), "busemann", 1, 1.0)
+    assert count(lambda: rooted_mass_decay(trans, Site(64, 64), [8, 16, 32, 64])) == 64
+
+
+def test_every_level_step_is_the_corner_loop_or_a_named_exception():
+    # every call of `partition._level` under src/, by module and enclosing
+    # function: a new level loop fails here until it is listed, with its
+    # reason in the README's numerical conventions
+    allowed = {
+        ("partition.py", "_levels"),  # the corner loop
+        ("partition.py", "_p2l_sweep"),  # starts from its boundary line
+        ("coupling.py", "sweep"),  # the band rule: starts from a line, steps a band
+        ("gibbs.py", "ldp_rate_profile"),  # the pass up steps stored terms
+        ("cif.py", "cif_direction_stats"),  # reads each level's weights with its walkers
+    }
+    found = set()
+
+    def walk(path, node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                callee = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if callee == "_level":
+                    found.add((path.name, fn))
+            walk(path, child, child.name if isinstance(child, ast.FunctionDef) else fn)
+
+    for path in sorted(Path(polymerlab.__file__).parent.glob("*.py")):
+        walk(path, ast.parse(path.read_text(encoding="utf-8")), None)
+    assert found == allowed
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-17, reason="needs an extended long double")
