@@ -24,7 +24,7 @@ import numpy as np
 
 from .csvio import write_columns
 from .env import (
-    _HASH_BLOCK_BYTES, FieldBatch, Site, WeightField, WeightSpec, Window, _site_array, _wrapped_seed, generate_field
+    _HASH_BLOCK_BYTES, FieldBatch, Site, WeightField, WeightSpec, Window, _groups, _site_array, _wrapped_seed, generate_field
 )
 from .errors import (
     HorizonError,
@@ -166,13 +166,13 @@ def _increments(rows: np.ndarray, W: int, H: int, beta: float, h) -> tuple[np.nd
 
 
 # Tilts of one environment are swept together in groups under this many
-# bytes.  A tilt counts W + 8 rows of K + 1 values, its W + 1 kept rows and
-# the level sweep's temporaries, which measure about seven such rows
-# (tracemalloc, K = 1000), and three W x H arrays, its increments b1 and b2
-# and one temporary while they are formed.  One hash block
-# (`env._HASH_BLOCK_BYTES`) is set aside for the whole group, which assumes
-# that a level fits in one block: past K ~ 8190 it does not, and the hashing
-# transient grows with K (1.049 of the budget at K = 20000, W = H = 2).
+# bytes, and so are Cesaro samples.  A tilt counts W + 8 rows of K + 1
+# values, its W + 1 kept rows and the level sweep's temporaries, which
+# measure about seven such rows (tracemalloc, K = 1000), and three W x H
+# arrays, its increments b1 and b2 and one temporary while they are formed.
+# One hash block (`env._HASH_BLOCK_BYTES`) is set aside for the whole group,
+# which assumes that a level fits in one block: past K ~ 8190 it does not,
+# and the hashing transient grows with K (1.049 of the budget at K = 20000).
 _TILT_BLOCK_BYTES = 8 << 20
 
 
@@ -221,9 +221,8 @@ def busemann_fields_from_p2l(
         raise ParameterError(f"need a nonempty (T, 2) array of tilts, got shape {tilts.shape}")
     if window is None:
         window = field.window
-    group = max(1, (_TILT_BLOCK_BYTES - _HASH_BLOCK_BYTES) // _p2l_bytes(n, window))
-    for i in range(0, len(tilts), group):
-        hs = tilts[i : i + group]
+    for g in _groups(len(tilts), _p2l_bytes(n, window), _TILT_BLOCK_BYTES, _HASH_BLOCK_BYTES):
+        hs = tilts[g]
         b1, b2 = _p2l_increments(field, beta, hs, n, window)
         for k, h in enumerate(hs.tolist()):
             prov = Provenance(kind="p2l", h=(h[0], h[1]), horizon=n)
@@ -324,20 +323,25 @@ def cesaro_busemann(
         raise HorizonError("window levels must stay below n")
     rng = np.random.default_rng(np.random.SeedSequence((_wrapped_seed(seed), 0x4E5)))
     horizons = rng.integers(1, n + 1, size=sample_count)
-    envs = _replica_batch(field.spec, seed, sample_count, 0xE17)
+    envs = _replica_batch(field.spec, seed, sample_count, 0xE17).fields
     W, H = window.width, window.height
-    # one sweep per environment and horizon: the Cesaro horizons N and the
-    # full horizon n, on the same weights
-    rows = p2l_rows(envs, beta, h, n, base, W + 1, np.stack([horizons, np.full_like(horizons, n)]))
-    with np.errstate(invalid="ignore"):  # -inf minus -inf above the horizon
-        b1, b2 = _increments(rows[0, :, :, : H + 1], W, H, beta, h)
+    b1, b2 = np.empty((2, sample_count, W, H))
+    F = np.empty(sample_count)
+    # one sweep per environment and horizon, the Cesaro horizon N and the
+    # full horizon n, on the same weights: a sample counts as two tilts
+    for g in _groups(sample_count, 2 * _p2l_bytes(n, window), _TILT_BLOCK_BYTES, _HASH_BLOCK_BYTES):
+        N = horizons[g]
+        rows = p2l_rows(FieldBatch(envs[g]), beta, h, n, base, W + 1, np.stack([N, np.full_like(N, n)]))
+        with np.errstate(invalid="ignore"):  # -inf minus -inf above the horizon
+            b1[g], b2[g] = _increments(rows[0, :, :, : H + 1], W, H, beta, h)
+        F[g] = rows[1, :, 0, 0]
+        del rows  # before the next group's sweep
     # increments are genuine below level N and 0 at or above it
     above = sum(window.coord_grids()) >= horizons[:, None, None]
-    b1 = np.where(above, 0.0, b1)
-    b2 = np.where(above, 0.0, b2)
+    b1[above] = 0.0
+    b2[above] = 0.0
     o_b1 = b1[:, 0, 0]
     o_b2 = b2[:, 0, 0]
-    F = rows[1, :, 0, 0]
     fpl = F / _temperature(beta).scale / (n - base.level())
     b1_mean = b1.mean(axis=0)
     b2_mean = b2.mean(axis=0)

@@ -352,6 +352,13 @@ _HASH_BLOCK_SITES = 8192
 _HASH_BLOCK_BYTES = 80 * _HASH_BLOCK_SITES
 
 
+def _groups(count: int, per_item: int, budget: int, shared: int):
+    """The consecutive slices of `count` items that each hold as many items
+    of `per_item` as fit in `budget` beside `shared`, and at least one."""
+    size = max(1, (budget - shared) // per_item)
+    return (slice(i, min(i + size, count)) for i in range(0, count, size))
+
+
 def _weights(spec: WeightSpec, seed, uu, vv) -> np.ndarray:
     """The weights of one distribution at sites: the quantiles of their
     hashed uniforms, or the constant of a constant spec in the sites'
@@ -385,9 +392,8 @@ def _blocks(field, across, start, n: int):
     block = _HASH_BLOCK_SITES // math.prod(_replica_shape(field))
     along = start + np.arange(n)
     across = np.asarray(across)[:, None]
-    rows = max(1, block // n)
-    for i in range(0, len(across), rows):
-        yield i, field.values_at(across[i : i + rows], along)
+    for s in _groups(len(across), n, block, 0):
+        yield s.start, field.values_at(across[s], along)
 
 
 def _rows(field, u0, v0, lengths, step=(0, 1)):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cocycle import BusemannField, _integrate, _p2l_bytes, _p2l_increments
 from .csvio import write_columns
-from .env import _HASH_BLOCK_BYTES, FieldBatch, Site, WeightField, Window
+from .env import _HASH_BLOCK_BYTES, FieldBatch, Site, WeightField, Window, _groups
 from .errors import (
     DomainError,
     ParameterError,
@@ -341,11 +341,9 @@ def dlr_window_reports(
     steps = n - x.level()
     paths = math.comb(steps, steps // 2) if steps >= 0 else 0
     per_window = _p2l_bytes(horizon, window) + 8 * paths * (steps + 5)
-    spare = _DLR_BLOCK_BYTES - _HASH_BLOCK_BYTES - 10 * paths * steps
-    group = max(1, spare // per_window)
     reports = []
-    for g in range(0, len(fields), group):
-        batch = FieldBatch(fields[g : g + group])
+    for g in _groups(len(fields), per_window, _DLR_BLOCK_BYTES, _HASH_BLOCK_BYTES + 10 * paths * steps):
+        batch = FieldBatch(fields[g])
         B = _integrate(*_p2l_increments(batch, beta, h, horizon, window))
         reports += _dlr_reports(B, window, beta, batch, x, n)
     return reports
@@ -463,7 +461,7 @@ def _ldp_replica_bytes(n: int) -> int:
     return 8 * (3 * n * (n + 1) // 2 + 10 * (2 * n + 51))
 
 
-# the count grows with n, so the n that fit are a prefix of 1, 2, ...
+# one replica fits as `env._groups` counts at a prefix of n = 1, 2, ...
 _LDP_MAX_N = bisect.bisect_right(
     range(1, 1 << 16), _LDP_BLOCK_BYTES - _HASH_BLOCK_BYTES, key=_ldp_replica_bytes
 )
@@ -509,7 +507,6 @@ def ldp_rate_profile(
         raise ParameterError("the probability flow is defined for finite beta")
     horizon = 2 * n + 50
     envs = _replica_batch(spec, seed, replicas, 0x1D9).fields
-    group = max(1, (_LDP_BLOCK_BYTES - _HASH_BLOCK_BYTES) // _ldp_replica_bytes(n))
     inv = 1 / scale
     h = np.asarray(h_hat, dtype=np.float64)[:, None, None]
     zeta1 = np.arange(n + 1) / n
@@ -518,8 +515,8 @@ def ldp_rate_profile(
     rates = np.empty((replicas, n + 1))
     gaps = np.empty((replicas, n + 1))
     ident = np.empty(replicas)
-    for g in range(0, replicas, group):
-        batch = FieldBatch(envs[g : g + group])
+    for g in _groups(replicas, _ldp_replica_bytes(n), _LDP_BLOCK_BYTES, _HASH_BLOCK_BYTES):
+        batch = FieldBatch(envs[g])
         R = len(batch.fields)
         # pass down: b1, b2 and the weights at the sites (i, k - i) of each
         # level k < n, whose e1 and e2 neighbours are sites i + 1 and i above
@@ -552,9 +549,9 @@ def ldp_rate_profile(
         logz = level[1]
         rate_alg = -(logz - beta * bvals) / n
         lam = logz / (beta * n)
-        rates[g : g + group] = rate_flow
-        gaps[g : g + group] = rate_flow - (drift - lam)
-        ident[g : g + group] = np.max(np.abs(rate_flow - rate_alg), axis=-1)
+        rates[g] = rate_flow
+        gaps[g] = rate_flow - (drift - lam)
+        ident[g] = np.max(np.abs(rate_flow - rate_alg), axis=-1)
     rate, rate_se = _mean_se(rates)
     gap, gap_se = _mean_se(gaps)
     reference = reference_se = None

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .csvio import write_columns
-from .env import FieldBatch, Site, Window, WeightField, _blocks, _replica_shape, _rows, _site_array
+from .env import FieldBatch, Site, Window, WeightField, _blocks, _groups, _replica_shape, _rows, _site_array
 from .errors import (
     DomainError,
     OrderingError,
@@ -715,9 +715,8 @@ def _to_anchor_ratios(wb: np.ndarray, x: np.ndarray, t: np.ndarray, comb: np.ufu
     r1, r2 = np.empty(len(t)), np.empty(len(t))
     for wide in (False, True):
         idx = np.flatnonzero((d[:, 0] > d[:, 1]) == wide)
-        per_block = max(1, _COMPARISON_BLOCK_BYTES // (8 * int((d[idx].max(axis=0, initial=0) + 1).prod())))
-        for s in range(0, len(idx), per_block):
-            k = idx[s : s + per_block]
+        for g in _groups(len(idx), 8 * int((d[idx].max(axis=0, initial=0) + 1).prod()), _COMPARISON_BLOCK_BYTES, 0):
+            k = idx[g]
             A, B = d[k].max(axis=0) + 1
             # the weights at t - (i, j); padding that runs below the
             # rectangle reads any weight there
