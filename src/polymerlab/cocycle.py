@@ -166,13 +166,13 @@ def _increments(rows: np.ndarray, W: int, H: int, beta: float, h) -> tuple[np.nd
 
 
 # Tilts of one environment are swept together in groups under this many
-# bytes, and so are Cesaro samples.  A tilt counts W + 8 rows of K + 1
-# values, its W + 1 kept rows and the level sweep's temporaries, which
-# measure about seven such rows (tracemalloc, K = 1000), and three W x H
-# arrays, its increments b1 and b2 and one temporary while they are formed.
-# One hash block (`env._HASH_BLOCK_BYTES`) is set aside for the whole group,
-# which assumes that a level fits in one block: past K ~ 8190 it does not,
-# and the hashing transient grows with K (1.049 of the budget at K = 20000).
+# bytes, and so are Cesaro samples, two sweeps each.  A tilt counts W + 8
+# rows of K + 1 values, its W + 1 kept rows and the level sweep's
+# temporaries, which measure about seven such rows, and three W x H arrays,
+# its increments b1 and b2 and one temporary while they are formed; the
+# group's sweep holds `_p2l_shared` once.  With W = H = 2 a tilt measured
+# 9.99 rows and the sweep 15 rows beside them, at K = 5000 to 20000
+# (tracemalloc).
 _TILT_BLOCK_BYTES = 8 << 20
 
 
@@ -181,6 +181,16 @@ def _p2l_bytes(n: int, window: Window) -> int:
     budget: the count of `_TILT_BLOCK_BYTES`."""
     W, H = window.width, window.height
     return 8 * ((n - window.origin.level() + 1) * (W + 8) + 3 * W * H)
+
+
+def _p2l_shared(n: int, window: Window) -> int:
+    """The bytes that a group's point-to-line sweep holds once, whatever its
+    tilts or replicas: its hashing at 80 bytes a site, one hash block or one
+    level when a level is longer (`env._rows` hashes at least one whole
+    row), and five rows of K + 1 values, the level's weights and the index
+    rows of its `env._rows` read."""
+    K = n - window.origin.level()
+    return max(_HASH_BLOCK_BYTES, 80 * (K + 1)) + 40 * (K + 1)
 
 
 def _p2l_increments(field, beta: float, h, n: int, window: Window) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +231,7 @@ def busemann_fields_from_p2l(
         raise ParameterError(f"need a nonempty (T, 2) array of tilts, got shape {tilts.shape}")
     if window is None:
         window = field.window
-    for g in _groups(len(tilts), _p2l_bytes(n, window), _TILT_BLOCK_BYTES, _HASH_BLOCK_BYTES):
+    for g in _groups(len(tilts), _p2l_bytes(n, window), _TILT_BLOCK_BYTES, _p2l_shared(n, window)):
         hs = tilts[g]
         b1, b2 = _p2l_increments(field, beta, hs, n, window)
         for k, h in enumerate(hs.tolist()):
@@ -329,7 +339,7 @@ def cesaro_busemann(
     F = np.empty(sample_count)
     # one sweep per environment and horizon, the Cesaro horizon N and the
     # full horizon n, on the same weights: a sample counts as two tilts
-    for g in _groups(sample_count, 2 * _p2l_bytes(n, window), _TILT_BLOCK_BYTES, _HASH_BLOCK_BYTES):
+    for g in _groups(sample_count, 2 * _p2l_bytes(n, window), _TILT_BLOCK_BYTES, _p2l_shared(n, window)):
         N = horizons[g]
         rows = p2l_rows(FieldBatch(envs[g]), beta, h, n, base, W + 1, np.stack([N, np.full_like(N, n)]))
         with np.errstate(invalid="ignore"):  # -inf minus -inf above the horizon

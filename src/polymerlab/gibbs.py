@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import BusemannField, _integrate, _p2l_bytes, _p2l_increments
+from .cocycle import BusemannField, _integrate, _p2l_bytes, _p2l_increments, _p2l_shared
 from .csvio import write_columns
 from .env import _HASH_BLOCK_BYTES, FieldBatch, Site, WeightField, Window, _groups
 from .errors import (
@@ -319,8 +319,8 @@ def dlr_consistency_check(
 # window counts its point-to-line sweep as a tilt of `cocycle._TILT_BLOCK_BYTES`
 # does, and, at the endpoint with the most paths, P paths of `steps` sites:
 # their gathered weights and five arrays of P energies and probabilities.
-# What the group shares is set aside: one hash block and the enumeration's
-# 10 bytes per path site (its flat intp index into the weights, the int8
+# What the group shares is set aside: its sweep's (`cocycle._p2l_shared`)
+# and the enumeration's 10 bytes per path site (its flat intp index into the weights, the int8
 # combinations and a bool temporary).  At levels = 20, P = 184756, a window
 # counts 37 MB and the enumeration 37 MB, so a group holds one window.  A
 # group peaked at 0.66 of the budget at levels = 20 (one window), 0.82 at 19
@@ -342,7 +342,7 @@ def dlr_window_reports(
     paths = math.comb(steps, steps // 2) if steps >= 0 else 0
     per_window = _p2l_bytes(horizon, window) + 8 * paths * (steps + 5)
     reports = []
-    for g in _groups(len(fields), per_window, _DLR_BLOCK_BYTES, _HASH_BLOCK_BYTES + 10 * paths * steps):
+    for g in _groups(len(fields), per_window, _DLR_BLOCK_BYTES, _p2l_shared(horizon, window) + 10 * paths * steps):
         batch = FieldBatch(fields[g])
         B = _integrate(*_p2l_increments(batch, beta, h, horizon, window))
         reports += _dlr_reports(B, window, beta, batch, x, n)

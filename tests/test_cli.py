@@ -596,7 +596,8 @@ def test_batched_monotonicity_run_equals_the_per_pair_loop(tmp_path, monkeypatch
         "triples = 12\nseed_weights = 21\nseed_sampler = 4\n"
     )
     per_tilt = 8 * ((cfg.horizon + 1) * (cfg.width + 8) + 3 * cfg.width * cfg.height)
-    monkeypatch.setattr(cocycle, "_TILT_BLOCK_BYTES", env._HASH_BLOCK_BYTES + 3 * per_tilt)
+    shared = cocycle._p2l_shared(cfg.horizon, Window(Site(0, 0), cfg.width, cfg.height))
+    monkeypatch.setattr(cocycle, "_TILT_BLOCK_BYTES", shared + 3 * per_tilt)
     report = run(cfg, out_dir=str(tmp_path))
     assert report.passed
     for name, want in _per_pair_monotonicity_csvs(cfg).items():

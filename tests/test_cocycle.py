@@ -176,13 +176,22 @@ def test_cesaro_single_sample_degenerates():
     assert math.isnan(rep.se_b1)
 
 
-@pytest.mark.parametrize("beta", [1.0, math.inf])
-def test_cesaro_equals_its_per_sample_sweeps(beta):
+@pytest.mark.parametrize("beta,group", [(1.0, None), (math.inf, None), (1.0, 8)], ids=["1.0", "inf", "1.0-groups"])
+def test_cesaro_equals_its_per_sample_sweeps(beta, group, monkeypatch):
     # reference: one environment, one horizon-N and one horizon-n sweep per
-    # sample, as before the samples were batched
+    # sample, as before the samples were batched; with `group`, the samples
+    # run in groups of 8, 8, 8 and 6 under a patched budget
     f = generate_field(GAUSS, 4, Window(Site(2, 1), 3, 4))
     h, n, samples, seed = (-1.2, -0.8), 12, 30, 8
+    if group is not None:
+        per_sample = 2 * cocycle._p2l_bytes(n, f.window)
+        monkeypatch.setattr(cocycle, "_TILT_BLOCK_BYTES", cocycle._p2l_shared(n, f.window) + group * per_sample)
+        calls = []
+        sweep = cocycle.p2l_rows
+        monkeypatch.setattr(cocycle, "p2l_rows", lambda field, *a: calls.append(len(field.fields)) or sweep(field, *a))
     bf, rep = cesaro_busemann(f, beta, h, n, samples, seed)
+    if group is not None:
+        assert calls == [8, 8, 8, 6]
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x4E5)))
     horizons = rng.integers(1, n + 1, size=samples)
     base, W, H = f.window.origin, 3, 4
@@ -339,7 +348,7 @@ def test_tilt_batch_equals_single_tilt_sweeps(beta, monkeypatch):
     win = Window(Site(1, -2), 4, 3)
     K = n - win.origin.level()
     per_tilt = 8 * ((K + 1) * (win.width + 8) + 3 * win.width * win.height)
-    monkeypatch.setattr(cocycle, "_TILT_BLOCK_BYTES", env._HASH_BLOCK_BYTES + 2 * per_tilt)
+    monkeypatch.setattr(cocycle, "_TILT_BLOCK_BYTES", cocycle._p2l_shared(n, win) + 2 * per_tilt)
     calls = []
 
     def counted(field, beta, hs, *args, **kw):
@@ -365,10 +374,12 @@ def test_tilt_batch_equals_single_tilt_sweeps(beta, monkeypatch):
 @pytest.mark.parametrize("K,W,H", [(300, 6, 5), (2000, 3, 3), (39, 20, 20), (10, 6, 5)])
 def test_a_tilt_group_stays_within_its_budget(K, W, H):
     # a full group: W + 8 rows of K + 1 values and three W x H arrays per
-    # tilt, beside one hash block, under the default budget
+    # tilt, beside the sweep's hashing of one block or one longer level and
+    # five rows of K + 1 values, under the default budget
     f = generate_field(WeightSpec.gaussian(0, 1), 3, Window(Site(0, 0), 1, 1))
     per_tilt = 8 * ((K + 1) * (W + 8) + 3 * W * H)
-    group = (cocycle._TILT_BLOCK_BYTES - env._HASH_BLOCK_BYTES) // per_tilt
+    shared = max(env._HASH_BLOCK_BYTES, 80 * (K + 1)) + 40 * (K + 1)
+    group = (cocycle._TILT_BLOCK_BYTES - shared) // per_tilt
     tilts = np.random.default_rng(K).uniform(-1.0, 0.0, size=(group + 1, 2))
     fields = busemann_fields_from_p2l(f, 1.0, tilts, K, Window(Site(0, 0), W, H))
     tracemalloc.start()
@@ -378,6 +389,24 @@ def test_a_tilt_group_stays_within_its_budget(K, W, H):
     finally:
         tracemalloc.stop()
     assert first.b1.base.shape[0] == group
+    assert peak <= cocycle._TILT_BLOCK_BYTES
+
+
+def test_a_cesaro_group_stays_within_its_budget():
+    # configs/cesaro.cfg: 200 samples at n = 400 on the 8 x 8 window, two
+    # point-to-line sweeps per sample, in groups of 72, 72 and 56; each
+    # group's rows are freed before the next group's sweep
+    f = generate_field(GAUSS, 501, Window(Site(0, 0), 8, 8))
+    per_sample = 2 * cocycle._p2l_bytes(400, f.window)
+    assert (cocycle._TILT_BLOCK_BYTES - cocycle._p2l_shared(400, f.window)) // per_sample == 72
+    cesaro_busemann(f, 1.0, (-1.0, -1.0), 20, 3, 77, Window(Site(0, 0), 2, 2))  # warms up
+    tracemalloc.start()
+    try:
+        bf, rep = cesaro_busemann(f, 1.0, (-1.0, -1.0), 400, 200, 77)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.samples == 200 and np.all(np.isfinite(bf.b1))
     assert peak <= cocycle._TILT_BLOCK_BYTES
 
 

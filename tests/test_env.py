@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+import polymerlab
 from polymerlab import env
 from polymerlab.cif import cif_direction_stats
 from polymerlab.coupling import band_transition_rule
@@ -384,3 +387,53 @@ def test_every_weight_read_hashes_blocks_of_whole_rows(monkeypatch, block, read)
     assert bool(calls) == (row > 0)
     assert max(calls, default=0) <= max(block, row)
     assert sites is None or sum(calls) == sites
+
+
+@pytest.mark.parametrize(
+    "count,per_item,budget,shared,sizes",
+    [
+        (0, 10, 100, 20, []),  # no items, no slices
+        (3, 90, 100, 20, [1, 1, 1]),  # an item larger than the spare budget goes alone
+        (4, 10, 30, 30, [1, 1, 1, 1]),  # so does any item when nothing is spare
+        (6, 10, 80, 20, [6]),  # an exact fit of the whole batch
+        (9, 10, 50, 20, [3, 3, 3]),  # exact fits give full groups
+        (10, 10, 59, 20, [3, 3, 3, 1]),  # a partial last group is kept
+    ],
+)
+def test_groups_slice_the_batch_in_order(count, per_item, budget, shared, sizes):
+    groups = list(env._groups(count, per_item, budget, shared))
+    items = range(count)
+    assert [len(items[g]) for g in groups] == sizes
+    assert [i for g in groups for i in items[g]] == list(items)
+    assert all(g.stop <= count for g in groups)
+
+
+def test_every_group_size_comes_from_the_one_rule():
+    # a `max(1, ... // ...)` group size under src/ lives only in
+    # `env._groups`, and these are the batches that it sizes
+    callers = {
+        ("env.py", "_blocks"),  # rows of a rectangle, in sites
+        ("cocycle.py", "busemann_fields_from_p2l"),  # tilts
+        ("cocycle.py", "cesaro_busemann"),  # samples, two sweeps each
+        ("gibbs.py", "dlr_window_reports"),  # DLR windows
+        ("gibbs.py", "ldp_rate_profile"),  # LDP replicas
+        ("partition.py", "_to_anchor_ratios"),  # padded comparison rectangles
+    }
+    sized, called = set(), set()
+
+    def walk(path, node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                one = any(isinstance(a, ast.Constant) and a.value == 1 for a in child.args)
+                floor = any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.FloorDiv) for a in child.args for n in ast.walk(a))
+                if name == "max" and one and floor:
+                    sized.add((path.name, fn))
+                if name == "_groups":
+                    called.add((path.name, fn))
+            walk(path, child, child.name if isinstance(child, ast.FunctionDef) else fn)
+
+    for path in sorted(Path(polymerlab.__file__).parent.glob("*.py")):
+        walk(path, ast.parse(path.read_text(encoding="utf-8")), None)
+    assert sized == {("env.py", "_groups")}
+    assert called == callers

@@ -202,7 +202,7 @@ def test_batched_dlr_windows_equal_each_window(monkeypatch, spec, x, levels):
     assert gibbs.dlr_window_reports(fields, beta, h, horizon, win, x, levels) == want
     steps = levels - x.level()
     per_window = cocycle._p2l_bytes(horizon, win) + 8 * math.comb(steps, steps // 2) * (steps + 5)
-    shared = env._HASH_BLOCK_BYTES + 10 * math.comb(steps, steps // 2) * steps
+    shared = cocycle._p2l_shared(horizon, win) + 10 * math.comb(steps, steps // 2) * steps
     monkeypatch.setattr(gibbs, "_DLR_BLOCK_BYTES", shared + 2 * per_window)
     assert gibbs.dlr_window_reports(fields, beta, h, horizon, win, x, levels) == want
     assert all(r.max_discrepancy <= 1e-10 for r in want)
@@ -234,7 +234,7 @@ def test_a_dlr_window_group_stays_within_its_budget(levels, windows):
     fields, (beta, h, horizon, win) = _windows(GAUSS, range(windows), levels)
     P = math.comb(levels, levels // 2)
     per_window = cocycle._p2l_bytes(horizon, win) + 8 * P * (levels + 5)
-    group = (gibbs._DLR_BLOCK_BYTES - env._HASH_BLOCK_BYTES - 10 * P * levels) // per_window
+    group = (gibbs._DLR_BLOCK_BYTES - cocycle._p2l_shared(horizon, win) - 10 * P * levels) // per_window
     assert group == {20: 1, 18: 10}[levels]
     gibbs.dlr_window_reports(fields[:1], beta, h, horizon, Window(Site(0, 0), 3, 3), Site(0, 0), 2)  # warms up
     tracemalloc.start()
