@@ -25,7 +25,7 @@ from .errors import (
     WindowError,
 )
 from .gibbs import PolymerPath, TransitionField, _walk, backward_transitions, path_from_steps
-from .cocycle import b1_logz
+from .cocycle import _check_replicas, b1_logz
 from .partition import PartitionTable, _level, _temperature
 
 __all__ = [
@@ -206,6 +206,7 @@ def cif_direction_stats(
     beta, scale, comb = _temperature(beta)
     if math.isinf(beta):
         raise ParameterError("interface directions are defined for finite beta")
+    _check_replicas(replicas, [steps])
     seeds = _seed_array(range(theta_seed, theta_seed + replicas))
     keys = _key(seeds, COUPLING_STREAM)
     u = np.zeros(replicas, dtype=np.int64)

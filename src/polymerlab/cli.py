@@ -93,44 +93,47 @@ _DUAL_T = _In(math.nextafter(0.1, 1.0), math.nextafter(0.9, 0.0), "strictly betw
 # the shape kind's directions must be interior
 _INTERIOR = _In(_TINY, math.nextafter(1.0, 0.0), "strictly between 0 and 1")
 
-# each weight distribution -> the config fields of its parameters, in order
-_WEIGHT_FIELDS = {
-    "gaussian": ("mean", "sd"),
-    "inverse_log_gamma": ("shape_param",),
-    "uniform": ("a", "b"),
-    "constant": ("value",),
-}
-
 # field name -> (parser, default, accepted).  `accepted` is None, the tuple
 # of allowed strings, or an _In that a number, and every entry of a list
-# (which must not be empty, unless its default is: n_list), lies in.  A
-# list must be strictly increasing.
+# (which must not be empty), lies in.  A list must be strictly increasing.
+# Every kind takes the common fields, and a kind's schema adds only the
+# fields its run reads.
 _COMMON = {
     "kind": (str, None, None),  # required; _config checks it first
-    "weights": (str, "gaussian", tuple(_WEIGHT_FIELDS)),
-    "mean": (float, 0.0, None),
-    "sd": (float, 1.0, None),
-    "shape_param": (float, 1.0, None),
-    "a": (float, 0.0, None),
-    "b": (float, 1.0, None),
-    "value": (float, 0.0, None),
     "beta": (float, 1.0, _In(_TINY, math.inf, "positive or inf")),
-    "seed_weights": (int, 1, None),
-    "seed_coupling": (int, 2, None),
-    "seed_sampler": (int, 3, None),
     "out": (str, "", None),
 }
 
+# each weight distribution -> the schema of its parameters, in order; a
+# config takes the parameters of its own distribution only
+_WEIGHT_FIELDS = {
+    "gaussian": {"mean": (float, 0.0, None), "sd": (float, 1.0, None)},
+    "inverse_log_gamma": {"shape_param": (float, 1.0, None)},
+    "uniform": {"a": (float, 0.0, None), "b": (float, 1.0, None)},
+    "constant": {"value": (float, 0.0, None)},
+}
+
+# the environment: its weight law (with the parameters of _WEIGHT_FIELDS)
+# and its hash seed
+_ENV = {
+    "weights": (str, "gaussian", tuple(_WEIGHT_FIELDS)),
+    "seed_weights": (int, 1, None),
+}
+# the seed of the uniforms that step coupled walks and interface trees
+_COUPLING = {"seed_coupling": (int, 2, None)}
+# the seed of the sampler's draws: staircases, tilts and triples, and
+# cesaro's horizons and environments
+_SAMPLER = {"seed_sampler": (int, 3, None)}
+
 _SCHEMAS: dict[str, dict] = {
-    "shape": {
+    "shape": _ENV | {
         "t_grid": (_parse_floatlist, (0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75), _INTERIOR),
-        "n": (int, 1000, _COUNT),
-        # () means n alone
-        "n_list": (_parse_intlist, (), _COUNT),
+        # the checks read the last size
+        "n_list": (_parse_intlist, (1000,), _COUNT),
         # _config asks for 2 (a standard error) unless weights = constant
         "replicas": (int, 20, _COUNT),
     },
-    "busemann": {
+    "busemann": _ENV | _SAMPLER | {
         "construction": (str, "p2l", ("p2l", "p2p")),
         "h1": (float, 0.0, _FINITE),
         "h2": (float, 0.0, _FINITE),
@@ -140,14 +143,14 @@ _SCHEMAS: dict[str, dict] = {
         "height": (int, 40, _at_least(2)),
         "staircases": (int, 100, _COUNT),
     },
-    "monotonicity": {
+    "monotonicity": _ENV | _SAMPLER | {
         "width": (int, 30, _COUNT),
         "height": (int, 30, _COUNT),
         "horizon": (int, 80, None),
         "pairs": (int, 100, _COUNT),
         "triples": (int, 500, _COUNT),
     },
-    "cesaro": {
+    "cesaro": _ENV | _SAMPLER | {
         "t": (float, 0.5, _DUAL_T),
         # the Cesaro field lives on the 8x8 window, whose corner is at level 14
         "n": (int, 400, _at_least(15)),
@@ -155,13 +158,13 @@ _SCHEMAS: dict[str, dict] = {
         "shape_n": (int, 800, _COUNT),
         "shape_replicas": (int, 12, _SAMPLE),
     },
-    "dlr": {
+    "dlr": _ENV | {
         "fixture": (str, "", ("", "hand2x2")),
         "windows": (int, 20, _COUNT),
         # every path of `levels` steps is enumerated; dlr_consistency_check stops at 20
         "levels": (int, 10, _In(1, 20, "between 1 and 20")),
     },
-    "ldp": {
+    "ldp": _ENV | {
         # past _LDP_MAX_N one replica overruns the sweep's memory budget
         "n": (int, 500, _In(1, gb._LDP_MAX_N, f"between 1 and {gb._LDP_MAX_N}")),
         "replicas": (int, 10, _SAMPLE),
@@ -169,14 +172,14 @@ _SCHEMAS: dict[str, dict] = {
         "shape_n": (int, 2000, _COUNT),
         "shape_replicas": (int, 12, _SAMPLE),
     },
-    "decay": {
+    "decay": _ENV | {
         "rule": (str, "half", ("half", "busemann")),
         "levels": (_parse_intlist, (8, 16, 32, 64), _at_least(0)),
         "seeds": (int, 10, _COUNT),
         "h1": (float, -0.7, _FINITE),
         "h2": (float, -0.7, _FINITE),
     },
-    "coalescence": {
+    "coalescence": _ENV | _COUPLING | {
         "rule": (str, "half", ("half", "busemann")),
         "horizon": (int, 10000, _COUNT),
         "seeds": (int, 1000, _COUNT),
@@ -189,16 +192,16 @@ _SCHEMAS: dict[str, dict] = {
         # the band rule's half width; below 2 `band_transition_rule` refuses it
         "half_width": (int, 1200, _at_least(2)),
     },
-    "junctions": {
+    "junctions": _COUPLING | {
         "p": (float, 0.5, _PROBABILITY),
         "boxes": (_parse_intlist, (16, 32, 64), _COUNT),
         "replicas": (int, 20, _COUNT),
     },
-    "interface": {
+    "interface": _ENV | _COUPLING | {
         "steps": (int, 2000, _COUNT),
         "replicas": (int, 1000, _COUNT),
     },
-    "cdf": {
+    "cdf": _ENV | _COUPLING | {
         "grid_points": (int, 21, _at_least(2)),
         "grid_lo": (float, 0.05, _PROBABILITY),
         "grid_hi": (float, 0.95, _PROBABILITY),
@@ -206,7 +209,7 @@ _SCHEMAS: dict[str, dict] = {
         # the Busemann side probes targets at this horizon
         "steps": (int, 2000, _at_least(2)),
     },
-    "scan": {
+    "scan": _ENV | {
         "t_points": (int, 41, _COUNT),
         # a smaller radius gives a backwards or one-point direction grid
         "radius": (int, 200, _at_least(5)),
@@ -283,14 +286,19 @@ def _config(raw: dict[str, str]) -> ExperimentConfig:
         raise ConfigError("field 'kind': missing")
     if kind not in KINDS:
         raise ConfigError(f"field 'kind': unknown experiment {kind!r}")
-    schema = dict(_COMMON)
-    schema.update(_SCHEMAS[kind])
+    schema = _COMMON | _SCHEMAS[kind]
+    law = ""
+    if "weights" in schema:
+        weights = raw.get("weights", schema["weights"][1])
+        _refuse_outside("weights", weights, schema["weights"][2])
+        schema |= _WEIGHT_FIELDS[weights]
+        law = f" with weights = {weights}"
     values: dict = {}
     for key, sval in raw.items():
         if key not in schema:
             fixed = _FIXED.get(kind, {})
             how = f"fixed at {fixed[key]!r}" if key in fixed else "not recognized"
-            raise ConfigError(f"field {key!r}: {how} for kind {kind!r}")
+            raise ConfigError(f"field {key!r}: {how} for kind {kind!r}{law}")
         parser = schema[key][0]
         try:
             values[key] = parser(sval)
@@ -298,7 +306,7 @@ def _config(raw: dict[str, str]) -> ExperimentConfig:
             raise ConfigError(f"field {key!r}: cannot parse {sval!r}") from exc
     for key, (_, default, accepted) in schema.items():
         values.setdefault(key, default)
-        if accepted is not None and not (default == () == values[key]):
+        if accepted is not None:
             _refuse_outside(key, values[key], accepted)
         if isinstance(values[key], tuple) and not all(a < b for a, b in zip(values[key], values[key][1:])):
             raise ConfigError(f"field {key!r}: must be strictly increasing")
@@ -312,11 +320,12 @@ def _config(raw: dict[str, str]) -> ExperimentConfig:
     if kind == "cdf" and not values["grid_lo"] < values["grid_hi"]:
         raise ConfigError("field 'grid_hi': must be greater than grid_lo")
     cfg = ExperimentConfig(kind, values)
-    try:
-        cfg.weight_spec()
-    except ParameterError as exc:
-        names = ", ".join(map(repr, _WEIGHT_FIELDS[values["weights"]]))
-        raise ConfigError(f"field {names}: {exc}") from exc
+    if law:
+        try:
+            cfg.weight_spec()
+        except ParameterError as exc:
+            names = ", ".join(map(repr, _WEIGHT_FIELDS[values["weights"]]))
+            raise ConfigError(f"field {names}: {exc}") from exc
     return cfg
 
 
@@ -412,11 +421,8 @@ def _flag(name: str, ok: bool, note: str = "") -> Check:
 
 def _run_shape(cfg: ExperimentConfig, outdir: str, checks: list, artifacts: list):
     spec = cfg.weight_spec()
-    n_list = cfg.n_list if cfg.n_list else (cfg.n,)
-    if max(n_list) != cfg.n:
-        n_list = tuple(sorted(set(n_list) | {cfg.n}))
     est = coc.estimate_shape(
-        spec, cfg.beta, cfg.t_grid, n_list, cfg.replicas, cfg.seed_weights
+        spec, cfg.beta, cfg.t_grid, cfg.n_list, cfg.replicas, cfg.seed_weights
     )
     artifacts.append(est.to_csv(os.path.join(outdir, "shape.csv")))
     if spec.distribution == "constant":

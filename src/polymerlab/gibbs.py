@@ -262,32 +262,38 @@ def level_mass_profile(
     busemann: BusemannField, field: WeightField, x: Site, levels
 ) -> list[tuple[int, float]]:
     """Iterated-recovery normalization: per level distance n, the defect
-    |sum_y Z_{x,y} e^{-beta B(x,y)} - 1| (at beta=inf: |max_y (G - B)|)."""
+    |sum_y Z_{x,y} e^{-beta B(x,y)} - 1| (at beta=inf: |max_y (G - B)|),
+    from `_level_mass`."""
     win = busemann.window
     levels = sorted(int(n) for n in levels)
-    n_max = levels[-1]
-    target = x + Site(n_max, n_max)
+    target = x + Site(levels[-1], levels[-1])
     if not (win.contains(x) and win.contains(target)):
         raise WindowError("window too small for the requested levels")
-    nn = np.array(levels)[:, None]
-    aa = np.minimum(np.arange(n_max + 1), nn)  # level n, padded with repeats of (n, 0)
-    lines = p2p_values(field, x, busemann.beta, aa, nn - aa)
     B = busemann.integrated()
-    x0u, x0v = win.index(x)
-    out = []
-    for n, line in zip(levels, lines):
-        a = np.arange(n + 1)
-        logz = line[: n + 1]
-        bvals = B[x0u + a, x0v + (n - a)] - B[x0u, x0v]
-        if busemann.zero_temp:
-            defect = abs(float(np.max(logz - bvals)))
-        else:
-            expo = logz - busemann.beta * bvals
-            m = float(np.max(expo))
-            total = math.exp(m) * float(np.sum(np.exp(expo - m)))
-            defect = abs(total - 1.0)
-        out.append((n, defect))
-    return out
+    return [(n, float(_level_mass(B, win, busemann.beta, field, x, x.level() + n)[2])) for n in levels]
+
+
+def _level_mass(B: np.ndarray, win: Window, beta: float, field, x: Site, n: int):
+    """Level n seen from x through integrated Busemann fields B (..., W, H)
+    on `win` and their environments (one field, or a FieldBatch along B's
+    leading axis): the endpoints x + (a, n - |x| - a) inside the window as
+    the array of their a, their log Z_{x, end} (one probe; every path x ->
+    end lives in the rect [x, end], inside the window), the defect
+    |sum_end Z_{x,end} exp(-beta B(x, end)) - 1| (|max_end (G - B(x, end))|
+    at beta = inf; NaN unless the window holds every endpoint) and
+    beta B(x, end) (B(x, end) at beta = inf)."""
+    steps = n - x.level()
+    aa = np.array([a for a in range(steps + 1) if win.contains(Site(x.u + a, x.v + steps - a))])
+    if not aa.size:
+        raise WindowError("no admissible endpoints inside the window")
+    logz = p2p_values(field, x, beta, aa, steps - aa)
+    xu, xv = win.index(x)
+    db = _temperature(beta).scale * (B[..., xu + aa, xv + steps - aa] - B[..., xu, xv, None])
+    if math.isinf(beta):
+        defect = np.abs(np.max(logz - db, axis=-1))
+    else:
+        defect = np.abs(np.sum(np.exp(logz - db), axis=-1) - 1.0)
+    return aa, logz, defect if aa.size == steps + 1 else np.full(defect.shape, np.nan), db
 
 
 @dataclass(frozen=True)
@@ -363,16 +369,7 @@ def _dlr_reports(B: np.ndarray, win: Window, beta: float, field, x: Site, n: int
         return [DlrReport(1, 0.0, 0.0)] * math.prod(B.shape[:-2])
     if math.isinf(beta):
         raise ParameterError("DLR consistency is defined for finite beta")
-    # the endpoints inside the window; all paths x -> end live in the rect
-    # [x, end], inside the window, and one probe gives every log Z_{x, end}
-    aa = np.array([a for a in range(steps + 1) if win.contains(Site(x.u + a, x.v + steps - a))])
-    if not aa.size:
-        raise WindowError("no admissible endpoints inside the window")
-    logz = p2p_values(field, x, beta, aa, steps - aa)
-    xu, xv = win.index(x)
-    db = beta * (B[..., xu + aa, xv + steps - aa] - B[..., xu, xv, None])  # beta B(x, end)
-    level_mass = np.sum(np.exp(logz - db), axis=-1)
-    defect = np.abs(level_mass - 1.0) if aa.size == steps + 1 else np.full(level_mass.shape, np.nan)
+    aa, logz, defect, db = _level_mass(B, win, beta, field, x, n)
     worst = np.zeros(B.shape[:-2])
     count = 0
     for i, a in enumerate(aa.tolist()):

@@ -251,6 +251,17 @@ def test_direction_stats_quenched_atom_diagnostic():
     assert stats.directions.size == 500
 
 
+@pytest.mark.parametrize("replicas,steps", [(0, 50), (-1, 50), (20, 0), (20, -3)])
+def test_direction_stats_refuse_degenerate_sizes(replicas, steps):
+    # steps = 0 read NaN directions, and replicas = 0 an empty law whose
+    # atom_share raised numpy's zero-size error
+    f = generate_field(GAUSS, 21, Window(Site(0, 0), 1, 1))
+    with pytest.raises(ParameterError, match="must be >= 1"):
+        cif_direction_stats(f, 1.0, replicas, steps, theta_seed=7)
+    with pytest.raises(ParameterError, match="must be >= 1"):
+        cif_cdf_check(f, 1.0, [0.25, 0.75], replicas, steps, theta_seed=7, busemann_horizon=20)
+
+
 def test_cdf_check_monotone_and_bands():
     f = generate_field(GAUSS, 1234, Window(Site(0, 0), 1, 1))
     cmp_ = cif_cdf_check(f, 1.0, np.linspace(0.1, 0.9, 9), 600, 300, theta_seed=11)

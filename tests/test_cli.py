@@ -16,7 +16,9 @@ import pytest
 from polymerlab import cocycle, env, gibbs
 from polymerlab.cli import (
     _COMMON,
+    _ENV,
     _SCHEMAS,
+    _WEIGHT_FIELDS,
     KINDS,
     Check,
     ExperimentConfig,
@@ -149,7 +151,9 @@ def test_parse_round_trip_and_defaults():
         ("kind = ldp\nshape_n = 0", "'shape_n'"),
         ("kind = ldp\nshape_replicas = 0", "'shape_replicas'"),
         ("kind = shape\nreplicas = 0", "'replicas'"),
+        # n_list is the one size field of shape
         ("kind = shape\nn = 0", "'n'"),
+        ("kind = shape\nn_list = 0", "'n_list'"),
         ("kind = shape\nt_grid = 1.5", "'t_grid'"),
         ("kind = shape\nt_grid = nan", "'t_grid'"),
         ("kind = shape\nt_grid = -0.2 0.5", "'t_grid'"),
@@ -189,7 +193,7 @@ def test_parse_round_trip_and_defaults():
         ("kind = cesaro\nshape_replicas = 1", "'shape_replicas'"),
         ("kind = ldp\nreplicas = 1", "'replicas'"),
         ("kind = ldp\nshape_replicas = 1", "'shape_replicas'"),
-        ("kind = shape\nn = 40\nreplicas = 1", "'replicas'"),
+        ("kind = shape\nn_list = 40\nreplicas = 1", "'replicas'"),
         ("kind = shape\nweights = uniform\nreplicas = 1", "'replicas'"),
         # inputs that pass the coalescence check by construction, and tilts
         # that read NaN
@@ -367,6 +371,24 @@ def test_beta_flag_is_checked_like_the_field(tmp_path, capsys):
         ("kind = busemann\nconstruction = p2p\ntarget_u = 80", "'target_u': not recognized"),
         ("kind = busemann\nconstruction = p2p\ntarget_v = 80", "'target_v': not recognized"),
         ("kind = cdf\nbusemann_horizon = 80", "'busemann_horizon': not recognized"),
+        # a kind takes only the fields its run reads, and a weight law only
+        # its own parameters
+        ("kind = shape\nseed_sampler = 4", "'seed_sampler': not recognized for kind 'shape'"),
+        ("kind = shape\nn = 500", "'n': not recognized for kind 'shape'"),
+        ("kind = busemann\nseed_coupling = 4", "'seed_coupling': not recognized for kind 'busemann'"),
+        ("kind = monotonicity\nseed_coupling = 4", "'seed_coupling': not recognized for kind 'monotonicity'"),
+        ("kind = cesaro\nseed_coupling = 4", "'seed_coupling': not recognized for kind 'cesaro'"),
+        ("kind = dlr\nseed_sampler = 4", "'seed_sampler': not recognized for kind 'dlr'"),
+        ("kind = ldp\nseed_sampler = 4", "'seed_sampler': not recognized for kind 'ldp'"),
+        ("kind = decay\nseed_coupling = 4", "'seed_coupling': not recognized for kind 'decay'"),
+        ("kind = coalescence\nseed_sampler = 4", "'seed_sampler': not recognized for kind 'coalescence'"),
+        ("kind = junctions\nweights = gaussian", "'weights': not recognized for kind 'junctions'"),
+        ("kind = junctions\nseed_weights = 4", "'seed_weights': not recognized for kind 'junctions'"),
+        ("kind = interface\nseed_sampler = 4", "'seed_sampler': not recognized for kind 'interface'"),
+        ("kind = cdf\nseed_sampler = 4", "'seed_sampler': not recognized for kind 'cdf'"),
+        ("kind = scan\nseed_coupling = 4", "'seed_coupling': not recognized for kind 'scan'"),
+        ("kind = scan\nweights = uniform\nmean = 5", "'mean': not recognized for kind 'scan' with weights = uniform"),
+        ("kind = cesaro\nweights = constant\nsd = 2", "'sd': not recognized for kind 'cesaro' with weights = constant"),
     ],
 )
 def test_typos_are_refused_before_any_work(tmp_path, capsys, typo, field):
@@ -481,7 +503,7 @@ def test_suite_aggregates_and_fails_on_one_bad_item(tmp_path):
         # at n = 64 constant weights miss the entropy by 0.036, beyond the
         # fixed 0.01: a clean FAIL without erroring
         "kind = shape\nweights = constant\nvalue = 0\n"
-        "t_grid = 0.5\nn = 64\nreplicas = 1\n"
+        "t_grid = 0.5\nn_list = 64\nreplicas = 1\n"
     )
     ok, reports = suite([str(good), str(failing)], out_dir=str(tmp_path / "out"))
     assert not ok
@@ -508,17 +530,72 @@ def _names(cell):
     return re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", cell))
 
 
+# the environment's fields: its law, every law's parameters and its seed
+ENV_FIELDS = set(_ENV).union(*_WEIGHT_FIELDS.values())
+
+# (kind, field, value) -> the fields that the kind does not read when the
+# field has that value; refusing them would need a rule between fields
+MODE_FIELDS = {
+    ("busemann", "construction", "p2p"): {"h1", "h2"},
+    ("decay", "rule", "half"): {"h1", "h2"} | ENV_FIELDS,
+    ("coalescence", "rule", "half"): {"h1", "h2", "half_width"} | ENV_FIELDS,
+    ("cesaro", "weights", "constant"): {"t", "shape_n", "shape_replicas"},
+}
+
+
 def test_readme_config_tables_name_only_accepted_fields():
     text = README.read_text(encoding="utf-8")
     common = [name for row in _table_rows(text, "| field | meaning | default |") for name in _names(row[0])]
-    assert "kind" in common and "seed_sampler" in common
-    assert set(common) <= set(_COMMON)
-    kinds = _table_rows(text, "| kind | what it checks | key fields |")
+    assert set(common) == set(_COMMON)
+    environment = [name for row in _table_rows(text, "| environment field | meaning | default |") for name in _names(row[0])]
+    assert set(environment) == ENV_FIELDS
+    kinds = _table_rows(text, "| kind | what it checks | key fields | seeds | read in one mode only |")
     assert sorted(_names(row[0])[0] for row in kinds) == sorted(KINDS)
     for row in kinds:
         kind = _names(row[0])[0]
-        fields = _names(row[2])
-        assert fields and set(fields) <= set(_COMMON) | set(_SCHEMAS[kind]), kind
+        fields, seeds, modal = map(_names, row[2:5])
+        assert fields and set(fields) <= set(_SCHEMAS[kind]) - ENV_FIELDS, kind
+        assert set(seeds) == {f for f in _SCHEMAS[kind] if f.startswith("seed_")}, kind
+        stated = set().union(*(v for (k, _, _), v in MODE_FIELDS.items() if k == kind))
+        assert set(modal) == stated - ENV_FIELDS, kind
+
+
+# small configs of the modes that no shipped config runs
+MODE_CONFIGS = [
+    "kind = busemann\nconstruction = p2p\nwidth = 6\nheight = 5\nhorizon = 10\nstaircases = 5",
+    "kind = decay\nrule = half\nlevels = 4 8",
+    "kind = cesaro\nweights = constant\nn = 20\nsamples = 10",
+]
+
+
+def test_every_accepted_field_is_read(tmp_path, monkeypatch):
+    """A kind accepts only what its run reads: over every shipped config and
+    the modes no shipped config runs, a field the run did not read is
+    stated in MODE_FIELDS for that mode, `kind` and `out` (read by `run`
+    from the config itself), or `beta` of a run that hashes no
+    environment."""
+    reads = set()
+    plain_getattr, plain_spec = ExperimentConfig.__getattr__, ExperimentConfig.weight_spec
+
+    def getattr_(cfg, name):
+        reads.add(name)
+        return plain_getattr(cfg, name)
+
+    def weight_spec(cfg):
+        reads.update(["weights", *_WEIGHT_FIELDS[cfg.values["weights"]]])
+        return plain_spec(cfg)
+
+    monkeypatch.setattr(ExperimentConfig, "__getattr__", getattr_)
+    monkeypatch.setattr(ExperimentConfig, "weight_spec", weight_spec)
+    configs = [load_config(p) for p in sorted(CONFIGS.glob("*.cfg"))] + list(map(parse_config, MODE_CONFIGS))
+    for i, cfg in enumerate(configs):
+        reads.clear()
+        run(cfg, out_dir=str(tmp_path / str(i)))
+        stated = {"kind", "out"} | ({"beta"} if "seed_weights" not in reads else set())
+        for (kind, field, value), fields in MODE_FIELDS.items():
+            if kind == cfg.kind and cfg.values[field] == value:
+                stated |= fields
+        assert set(cfg.values) - reads <= stated, (cfg.kind, set(cfg.values) - reads - stated)
 
 
 def test_manifest_lists_every_shipped_config_and_each_loads():
@@ -643,7 +720,7 @@ def test_negative_coupling_seeds_wrap_like_weight_seeds(tmp_path, text, csv):
 @pytest.mark.parametrize(
     "text,seed_field",
     [
-        ("kind = shape\nn = 40\nreplicas = 4\nt_grid = 0.3 0.5 0.7", "seed_weights"),
+        ("kind = shape\nn_list = 40\nreplicas = 4\nt_grid = 0.3 0.5 0.7", "seed_weights"),
         ("kind = ldp\nn = 20\nreplicas = 3\nshape_n = 40\nshape_replicas = 4", "seed_weights"),
         ("kind = busemann\nwidth = 6\nheight = 5\nhorizon = 20\nstaircases = 5", "seed_sampler"),
         (
