@@ -29,7 +29,7 @@ from .env import (
 )
 from .errors import OrderingError, ParameterError, WindowError
 from .gibbs import PolymerPath
-from .partition import _level, _temperature
+from .partition import _level, _scaled, _temperature
 
 __all__ = [
     "CouplingField",
@@ -130,15 +130,16 @@ def band_transition_rule(
         lo = np.maximum(kk // 2 - half_width, 0)
         hi = np.minimum(kk // 2 + half_width, kk)
         levels = _rows(field, lo, kk - lo, hi - lo + 1, (1, -1))
-        for k, a, w in zip(kk.tolist(), (lo - kk // 2 + half_width).tolist(), levels):
-            b = a + w.size
-            bw = scale * w
-            c = F[1 - k % 2 :]  # c[i]: child u of band offset i; c[i + 1]: child u + 1
-            Fk = _level(c[a : b + 1], bw + bh2, bw + bh1, comb, False, False)
-            if rows is not None:
-                rows[k - j * B, a:b] = np.exp(bw + bh1 + c[a + 1 : b + 1] - Fk)
-            F[1 : a + 1] = F[b + 1 : -1] = float("-inf")
-            F[a + 1 : b + 1] = Fk
+        with np.errstate(invalid="ignore"):  # one for the sweep's level steps
+            for k, a, w in zip(kk.tolist(), (lo - kk // 2 + half_width).tolist(), levels):
+                b = a + w.size
+                bw = _scaled(scale, w)
+                c = F[1 - k % 2 :]  # c[i]: child u of band offset i; c[i + 1]: child u + 1
+                Fk = _level(c[a : b + 1], bw + bh2, bw + bh1, comb, False, False)
+                if rows is not None:
+                    rows[k - j * B, a:b] = np.exp(bw + bh1 + c[a + 1 : b + 1] - Fk)
+                F[1 : a + 1] = F[b + 1 : -1] = float("-inf")
+                F[a + 1 : b + 1] = Fk
 
     F = np.full(width + 2, float("-inf"))
     uu = n // 2 - half_width + np.arange(width)

@@ -396,20 +396,26 @@ def _blocks(field, across, start, n: int):
         yield s.start, field.values_at(across[s], along)
 
 
+def _constant(field) -> float | None:
+    """The weight of a hashed constant WeightField or FieldBatch, else None:
+    an explicit grid carries a constant spec only as a placeholder."""
+    spec = field.fields[0].spec if isinstance(field, FieldBatch) else field.spec if type(field) is WeightField else None
+    return spec.params[0] if spec is not None and spec.distribution == "constant" else None
+
+
 def _rows(field, u0, v0, lengths, step=(0, 1)):
     """Raw weights of a WeightField or FieldBatch (replica axis in front) on
     rows (u0[r], v0[r]) + j * step, j < lengths[r] (step (0, 1) along u =
     const, (1, -1) or (-1, 1) along a level), one row at a time, hashed in blocks of
     whole rows (at least one): each equals its own `values_at` bit for bit.
     `_blocks` streams a rectangle of rows without ragged coordinates.  A
-    hashed constant field yields its rows without building coordinates (an
-    explicit grid carries a constant spec only as a placeholder)."""
+    hashed constant field (`_constant`) yields its rows without building
+    coordinates."""
     u0, v0, lengths = np.broadcast_arrays(u0, v0, lengths)
-    batch = isinstance(field, FieldBatch)
-    spec = field.fields[0].spec if batch else field.spec if type(field) is WeightField else None
-    if spec is not None and spec.distribution == "constant":
+    c = _constant(field)
+    if c is not None:
         for m in lengths.tolist():
-            yield np.full(_replica_shape(field) + (m,), spec.params[0])
+            yield np.full(_replica_shape(field) + (m,), c)
         return
     block = _HASH_BLOCK_SITES // math.prod(_replica_shape(field))
     ends = np.cumsum(lengths)

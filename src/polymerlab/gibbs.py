@@ -26,7 +26,7 @@ from .errors import (
     WindowError,
 )
 from . import partition
-from .partition import NEG_INF, PartitionTable, _diagonals, _levels, _p2l_sweep, _path_log_weights, _temperature, p2p_values
+from .partition import NEG_INF, PartitionTable, _diagonals, _levels, _p2l_sweep, _path_log_weights, _scaled, _temperature, p2p_values
 
 __all__ = [
     "PolymerPath",
@@ -532,15 +532,16 @@ def ldp_rate_profile(
         # b1(0, 0) + ... + b1(a - 1, 0), then b2(a, 0) + ... + b2(a, n - a - 1)
         bvals, tail = np.zeros((2, R, n + 1))
         level = np.zeros((2, R, 1))
-        for k, t in enumerate(reversed(down)):
-            np.add(bvals[:, k], t[0, :, k], out=bvals[:, k + 1])
-            tail[:, k] = t[1, :, k]
-            tail[:, :k] += t[1, :, :k]
-            # in place: the edge terms beta * (omega - b_i) and beta * omega
-            # of the flow and the free energy, which step as one block
-            np.subtract(t[2], t[:2], out=t[:2])
-            t *= beta
-            level = partition._level(level, t[::2], t[1:], comb, True, True)
+        with np.errstate(invalid="ignore"):  # one for the pass's level steps
+            for k, t in enumerate(reversed(down)):
+                np.add(bvals[:, k], t[0, :, k], out=bvals[:, k + 1])
+                tail[:, k] = t[1, :, k]
+                tail[:, :k] += t[1, :, :k]
+                # in place: the edge terms beta * (omega - b_i) and beta * omega
+                # of the flow and the free energy, which step as one block
+                np.subtract(t[2], t[:2], out=t[:2])
+                _scaled(beta, t, inplace=True)
+                level = partition._level(level, t[::2], t[1:], comb, True, True)
         bvals += tail
         rate_flow = -level[0] / n
         logz = level[1]

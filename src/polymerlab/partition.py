@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .csvio import write_columns
-from .env import FieldBatch, Site, Window, WeightField, _blocks, _groups, _replica_shape, _rows, _site_array
+from .env import FieldBatch, Site, Window, WeightField, _blocks, _constant, _groups, _replica_shape, _rows, _site_array
 from .errors import (
     DomainError,
     OrderingError,
@@ -95,11 +95,19 @@ def _lae(a, b, out=None) -> np.ndarray:
     """np.logaddexp(a, b) as max + log1p(exp(min - max)), from ufuncs that
     numpy vectorizes (logaddexp itself runs one scalar call per element).
     Two equal infinities make min - max NaN; the last fmax then keeps the
-    max, which the sum never undercuts.  A NaN operand is NaN in both."""
+    max, which the sum never undercuts.  A NaN operand is NaN in both.
+    Called on its own it ignores the invalid flag of that NaN itself; the
+    level loops call `_lae_bare` under one np.errstate for the whole sweep."""
+    with np.errstate(invalid="ignore"):
+        return _lae_bare(a, b, out)
+
+
+def _lae_bare(a, b, out=None) -> np.ndarray:
+    """`_lae` without its errstate: two equal infinities raise numpy's
+    invalid flag unless the caller ignores it."""
     d = np.minimum(a, b)
     m = np.maximum(a, b, out=out)
-    with np.errstate(invalid="ignore"):
-        np.subtract(d, m, out=d)
+    np.subtract(d, m, out=d)
     np.exp(d, out=d)
     np.log1p(d, out=d)
     np.add(m, d, out=d)
@@ -120,8 +128,12 @@ def _level(prev: np.ndarray, s1: np.ndarray, s2, comb: np.ufunc, lo: bool, hi: b
     the domain.  s2 = None makes s1 one term per site of prev, carried by
     both of its edges (the weight of the site left) and added once.  The
     terms broadcast against prev, whose leading axes (replicas, anchors,
-    tables) the level keeps.  comb is np.maximum, or np.logaddexp evaluated
-    as `_lae`."""
+    tables) the level keeps; a scalar term is one weight for every edge.
+    comb is np.maximum, or np.logaddexp evaluated as `_lae_bare`: the step
+    enters no np.errstate, so each level loop holds one,
+    np.errstate(invalid="ignore"), around its whole sweep for the combine
+    of two equal infinities (-inf on both sides above a horizon or before
+    an anchor, +inf weights)."""
     m = prev.shape[-1] - 1  # sites with two predecessors
     if s2 is None:
         a = prev + s1
@@ -131,7 +143,7 @@ def _level(prev: np.ndarray, s1: np.ndarray, s2, comb: np.ufunc, lo: bool, hi: b
         a = prev[..., : m + hi] + s1
         b = prev[..., 1 - lo :] + s2
     new = np.empty(a.shape[:-1] + (m + lo + hi,))
-    (_lae if comb is np.logaddexp else comb)(a[..., :m], b[..., lo:], out=new[..., lo : lo + m])
+    (_lae_bare if comb is np.logaddexp else comb)(a[..., :m], b[..., lo:], out=new[..., lo : lo + m])
     if lo:
         new[..., 0] = b[..., 0]
     if hi:
@@ -156,15 +168,18 @@ def _levels(W: int, H: int, terms, comb: np.ufunc, row: np.ndarray, last: int | 
     edges out of level k - 1, so the sweep to `last` reads none out of a
     higher level.  Leading axes are independent rectangles, each its own
     sweep bit for bit.  The next level steps from the yielded one, so a
-    caller may write into it (a pair probe starts its second sweep there)."""
+    caller may write into it (a pair probe starts its second sweep there).
+    The sweep holds one np.errstate for all its levels (see `_level`); the
+    caller's loop body runs under it too."""
     last = W + H - 2 if last is None else min(last, W + H - 2)
     kk = np.arange(last + 1)
     lo, hi = np.maximum(kk - (H - 1), 0), np.minimum(kk, W - 1)
     edges = terms(kk, lo, hi)
-    for k, i0, i1 in zip(kk.tolist(), lo.tolist(), hi.tolist()):
-        if k:
-            row = _level(row, *next(edges), comb, i0 == 0, i1 == k)
-        yield k, i0, row
+    with np.errstate(invalid="ignore"):
+        for k, i0, i1 in zip(kk.tolist(), lo.tolist(), hi.tolist()):
+            if k:
+                row = _level(row, *next(edges), comb, i0 == 0, i1 == k)
+            yield k, i0, row
 
 
 def _diagonals(s1: np.ndarray, s2: np.ndarray):
@@ -177,25 +192,41 @@ def _diagonals(s1: np.ndarray, s2: np.ndarray):
     )
 
 
+def _scaled(scale: float, raw, inplace: bool = False):
+    """The terms scale * raw of raw weights (into raw itself with `inplace`),
+    the one rule of the level loops: at scale 1 (beta = 1 or inf) raw as it
+    is, since 1.0 * x == x bit for bit for every float (+-0, +-inf, NaN)."""
+    if scale == 1.0:
+        return raw
+    return np.multiply(raw, scale, out=raw if inplace else None)
+
+
 def _hashed(field, anchor: Site, d: int, scale: float):
-    """`_levels` terms from a field's weights times `scale`, streamed by
-    `env._rows` along the levels anchor + d * (i, k - i), step (d, -d), and
-    the one rule for which weight an edge carries.  From the anchor (d = 1)
-    it is the site it leaves, one term per site of level k - 1 added once
-    (levels 0..K-1 hashed); to it (d = -1) the site it enters, on both sides
-    before the combine (levels 1..K hashed)."""
+    """`_levels` terms from a field's weights times `scale` (`_scaled`),
+    streamed by `env._rows` along the levels anchor + d * (i, k - i), step
+    (d, -d), and the one rule for which weight an edge carries.  From the
+    anchor (d = 1) it is the site it leaves, one term per site of level
+    k - 1 added once (levels 0..K-1 hashed); to it (d = -1) the site it
+    enters, on both sides before the combine (levels 1..K hashed).  A hashed
+    constant field gives every level the scalar term scale * value, which
+    `_level` broadcasts: nothing is hashed and no row is built."""
+    c = _constant(field)
 
     def terms(kk, lo, hi):
+        if c is not None:
+            return itertools.repeat((scale * c, None if d > 0 else scale * c))
         read = kk[1:] if d < 0 else kk[:-1]
         raws = _rows(field, anchor.u + d * lo[read], anchor.v + d * (read - lo[read]), hi[read] - lo[read] + 1, (d, -d))
-        for grow_lo, grow_hi, raw in zip((lo[1:] == 0).tolist(), (hi[1:] == kk[1:]).tolist(), raws):
-            if d > 0:
-                yield scale * raw, None
-            else:
-                w = scale * raw
-                yield w[grow_lo:], w[: len(w) - grow_hi]
+        return _edge_terms(zip((lo[1:] == 0).tolist(), (hi[1:] == kk[1:]).tolist(), raws), d, scale)
 
     return terms
+
+
+def _edge_terms(levels, d: int, scale: float):
+    """The (s1, s2) of `_hashed` from each level's raw weights."""
+    for grow_lo, grow_hi, raw in levels:
+        w = _scaled(scale, raw)
+        yield (w, None) if d > 0 else (w[grow_lo:], w[: len(w) - grow_hi])
 
 
 def _sweep(s1: np.ndarray, s2: np.ndarray, comb: np.ufunc) -> np.ndarray:
@@ -471,7 +502,8 @@ def _p2l_sweep(field, beta: float, h, n: int, base: Site, horizons=None):
     """The sweep of `p2l_rows`, one level at a time from the boundary down:
     yields (k, raw, level) for k = K, ..., 0, where level holds the values
     at sites base + (i, k - i), i = 0..k, and raw the weights hashed for it
-    at the same sites (None at k = K, where nothing is hashed)."""
+    at the same sites (None at k = K, where nothing is hashed).  The levels
+    below K step under one np.errstate (see `_level`)."""
     _, scale, comb = _temperature(beta)
     K = n - base.level()
     if K < 0:
@@ -496,11 +528,12 @@ def _p2l_sweep(field, beta: float, h, n: int, base: Site, horizons=None):
     np.copyto(level, 0.0, where=top == K)
     yield K, None, level
     kk = np.arange(K - 1, -1, -1)
-    for k, raw in zip(kk.tolist(), _rows(field, base.u, base.v + kk, kk + 1, (1, -1))):
-        w = scale * raw
-        level = _level(level, w + bh2, w + bh1, comb, False, False)
-        np.copyto(level, 0.0, where=top == k)
-        yield k, raw, level
+    with np.errstate(invalid="ignore"):
+        for k, raw in zip(kk.tolist(), _rows(field, base.u, base.v + kk, kk + 1, (1, -1))):
+            w = _scaled(scale, raw)
+            level = _level(level, w + bh2, w + bh1, comb, False, False)
+            np.copyto(level, 0.0, where=top == k)
+            yield k, raw, level
 
 
 # ---------------------------------------------------------------------------

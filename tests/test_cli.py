@@ -299,6 +299,22 @@ def test_the_cli_and_a_gaussian_parse_load_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_a_constant_interface_run_loads_no_scipy_special(tmp_path):
+    # the interface walk's logistic is numpy's, and constant weights need no
+    # quantile, so the shipped constant-weight interface run never imports it
+    code = (
+        "import sys\n"
+        "from polymerlab.cli import main\n"
+        f"code = main(['run', {str(CONFIGS / 'interface.cfg')!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.special' not in sys.modules\n"
+    )
+    env_vars = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env_vars, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "o" / "report.json").is_file()
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     # `python -m polymerlab` is the installed `polymerlab` command
     env_vars = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
