@@ -20,9 +20,11 @@ of `gibbs.ldp_rate_profile`.  For each loop this prints two rows:
   walkers band, the cdf interface walk, the ldp profile).
 
 Each line is tab-separated: loop, row, the mean sites per level, the
-levels timed and the microseconds per level, the best of --repeats calls.
-Weights are hashed inside the timed calls, as in a run, at beta = 1.
---scale multiplies every size (a smoke run uses a small one).
+levels timed and the microseconds per level.  Every call is timed once a
+round, for --repeats rounds, and keeps its best time, so a burst of load
+on a shared machine spoils one round of every row rather than all the
+calls of one.  Weights are hashed inside the timed calls, as in a run, at
+beta = 1.  --scale multiplies every size (a smoke run uses a small one).
 """
 
 from __future__ import annotations
@@ -41,15 +43,6 @@ from polymerlab.env import FieldBatch, Site, WeightSpec, Window, generate_field 
 GAUSS = WeightSpec.gaussian(0.0, 1.0)
 ILG = WeightSpec.inverse_log_gamma(1.0)
 TILT = (0.1, -0.1)
-
-
-def _best(call, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        call()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _field(spec=GAUSS, seed=7):
@@ -89,42 +82,51 @@ def _ldp(n: int, replicas: int):
     return (lambda: gibbs.ldp_rate_profile(ILG, 1.0, (-0.3, -0.3), n, replicas, 3)), down + n, sites
 
 
-def _per_level(case, repeats: int):
-    call, levels, sites = case
-    call()  # warm up
-    return sites, levels, 1e6 * _best(call, repeats) / levels
-
-
-def _marginal(make, n1: int, n2: int, repeats: int):
-    """(seconds(n2) - seconds(n1)) / (levels(n2) - levels(n1)), the levels
-    between the two sizes."""
-    (c1, l1, s1), (c2, l2, s2) = make(n1), make(n2)
-    c1(), c2()
-    t1, t2 = _best(c1, repeats), _best(c2, repeats)
-    return (s2 * l2 - s1 * l1) / (l2 - l1), l2 - l1, 1e6 * (t2 - t1) / (l2 - l1)
+def _cases(scale: float):
+    """(loop, row, cases): one case is timed per level, two as the
+    difference of the larger and the smaller size."""
+    s = lambda n, least=2: max(least, round(n * scale))  # noqa: E731
+    yield "corner_from", "fixed", [_table("from_anchor", s(3000), 3)]
+    yield "corner_to", "fixed", [_table("to_anchor", s(3000), 3)]
+    yield "p2l_sweep", "fixed", [_p2l(s(10)), _p2l(s(70, 3))]
+    yield "band", "fixed", [_band(s(3000), 2)]
+    yield "cif", "fixed", [_cif(s(10), 3), _cif(s(70, 3), 3)]
+    yield "ldp", "fixed", [_ldp(s(4), 1), _ldp(s(24, 3), 1)]
+    yield "corner_from", "bench", [_table("from_anchor", s(2001), s(2001), WeightSpec.constant(0.25))]
+    yield "corner_to", "bench", [_table("to_anchor", s(1401), s(1401))]
+    yield "p2l_sweep", "bench", [_p2l(s(450), 4)]
+    yield "band", "bench", [_band(s(3004), s(300))]
+    yield "cif", "bench", [_cif(s(800), s(1000, 1))]
+    yield "ldp", "bench", [_ldp(s(200), 4)]
 
 
 def rows(scale: float, repeats: int):
     """(loop, row, sites per level, levels, microseconds per level)."""
-    s = lambda n, least=2: max(least, round(n * scale))  # noqa: E731
-    yield "corner_from", "fixed", *_per_level(_table("from_anchor", s(3000), 3), repeats)
-    yield "corner_to", "fixed", *_per_level(_table("to_anchor", s(3000), 3), repeats)
-    yield "p2l_sweep", "fixed", *_marginal(_p2l, s(8), s(40, 3), repeats)
-    yield "band", "fixed", *_per_level(_band(s(3000), 2), repeats)
-    yield "cif", "fixed", *_marginal(lambda n: _cif(n, 3), s(8), s(40, 3), repeats)
-    yield "ldp", "fixed", *_marginal(lambda n: _ldp(n, 1), s(4), s(16, 3), repeats)
-    yield "corner_from", "bench", *_per_level(_table("from_anchor", s(2001), s(2001), WeightSpec.constant(0.25)), repeats)
-    yield "corner_to", "bench", *_per_level(_table("to_anchor", s(1401), s(1401)), repeats)
-    yield "p2l_sweep", "bench", *_per_level(_p2l(s(450), 4), repeats)
-    yield "band", "bench", *_per_level(_band(s(3004), s(300)), repeats)
-    yield "cif", "bench", *_per_level(_cif(s(800), s(1000, 1)), repeats)
-    yield "ldp", "bench", *_per_level(_ldp(s(200), 4), repeats)
+    table = list(_cases(scale))
+    calls = [call for _, _, cases in table for call, _, _ in cases]
+    best = [float("inf")] * len(calls)
+    for call in calls:
+        call()  # warm up
+    for _ in range(repeats):
+        for i, call in enumerate(calls):
+            t0 = time.perf_counter()
+            call()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    times = iter(best)
+    for loop, row, cases in table:
+        if len(cases) == 1:
+            (_, levels, sites), seconds = cases[0], next(times)
+        else:  # the levels between the two sizes
+            (_, l1, s1), (_, l2, s2) = cases
+            t1, t2 = next(times), next(times)
+            levels, sites, seconds = l2 - l1, (s2 * l2 - s1 * l1) / (l2 - l1), t2 - t1
+        yield loop, row, sites, levels, 1e6 * seconds / levels
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--scale", type=float, default=1.0, help="multiplies every size (default 1)")
-    parser.add_argument("--repeats", type=int, default=5, help="timed calls per size, best kept (default 5)")
+    parser.add_argument("--repeats", type=int, default=7, help="rounds, each timing every call once (default 7)")
     args = parser.parse_args(argv)
     if not (args.scale > 0 and args.repeats >= 1):
         parser.error("--scale must be positive and --repeats at least 1")

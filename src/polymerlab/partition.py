@@ -10,6 +10,11 @@ of a corner rectangle (the tables, the probes and `_sweep`), with its edge
 terms from two edge arrays (`_diagonals`) or a hashed field (`_hashed`);
 the point-to-line sweep starts from a line and steps `_level` itself.
 
+The level step's fixed cost is paid once per sweep: `_level` enters no
+np.errstate, and each level loop holds one around all its levels.  Edge
+terms are the raw weights themselves at scale 1 (`_scaled`), and a hashed
+constant field gives one scalar term per level.
+
 Path-weight convention: the energy of a path from x to y sums the weights at
 every visited site including x and excluding y, so Z_{x,x} = 1.
 """
@@ -211,22 +216,17 @@ def _hashed(field, anchor: Site, d: int, scale: float):
     constant field gives every level the scalar term scale * value, which
     `_level` broadcasts: nothing is hashed and no row is built."""
     c = _constant(field)
+    if c is not None:
+        return lambda kk, lo, hi: itertools.repeat((scale * c, None if d > 0 else scale * c))
 
     def terms(kk, lo, hi):
-        if c is not None:
-            return itertools.repeat((scale * c, None if d > 0 else scale * c))
         read = kk[1:] if d < 0 else kk[:-1]
         raws = _rows(field, anchor.u + d * lo[read], anchor.v + d * (read - lo[read]), hi[read] - lo[read] + 1, (d, -d))
-        return _edge_terms(zip((lo[1:] == 0).tolist(), (hi[1:] == kk[1:]).tolist(), raws), d, scale)
+        for grow_lo, grow_hi, raw in zip((lo[1:] == 0).tolist(), (hi[1:] == kk[1:]).tolist(), raws):
+            w = _scaled(scale, raw)
+            yield (w, None) if d > 0 else (w[grow_lo:], w[: len(w) - grow_hi])
 
     return terms
-
-
-def _edge_terms(levels, d: int, scale: float):
-    """The (s1, s2) of `_hashed` from each level's raw weights."""
-    for grow_lo, grow_hi, raw in levels:
-        w = _scaled(scale, raw)
-        yield (w, None) if d > 0 else (w[grow_lo:], w[: len(w) - grow_hi])
 
 
 def _sweep(s1: np.ndarray, s2: np.ndarray, comb: np.ufunc) -> np.ndarray:
