@@ -69,7 +69,7 @@ def _temperature(beta: float) -> _Temperature:
     finite beta log-weights are beta * energies combined by logaddexp; at
     beta = inf they are the energies themselves (scale 1), combined by max,
     so tables hold the last-passage time G.  The level step runs comb
-    elementwise, as `_lae` in place of np.logaddexp."""
+    elementwise, as `_lae_bare` in place of np.logaddexp."""
     beta = float(beta)
     if not beta > 0:
         raise ParameterError(f"beta must be positive (or inf), got {beta}")
@@ -333,12 +333,14 @@ def p2p_table(
     if not field.covers(window):
         raise WindowError("explicit field cannot extend beyond its window")
     au, av = window.index(anchor)
-    logz = np.full((window.width, window.height), NEG_INF)
     # the sweep from the anchor (reversed for to_anchor) on its W x H corner
     # of the window: level k holds the sites anchor + d * (i, k - i), i0 <=
     # i, written through a strided view of the flat logz
     d = -1 if mode == "to_anchor" else 1
     W, H = (au + 1, av + 1) if d < 0 else (window.width - au, window.height - av)
+    shape = (window.width, window.height)
+    # -inf only where the corner leaves sites unordered with the anchor
+    logz = np.empty(shape) if (W, H) == shape else np.full(shape, NEG_INF)
     flat = logz.reshape(-1)
     step = d * max(window.height - 1, 1)
     origin = au * window.height + av
